@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .rationals import QQ
-
 
 class ExprError(ValueError):
     """Parse or evaluation failure, carrying the offending position."""

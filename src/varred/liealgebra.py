@@ -291,7 +291,7 @@ class DualFrame:
         red, _ = rref(aug)
         self.sinv = [row[k:] for row in red]
 
-    def coords(self, a: RatMat, verify: bool = True):
+    def coords(self, a: RatMat):
         """Coefficients c with a = sum c_k * basis[k]; ValueError if outside."""
         k = len(self.basis)
         zero = RatFun.const(0)
@@ -304,20 +304,24 @@ class DualFrame:
                     i, j = divmod(self.pivots[c], a.cols)
                     acc = acc + a.data[i][j].scale(s)
             coords.append(acc)
-        if verify:
-            check = RatMat.zeros(a.rows, a.cols)
-            for ck, b in zip(coords, self.basis):
-                if ck.is_zero:
-                    continue
-                for i in range(a.rows):
-                    brow = b.data[i]
-                    crow = check.data[i]
-                    for j in range(a.cols):
-                        if brow[j]:
-                            crow[j] = crow[j] + ck.scale(brow[j])
-            if not check == a:
-                raise ValueError("matrix is outside the span of the basis")
+        if not self.combine(coords) == a:
+            raise ValueError("matrix is outside the span of the basis")
         return coords
+
+    def combine(self, coeffs) -> RatMat:
+        """The rational matrix sum coeffs[k] * basis[k]."""
+        rows, cols = self.basis[0].rows, self.basis[0].cols
+        out = RatMat.zeros(rows, cols)
+        for ck, b in zip(coeffs, self.basis):
+            if ck.is_zero:
+                continue
+            for i in range(rows):
+                brow = b.data[i]
+                orow = out.data[i]
+                for j in range(cols):
+                    if brow[j]:
+                        orow[j] = orow[j] + ck.scale(brow[j])
+        return out
 
 
 def coefficient_functions(a: RatMat, basis):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ, QQ0, QQ1, is_integer
+from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, factor_irreducible
 from .ratfun import RatFun
 from .errors import UnsupportedRegime
@@ -43,14 +43,6 @@ class ConstMat:
         m = ConstMat.zeros(n, n)
         for i in range(n):
             m.data[i][i] = QQ1
-        return m
-
-    @staticmethod
-    def from_entries(rows, cols, entries) -> "ConstMat":
-        """entries: iterable of (i, j, value), 0-based."""
-        m = ConstMat.zeros(rows, cols)
-        for i, j, v in entries:
-            m.data[i][j] = QQ(v)
         return m
 
     def __eq__(self, other):
@@ -111,9 +103,6 @@ class ConstMat:
                     if bkj:
                         orow[j] += aik * bkj
         return ConstMat._raw(out)
-
-    def transpose(self) -> "ConstMat":
-        return ConstMat._raw([list(col) for col in zip(*self.data)])
 
     def submatrix(self, r0, r1, c0, c1) -> "ConstMat":
         return ConstMat([row[c0:c1] for row in self.data[r0:r1]])
@@ -245,10 +234,6 @@ class SpanQQ:
             self.n_added += 1
         return True
 
-    def contains(self, vec) -> bool:
-        v, _ = self._reduce(vec)
-        return all(not c for c in v)
-
     def coords_in_rows(self, vec):
         """Coordinates of vec in the current rows, or None if outside."""
         v, mults = self._reduce(vec)
@@ -321,10 +306,6 @@ class RatMat:
             m.data[i][i] = one
         return m
 
-    @staticmethod
-    def from_const(c: ConstMat) -> "RatMat":
-        return RatMat([[RatFun.const(v) for v in row] for row in c.data])
-
     def __eq__(self, other):
         return (
             isinstance(other, RatMat)
@@ -392,9 +373,6 @@ class RatMat:
 
     def derivative(self) -> "RatMat":
         return RatMat([[e.derivative() for e in row] for row in self.data])
-
-    def transpose(self) -> "RatMat":
-        return RatMat([list(col) for col in zip(*self.data)])
 
     def submatrix(self, r0, r1, c0, c1) -> "RatMat":
         return RatMat([row[c0:c1] for row in self.data[r0:r1]])

@@ -125,12 +125,6 @@ class Poly:
             return Poly._raw(())
         return Poly._raw(tuple(a * c for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly._raw((QQ0,) * k + self.coeffs)
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -187,13 +181,6 @@ class Poly:
         """The primitive with zero constant term."""
         c = self.coeffs
         return Poly._raw(_strip([QQ0] + [c[i] / (i + 1) for i in range(len(c))]))
-
-    def eval(self, point):
-        """Horner evaluation; point may be any ring element (QQ, RatFun...)."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * point + c
-        return QQ0 if acc is None else acc
 
     def monic(self) -> "Poly":
         if self.is_zero or self.lc == 1:

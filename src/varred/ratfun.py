@@ -16,11 +16,10 @@ from .poly import (
     Poly,
     factor_irreducible,
     poly_gcd,
-    poly_lcm,
     poly_xgcd,
     squarefree_decomposition,
 )
-from .expr import ExprError, parse_expression, poly_to_text, _is_bare_atom
+from .expr import parse_expression, poly_to_text, _is_bare_atom
 
 _ONE = Poly((QQ1,))
 
@@ -78,10 +77,6 @@ class RatFun:
     @property
     def is_constant(self) -> bool:
         return self.num.is_constant and self.den.is_one
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_one
 
     def constant_value(self):
         if not self.is_constant:

@@ -16,10 +16,5 @@ QQ0 = QQ(0)
 QQ1 = QQ(1)
 
 
-def qq(value) -> "QQ":
-    """Coerce ints, Fractions, mpqs or 'p/q' strings to the scalar type."""
-    return QQ(value)
-
-
 def is_integer(a) -> bool:
     return a.denominator == 1

@@ -3,10 +3,10 @@
 The entry point is reduce_variational_tower, which walks the orders of a
 variational hierarchy: at each order the diagonal blocks are reduced by
 recycling the gauges of the lower orders, and the subdiagonal block is then
-cleaned generator by generator along the adjoint chains of the diagonal
-term.  Every gauge applied on the way is recorded as a ReductionStep, so a
-report can be replayed: composing the recorded gauges and applying them to
-the initial matrix reproduces the final matrix exactly.
+cleaned by one scalar sweep along the adjoint chains of the diagonal term.
+Every elimination is recorded as a ReductionStep, and the report carries
+the total gauge; applying it to the initial matrix reproduces the final
+matrix exactly, which is checked once at the end of every reduction.
 
 What cannot be removed is kept honestly: Hermite residues with simple poles
 stay as coefficients of their generators, and they are what a later
@@ -15,6 +15,7 @@ obstruction certificate points at.
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import PreconditionFailure, ReductionTimeout, UnsupportedRegime
 from .gauge import (
@@ -38,15 +39,13 @@ from .matrices import (
     RatMat,
     SpanQQ,
     comm,
-    const_mul_ratmat,
     coordinates_in_span,
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
-    ratmat_mul_const,
 )
-from .poly import Poly, factor_irreducible
-from .rationals import QQ0, QQ1
+from .poly import factor_irreducible
+from .rationals import QQ0
 from .ratfun import (
     RatFun,
     as_log_derivative,
@@ -68,15 +67,17 @@ class ReductionStep:
 
     kind is "diagonal-assembly" for the block-diagonal gauge that recycles
     the lower-order reductions, "chain-removal" when a generator coefficient
-    was removed completely, and "hermite-partial" when only the derivative
-    part could be removed and a simple-pole residue stays behind.  A step
-    with gauge None changed nothing (unresolved, or residue-only).
+    was removed completely, "hermite-partial" when only the derivative
+    part could be removed and a simple-pole residue stays behind, and
+    "unresolved" when no rational gauge removes it.  Elimination steps
+    from the chain sweep carry no gauge of their own: the sweep applies
+    Id + sum(solved_g * generator) over all of them at once, and the
+    report's total gauge is the diagonal-assembly gauge followed by it.
     """
 
     kind: str
     gauge: GaugeMatrix | None = None
     generator: ConstMat | None = None
-    removed_generator: ConstMat | None = None
     solved_g: RatFun | None = None
     residual_l: RatFun | None = None
     new_poles: list = field(default_factory=list)
@@ -127,9 +128,8 @@ class TowerElement:
 class ReductionReport:
     """Everything the reduction of one order produced.
 
-    system.matrix is the matrix the recorded gauges start from; composing
-    the step gauges in order and applying the result to it reproduces
-    final_matrix exactly.
+    system.matrix is the matrix the reduction starts from; applying
+    total_gauge to it reproduces final_matrix exactly.
     """
 
     order: int
@@ -228,25 +228,6 @@ def _pole_factor_set(funcs):
     return seen
 
 
-def _compose_steps(n: int, steps) -> GaugeMatrix:
-    total = None
-    for st in steps:
-        if st.gauge is None:
-            continue
-        if total is None:
-            total = st.gauge
-        elif st.generator is not None and st.solved_g is not None:
-            # total . (Id + g C) touches only the columns C feeds
-            p = total.p + ratmat_mul_const(total.p, st.generator).scale(st.solved_g)
-            p_inv = total.p_inv - const_mul_ratmat(
-                st.generator, total.p_inv
-            ).scale(st.solved_g)
-            total = GaugeMatrix(p, p_inv, check=False)
-        else:
-            total = total.compose(st.gauge)
-    return total if total is not None else GaugeMatrix.identity(n)
-
-
 # ---- diagonal assembly ---------------------------------------------------------
 
 
@@ -302,7 +283,9 @@ def remove_generator(
 
     Returns (new matrix, step, coordinates of the new subdiagonal part).
     Postconditions are checked: the target coefficient equals the recorded
-    residue and the diagonal blocks are untouched.
+    residue and the diagonal blocks are untouched.  This is the one-gauge
+    reference for the chain sweep of reduce_subdiagonal, which must agree
+    with calling it position by position down every chain.
     """
     if coords is None:
         coords = subframe.coords(_sub_projection(a, d1))
@@ -354,40 +337,11 @@ def remove_generator(
         kind=kind,
         gauge=p,
         generator=gen,
-        removed_generator=gen if residual is None else None,
         solved_g=g,
         residual_l=residual,
         new_poles=_new_pole_factors(residual, beta0),
     )
     return a2, step, coords2
-
-
-def reduce_jordan_block(
-    a: RatMat,
-    d1: int,
-    beta0: RatFun,
-    subframe: DualFrame,
-    positions,
-    lam=QQ0,
-    deadline=None,
-    coords=None,
-):
-    """Clean one adjoint chain from its top position downwards.
-
-    positions indexes the chain inside subframe.basis, kernel element first.
-    Working downwards means a gauge at position s only feeds position s-1,
-    which is handled next, so nothing is ever re-introduced.  Returns the
-    new matrix, the recorded steps and the current coordinates.
-    """
-    steps = []
-    for s in range(len(positions) - 1, -1, -1):
-        _check_deadline(deadline)
-        a, step, coords = remove_generator(
-            a, d1, beta0, subframe, positions[s], lam=lam, coords=coords
-        )
-        if step.gauge is not None or step.residual_l is not None or step.note:
-            steps.append(step)
-    return a, steps, coords
 
 
 # ---- eigen-structure of the diagonal adjoint -----------------------------------
@@ -452,6 +406,88 @@ def _chain_matrices(chain_vecs, sub_basis):
     return mats
 
 
+def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int):
+    """(lam, matrices) chains of ad(d0) on the working subdiagonal space.
+
+    Longest chains first, each kernel element first, so that
+    [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
+    """
+    work_basis = _working_sub_space(d0, closure_mats, sub_basis, d1)
+    if not work_basis:
+        return []
+    psi = adjoint_on_sub(d0, work_basis)
+    chains = [(lam, _chain_matrices(ch, work_basis)) for lam, ch in _eigen_chains(psi)]
+    chains.sort(key=lambda t: -len(t[1]))
+    for lam, mats in chains:
+        for s, m in enumerate(mats):
+            want = m.scale(lam)
+            if s > 0:
+                want = want + mats[s - 1]
+            if comm(d0, m) != want:
+                raise RuntimeError("adjoint chain relation failed")
+    return chains
+
+
+# ---- the chain sweep -----------------------------------------------------------
+
+
+def _sweep_chains(chains, coords, beta0: RatFun, deadline):
+    """Solve the elimination of every chain coefficient in one pass.
+
+    chains holds (lam, matrices) pairs, kernel element first, with
+    [d0, C_s] = lam*C_s + C_(s-1); coords are the coefficients of all chain
+    matrices, chain after chain.  The matrices are square-zero and sit in
+    the lower-left block, so Id + S with S = sum g_k C_k moves the
+    coefficient of C_s to c_s + lam*beta0*g_s - g_s' with
+    c_s = coords_s + beta0*g_(s+1), and nothing else.  Going down each
+    chain makes that one scalar equation per position.
+
+    Returns (g, left, steps): the gauge coefficients, the coefficients that
+    stay, and the recorded steps in chain order.
+    """
+    g = [_RF_ZERO] * len(coords)
+    left = list(coords)
+    steps = []
+    start = 0
+    for lam, mats in chains:
+        above = _RF_ZERO
+        for s in range(len(mats) - 1, -1, -1):
+            _check_deadline(deadline)
+            k = start + s
+            c = coords[k] + beta0 * above
+            left[k] = c
+            if c.is_zero:
+                above = _RF_ZERO
+                continue
+            if lam != QQ0:
+                sol = solve_first_order_rational(beta0.scale(lam), c)
+                if sol is None:
+                    step = ReductionStep(
+                        kind="unresolved",
+                        generator=mats[s],
+                        note="no rational solution of g' = (%s) g + (%s); "
+                        "generator retained" % (beta0.scale(lam).render(), c.render()),
+                    )
+                else:
+                    g[k], left[k] = sol, _RF_ZERO
+                    step = ReductionStep(kind="chain-removal", generator=mats[s], solved_g=sol)
+            else:
+                split = hermite_split(c)
+                g[k], left[k] = split.r, split.l
+                residual = None if split.l.is_zero else split.l
+                step = ReductionStep(
+                    kind="chain-removal" if residual is None else "hermite-partial",
+                    generator=mats[s],
+                    solved_g=None if split.r.is_zero else split.r,
+                    residual_l=residual,
+                    new_poles=_new_pole_factors(residual, beta0),
+                )
+            steps.append(step)
+            above = g[k]
+        start += len(mats)
+    return g, left, steps
+
+
 # ---- the subdiagonal driver -----------------------------------------------------
 
 
@@ -466,15 +502,16 @@ def reduce_subdiagonal(
     The Lie algebra generated by the coefficient matrix is split along the
     block-diagonal; a single diagonal generator is required (anything bigger
     raises UnsupportedRegime).  Its adjoint organizes the subdiagonal
-    generators into chains, each cleaned top-down with one gauge per
-    position.  The returned report carries the full recorded trace; when
-    pre_steps are given (the diagonal assembly), initial_matrix must be the
-    matrix those steps start from.
+    generators into chains, and one sweep down the chains solves for the
+    whole elimination gauge Id + S; without a diagonal generator every
+    subdiagonal generator is a chain of its own.  When pre_steps are given
+    (the diagonal assembly), initial_matrix must be the matrix those steps
+    start from.  The total gauge is checked once: applied to the initial
+    matrix it must give the final matrix exactly.
     """
     a0 = system.matrix
     n = a0.rows
     d1 = system.block_sizes[0]
-    steps = list(pre_steps)
     _check_deadline(deadline)
 
     wn0 = wei_norman(a0)
@@ -485,56 +522,30 @@ def reduce_subdiagonal(
             "diagonal algebra is not monogenous (dimension %d)" % len(diag_basis)
         )
 
-    a = a0
-    jordan_sizes = []
+    beta0 = _RF_ZERO
     if diag_basis:
-        work_basis = _working_sub_space(diag_basis[0], lie0.mats, sub_basis, d1)
+        chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1)
+        if chains:
+            beta0 = DualFrame(diag_basis).coords(_diag_projection(a0, d1))[0]
     else:
-        work_basis = list(sub_basis)
-    if diag_basis and work_basis:
-        d0 = diag_basis[0]
-        diag_frame = DualFrame([d0])
-        beta0 = diag_frame.coords(_diag_projection(a, d1))[0]
-        psi = adjoint_on_sub(d0, work_basis)
-        chains = _eigen_chains(psi)
-        chains.sort(key=lambda t: -len(t[1]))
-        jordan_sizes = [len(ch) for _, ch in chains]
-        chain_mats = []
-        chain_slices = []
-        for lam, ch in chains:
-            mats = _chain_matrices(ch, work_basis)
-            start = len(chain_mats)
-            chain_mats.extend(mats)
-            chain_slices.append((lam, list(range(start, start + len(mats)))))
-        # sanity: the chain matrices realize the adjoint action
-        for lam, pos in chain_slices:
-            for s, idx in enumerate(pos):
-                want = chain_mats[idx].scale(lam)
-                if s > 0:
-                    want = want + chain_mats[pos[s - 1]]
-                if comm(d0, chain_mats[idx]) != want:
-                    raise RuntimeError("adjoint chain relation failed")
-        subframe = DualFrame(chain_mats)
-        coords = None
-        for lam, pos in chain_slices:
-            _check_deadline(deadline)
-            a, chain_steps, coords = reduce_jordan_block(
-                a, d1, beta0, subframe, pos, lam=lam, deadline=deadline, coords=coords
-            )
-            steps.extend(chain_steps)
-    elif work_basis:
         # zero diagonal: every generator is its own chain, pure antidifferentiation
-        beta0 = _RF_ZERO
-        jordan_sizes = [1] * len(work_basis)
-        subframe = DualFrame(work_basis)
-        coords = None
-        for idx in range(len(work_basis)):
-            _check_deadline(deadline)
-            a, step, coords = remove_generator(
-                a, d1, beta0, subframe, idx, coords=coords
-            )
-            if step.gauge is not None or step.residual_l is not None or step.note:
-                steps.append(step)
+        chains = [(QQ0, [w]) for w in sub_basis]
+    jordan_sizes = [len(mats) for _, mats in chains]
+
+    steps = list(pre_steps)
+    gauges = [st.gauge for st in steps if st.gauge is not None]
+    q = reduce(GaugeMatrix.compose, gauges or [GaugeMatrix.identity(n)])
+    a = a0
+    total = q
+    if chains:
+        frame = DualFrame([m for _, mats in chains for m in mats])
+        g, left, sweep_steps = _sweep_chains(
+            chains, frame.coords(_sub_projection(a0, d1)), beta0, deadline
+        )
+        steps.extend(sweep_steps)
+        a = _diag_projection(a0, d1) + frame.combine(left)
+        s = frame.combine(g)
+        total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv, check=False)
 
     wn_final = wei_norman(a)
     lie_final = lie_closure(wn_final.matrices())
@@ -560,7 +571,7 @@ def reduce_subdiagonal(
         certificate=None,
         verdict="",
         tower=tower,
-        total_gauge=_compose_steps(n, steps),
+        total_gauge=total,
         initial_wei_norman_dim=wn0.dim,
         initial_lie_dim=lie0.dim,
         diag_dim=len(diag_basis),
@@ -570,6 +581,12 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
+    _check_deadline(deadline)
+    if apply_gauge(initial, total) != a:
+        raise RuntimeError(
+            "replay postcondition failed: the total gauge does not carry the "
+            "initial matrix to the final one"
+        )
     return report
 
 

@@ -53,10 +53,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def constant_value(self):
         if not self.terms:
             return QQ0
@@ -222,13 +218,6 @@ def hamiltonian_vector_field(h: MPoly, dof: int):
     return field
 
 
-def poisson_bracket(f: MPoly, g: MPoly, dof: int) -> MPoly:
-    out = MPoly(f.n_vars)
-    for i in range(dof):
-        out = out + f.diff(i) * g.diff(dof + i) - f.diff(dof + i) * g.diff(i)
-    return out
-
-
 @dataclass
 class ParticularSolution:
     """A curve x -> (q(x), p(x)) with the time rescaling d/dt = sigma d/dx."""
@@ -354,11 +343,6 @@ def _unit(nv, i):
     e = [0] * nv
     e[i] = 1
     return tuple(e)
-
-
-def first_variational(field, sol: ParticularSolution) -> RatMat:
-    """Jacobian of the field along the curve, in the rescaled time."""
-    return variational_matrix(field, sol, 1)
 
 
 def build_lve(system: HamiltonianSystem, order: int):

@@ -13,12 +13,15 @@ from varred.errors import (
     UnsupportedRegime,
 )
 from varred.expr import poly_to_text
-from varred.gauge import apply_gauge
-from varred.liealgebra import DualFrame
+from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge
+from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
 from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
+    ReductionStep,
+    _adjoint_chains,
+    _diag_projection,
     certify_monogenous_reduced,
     detect_obstruction,
     picard_vessiot_tower,
@@ -155,6 +158,108 @@ def test_elimination_skips_zero_coefficients():
     assert a2 == a
     assert step.kind == "chain-removal"
     assert step.gauge is None
+
+
+# ---- the chain sweep against one gauge at a time ---------------------------------
+
+
+def two_block_system(rng, solvable):
+    """A hidden two-block system beta0*diag(T1, T2) + S(x), blocks (2, 3).
+
+    T1 = J2(0) and T2 = diag(J2(0), mu), so ad(d0) has a nilpotent chain of
+    length 3 and one of length 1 on the rows of J2(0), and a chain of length
+    2 with eigenvalue mu on the last row.  beta0 = k/x with k*mu not an
+    integer, so g' = mu*beta0*g + c has at most one rational solution.  The
+    lam = 0 rows keep simple-pole residues; the last row keeps nothing
+    (solvable) or a pole at -1 that no rational g removes.  A random gauge
+    Id + H with H in the lower-left block hides it all.
+    """
+    mu = Fraction(rng.choice([1, -1, 2]))
+    k = Fraction(rng.choice([1, 2, 4, 5]), 3)
+    beta0 = RatFun(Poly([k]), Poly([Fraction(0), Fraction(1)]))
+    n, d1 = 5, 2
+    a = RatMat.zeros(n, n)
+    a.data[1][0] = a.data[3][2] = beta0
+    a.data[4][4] = beta0.scale(mu)
+    residues = {(2, 0): rf("1/x"), (2, 1): rf("2/(x^2 + 1)"), (3, 1): rf("-1/(x - 1)")}
+    for (i, j), l in residues.items():
+        if rng.random() < 0.6:
+            a.data[i][j] = l.scale(Fraction(rng.randint(1, 3)))
+    if not solvable:
+        a.data[4][rng.randint(0, 1)] = rf("1/(x + 1)")
+    h = RatMat.zeros(n, n)
+    for i in range(d1, n):
+        for j in range(d1):
+            num = Poly([Fraction(rng.randint(-3, 3)) for _ in range(3)])
+            den = Poly([Fraction(rng.randint(1, 3)), Fraction(1)])
+            h.data[i][j] = RatFun(num, den)
+    eye = RatMat.identity(n)
+    return apply_gauge(a, GaugeMatrix(eye + h, eye - h)), d1
+
+
+def unit_lower_gauge(rng, n):
+    """Id plus random degree-1 polynomials strictly below the diagonal."""
+    p = RatMat.identity(n)
+    for i in range(n):
+        for j in range(i):
+            p.data[i][j] = RatFun(Poly([Fraction(rng.randint(-2, 2)) for _ in range(2)]))
+    return GaugeMatrix.from_p(p)
+
+
+def one_gauge_at_a_time(a0, d1, q):
+    """Reference elimination: remove_generator position by position, top
+    down along each chain of the frame the sweep uses, composing every
+    gauge it applies after q.  Returns (final matrix, steps with their
+    eigenvalue, total gauge, chain shapes)."""
+    lie = lie_closure(wei_norman(a0).matrices())
+    diag, sub = split_diag_sub(lie.mats, d1)
+    chains = _adjoint_chains(diag[0], lie.mats, sub, d1)
+    beta0 = DualFrame(diag).coords(_diag_projection(a0, d1))[0]
+    frame = DualFrame([m for _, mats in chains for m in mats])
+    a, coords, steps = a0, None, []
+    total = q
+    start = 0
+    for lam, mats in chains:
+        for s in range(len(mats) - 1, -1, -1):
+            a, st, coords = remove_generator(a, d1, beta0, frame, start + s,
+                                             lam=lam, coords=coords)
+            if st.gauge is not None:
+                total = total.compose(st.gauge)
+            if st.gauge is not None or st.residual_l is not None or st.note:
+                steps.append((lam, st))
+        start += len(mats)
+    return a, steps, total, [(lam, len(mats)) for lam, mats in chains]
+
+
+def test_chain_sweep_matches_one_gauge_at_a_time():
+    seen_steps = set()
+    seen_chains = set()
+    for seed in range(8):
+        rng = random.Random(4100 + seed)
+        a0, d1 = two_block_system(rng, solvable=seed % 2 == 0)
+        # a block-diagonal gauge q in front, as the diagonal assembly puts it
+        q = block_diag_gauge([unit_lower_gauge(rng, d1),
+                              unit_lower_gauge(rng, a0.rows - d1)])
+        initial = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p, check=False))
+        report = reduce_subdiagonal(
+            BlockSystem(1, a0, [d1, a0.rows - d1]),
+            pre_steps=[ReductionStep(kind="diagonal-assembly", gauge=q)],
+            initial_matrix=initial,
+        )
+        final, steps, total, shapes = one_gauge_at_a_time(a0, d1, q)
+        assert report.final_matrix == final
+        assert [(st.kind, st.residual_l, st.note) for st in report.steps[1:]] == [
+            (st.kind, st.residual_l, st.note) for _, st in steps]
+        assert report.total_gauge.p == total.p
+        assert report.total_gauge.p_inv == total.p_inv
+        assert apply_gauge(initial, report.total_gauge) == report.final_matrix
+        seen_steps.update((st.kind, lam != 0) for lam, st in steps)
+        seen_chains.update((lam != 0, size) for lam, size in shapes)
+    # the batch covers chains of length >= 2 of both kinds, solved and
+    # unresolved nonzero-eigenvalue steps, and both zero-eigenvalue kinds
+    assert {(False, 3), (True, 2)} <= seen_chains
+    assert {("chain-removal", True), ("unresolved", True),
+            ("chain-removal", False), ("hermite-partial", False)} <= seen_steps
 
 
 # ---- diagonal assembly -----------------------------------------------------------
