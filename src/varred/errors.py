@@ -1,6 +1,8 @@
 """Shared failure types, mapped to distinct exit codes by the CLI."""
 from __future__ import annotations
 
+import time
+
 
 class FileFormatError(ValueError):
     """Malformed input file (bad key, bad expression, wrong shape)."""
@@ -20,3 +22,9 @@ class UnsupportedRegime(ValueError):
 
 class ReductionTimeout(RuntimeError):
     """The cooperative --max-minutes guard fired."""
+
+
+def check_deadline(deadline) -> None:
+    """Raise ReductionTimeout once time.monotonic() has passed deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ReductionTimeout("time budget exhausted during reduction")

@@ -13,7 +13,7 @@ from .rationals import QQ0, QQ1
 from .poly import Poly, poly_lcm
 from .ratfun import RatFun
 from .matrices import ConstMat, RatMat, SpanQQ, comm, nullspace, rref
-from .errors import PreconditionFailure
+from .errors import PreconditionFailure, check_deadline
 
 
 @dataclass
@@ -141,12 +141,14 @@ class LieBasis:
         return None
 
 
-def lie_closure(generators) -> LieBasis:
+def lie_closure(generators, deadline=None) -> LieBasis:
     """Smallest Lie algebra over Q containing the given constant matrices.
 
     Brackets are taken breadth-first in a fixed order -- pair (i, j) before
     (i', j') when (j, i) < (j', i') -- so the basis that comes out is
-    reproducible.  Terminates because everything lives inside gl_n.
+    reproducible.  Terminates because everything lives inside gl_n.  The
+    deadline (a time.monotonic() value) is checked before each round of
+    brackets with a new element; ReductionTimeout once it has passed.
     """
     gens = list(generators)
     if not gens:
@@ -160,6 +162,7 @@ def lie_closure(generators) -> LieBasis:
     structure = {}
     j = 1
     while j < len(basis):
+        check_deadline(deadline)
         for i in range(j):
             b = comm(basis[i], basis[j])
             flat = b.flatten()
@@ -176,14 +179,6 @@ def lie_closure(generators) -> LieBasis:
         if len(coords) < dim:
             structure[key] = coords + [QQ0] * (dim - len(coords))
     return LieBasis(basis, structure, n_gen)
-
-
-def pairwise_commute(mats) -> bool:
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not comm(mats[i], mats[j]).is_zero:
-                return False
-    return True
 
 
 # ---- block structure ------------------------------------------------------------
@@ -322,8 +317,3 @@ class DualFrame:
                     if brow[j]:
                         orow[j] = orow[j] + ck.scale(brow[j])
         return out
-
-
-def coefficient_functions(a: RatMat, basis):
-    """Write a(x) = sum_k c_k(x) * basis[k] and return the c_k."""
-    return DualFrame(basis).coords(a)

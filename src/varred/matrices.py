@@ -1,8 +1,11 @@
 """Exact matrices: constant (over Q) and rational-function entries.
 
 Products skip zero entries, which matters a lot here -- the block systems
-and their gauge factors are sparse.  Row reduction is plain Gauss with the
-leftmost-nonzero pivot rule so every result is deterministic.
+and their gauge factors are sparse.  The constant Lie-algebra kernel goes
+further: comm and SpanQQ work on nonzero entries only, since the Lie
+closure matrices hold a few dozen nonzeros in a thousand entries.  Row
+reduction is plain Gauss with the leftmost-nonzero pivot rule so every
+result is deterministic.
 """
 from __future__ import annotations
 
@@ -119,9 +122,25 @@ class ConstMat:
         return out
 
 
+def _nonzero_rows(m: ConstMat):
+    return [[(j, v) for j, v in enumerate(row) if v] for row in m.data]
+
+
 def comm(a: ConstMat, b: ConstMat) -> ConstMat:
-    """Commutator [a, b]."""
-    return a * b - b * a
+    """Commutator [a, b] = a*b - b*a, summed over nonzero entries only."""
+    n = a.rows
+    if not (a.cols == b.rows == n and b.cols == n):
+        raise ValueError("shape mismatch")
+    an, bn = _nonzero_rows(a), _nonzero_rows(b)
+    out = [[QQ0] * n for _ in range(n)]
+    for orow, arow, brow in zip(out, an, bn):
+        for k, aik in arow:
+            for j, bkj in bn[k]:
+                orow[j] += aik * bkj
+        for k, bik in brow:
+            for j, akj in an[k]:
+                orow[j] -= bik * akj
+    return ConstMat._raw(out)
 
 
 # ---- Gauss elimination over Q ---------------------------------------------
@@ -182,17 +201,18 @@ def nullspace(mat_rows, n):
 class SpanQQ:
     """Incremental echelon span of QQ vectors with coordinate tracking.
 
-    Rows are kept sorted by pivot position and unreduced against each other,
-    so an added vector is stored verbatim as the new basis row after forward
-    reduction -- callers rely on that (basis = reduced residuals in input
-    order).
+    Vectors come in dense (lists of length `length`); rows and combos are
+    stored sparse, as {index: nonzero value}.  Rows are kept sorted by pivot
+    (their smallest index) and unreduced against each other, so an added
+    vector is stored verbatim as the new basis row after forward reduction
+    -- callers rely on that (basis = reduced residuals in input order).
     """
 
     def __init__(self, length: int, track: bool = False):
         self.length = length
-        self.rows = []  # (pivot, vector) sorted by pivot
+        self.rows = []  # (pivot, {index: value}) sorted by pivot
         self.track = track
-        self.combos = []  # combos[k]: row k as combo of accepted originals
+        self.combos = []  # combos[k]: row k as {original index: coefficient}
         self.n_added = 0
 
     @property
@@ -200,44 +220,36 @@ class SpanQQ:
         return len(self.rows)
 
     def _reduce(self, vec):
-        v = list(vec)
+        v = {i: c for i, c in enumerate(vec) if c}
         mults = []
         for idx, (p, row) in enumerate(self.rows):
-            c = v[p]
-            if c:
+            c = v.get(p)
+            if c is not None:
                 f = c / row[p]
-                for i, ri in enumerate(row):
-                    if ri:
-                        v[i] -= f * ri
+                _axpy(v, -f, row)
                 mults.append((idx, f))
         return v, mults
 
     def add(self, vec) -> bool:
         """Add vector; True if it enlarged the span (residual became a row)."""
         v, mults = self._reduce(vec)
-        pivot = next((i for i, c in enumerate(v) if c), None)
-        if pivot is None:
+        if not v:
             return False
+        pivot = min(v)
         pos = next((k for k, (p, _) in enumerate(self.rows) if p > pivot), len(self.rows))
         self.rows.insert(pos, (pivot, v))
         if self.track:
-            combo = [QQ0] * self.n_added + [QQ1]
+            combo = {self.n_added: QQ1}
             for idx, f in mults:
-                base = self.combos[idx]
-                for i, ci in enumerate(base):
-                    if ci:
-                        combo[i] -= f * ci
+                _axpy(combo, -f, self.combos[idx])
             self.combos.insert(pos, combo)
-            for k, c in enumerate(self.combos):
-                if len(c) <= self.n_added:
-                    self.combos[k] = c + [QQ0] * (self.n_added + 1 - len(c))
             self.n_added += 1
         return True
 
     def coords_in_rows(self, vec):
         """Coordinates of vec in the current rows, or None if outside."""
         v, mults = self._reduce(vec)
-        if any(v):
+        if v:
             return None
         out = [QQ0] * len(self.rows)
         for idx, f in mults:
@@ -254,10 +266,23 @@ class SpanQQ:
         out = [QQ0] * self.n_added
         for k, f in enumerate(row_coords):
             if f:
-                for i, ci in enumerate(self.combos[k]):
-                    if ci:
-                        out[i] += f * ci
+                for i, ci in self.combos[k].items():
+                    out[i] += f * ci
         return out
+
+
+def _axpy(v: dict, f, w: dict) -> None:
+    """v += f*w on sparse vectors, dropping entries that cancel to zero."""
+    for i, wi in w.items():
+        x = v.get(i)
+        if x is None:
+            v[i] = f * wi
+        else:
+            x += f * wi
+            if x:
+                v[i] = x
+            else:
+                del v[i]
 
 
 def coordinates_in_span(target: ConstMat, basis) -> list | None:

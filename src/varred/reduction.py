@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import PreconditionFailure, ReductionTimeout, UnsupportedRegime
+from .errors import PreconditionFailure, UnsupportedRegime, check_deadline
 from .gauge import (
     GaugeMatrix,
     apply_gauge,
@@ -153,11 +153,6 @@ class ReductionReport:
 
 
 # ---- small helpers -----------------------------------------------------------
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise ReductionTimeout("time budget exhausted during reduction")
 
 
 def _diag_projection(a: RatMat, d1: int) -> RatMat:
@@ -452,7 +447,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, deadline):
     for lam, mats in chains:
         above = _RF_ZERO
         for s in range(len(mats) - 1, -1, -1):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             k = start + s
             c = coords[k] + beta0 * above
             left[k] = c
@@ -512,10 +507,10 @@ def reduce_subdiagonal(
     a0 = system.matrix
     n = a0.rows
     d1 = system.block_sizes[0]
-    _check_deadline(deadline)
+    check_deadline(deadline)
 
     wn0 = wei_norman(a0)
-    lie0 = lie_closure(wn0.matrices())
+    lie0 = lie_closure(wn0.matrices(), deadline)
     diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
     if len(diag_basis) > 1:
         raise UnsupportedRegime(
@@ -548,7 +543,7 @@ def reduce_subdiagonal(
         total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv, check=False)
 
     wn_final = wei_norman(a)
-    lie_final = lie_closure(wn_final.matrices())
+    lie_final = lie_closure(wn_final.matrices(), deadline)
     abelian = lie_final.is_abelian()
 
     tower = None
@@ -581,7 +576,7 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    _check_deadline(deadline)
+    check_deadline(deadline)
     if apply_gauge(initial, total) != a:
         raise RuntimeError(
             "replay postcondition failed: the total gauge does not carry the "
@@ -837,7 +832,7 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     reports = []
     prev_gauge = None
     for bs in systems:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         partial, step = reduce_diagonal(bs, p1, prev_gauge)
         report = reduce_subdiagonal(
             partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline

@@ -1,5 +1,6 @@
 """Constant and rational matrices: elimination, spans, Jordan chains."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from varred.matrices import (
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
+    rref,
     ratmat_mul_const,
 )
 from varred.poly import Poly
@@ -41,32 +43,84 @@ def rand_ratmat(rng, n, deg=2):
     return RatMat(out)
 
 
+def rand_sparse_entry(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 3 ** 10))
+
+
+def rand_sparse_const(rng, n, density=0.08):
+    """n x n matrix with about density*n*n nonzeros, denominators up to 3^10."""
+    m = ConstMat.zeros(n, n)
+    for _ in range(max(1, round(density * n * n))):
+        m.data[rng.randrange(n)][rng.randrange(n)] = rand_sparse_entry(rng)
+    return m
+
+
+def rand_sparse_vec(rng, n, density=0.05):
+    """Length-n vector with about density*n nonzeros, denominators up to 3^10."""
+    v = [Fraction(0)] * n
+    for i in rng.sample(range(n), max(1, round(density * n))):
+        v[i] = rand_sparse_entry(rng)
+    return v
+
+
+def sparse_span_cases(rng, count):
+    """Long sparse vectors, some of them combinations of earlier ones."""
+    for _ in range(count):
+        n = rng.randint(200, 260)
+        vecs = [rand_sparse_vec(rng, n) for _ in range(rng.randint(8, 16))]
+        for _ in range(rng.randint(2, 5)):
+            picks = rng.sample(vecs, rng.randint(2, 3))
+            coeffs = [rand_sparse_entry(rng) for _ in picks]
+            vecs.insert(rng.randrange(len(vecs) + 1),
+                        [sum(c * v[k] for c, v in zip(coeffs, picks)) for k in range(n)])
+        yield n, vecs
+
+
+def check_span(span, vecs):
+    """The span's rank, echelon rows and row coordinates against rref."""
+    assert span.dim == len(rref(vecs)[1])
+    pivots = [p for p, _ in span.rows]
+    assert pivots == sorted(pivots)
+    for p, row in span.rows:
+        assert p == min(i for i, c in row.items() if c)
+    for v in vecs:
+        coords = span.coords_in_rows(list(v))
+        rebuilt = [Fraction(0)] * len(v)
+        for c, (_, row) in zip(coords, span.rows):
+            for i, ri in row.items():
+                rebuilt[i] += c * ri
+        assert rebuilt == v
+
+
 def test_const_ring_identities():
     rng = random.Random(201)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        a = rand_const(rng, n)
-        b = rand_const(rng, n)
-        c = rand_const(rng, n)
+    dense = ([rand_const(rng, n) for _ in range(3)]
+             for n in (rng.randint(1, 5) for _ in range(100)))
+    sparse = ([rand_sparse_const(rng, 20) for _ in range(3)] for _ in range(8))
+    for a, b, c in itertools.chain(dense, sparse):
         assert (a + b) * c == a * c + b * c
+        assert comm(a, b) == a * b - b * a
         assert comm(a, b) == -(comm(b, a))
         # Jacobi identity
         assert (comm(a, comm(b, c)) + comm(b, comm(c, a))
                 + comm(c, comm(a, b))).is_zero
+    with pytest.raises(ValueError):
+        comm(ConstMat.identity(2), ConstMat.identity(3))
 
 
 def test_spanqq_dimension_and_membership():
     rng = random.Random(202)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        vecs = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                for _ in range(rng.randint(1, n + 2))]
+    dense = ((n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                  for _ in range(rng.randint(1, n + 2))])
+             for n in (rng.randint(2, 6) for _ in range(60)))
+    for n, vecs in itertools.chain(dense, sparse_span_cases(rng, 6)):
         span = SpanQQ(n)
         added = []
         for v in vecs:
             if span.add(list(v)):
                 added.append(v)
         assert span.dim == len(added)
+        check_span(span, vecs)
         # every original vector is inside the closed span now
         for v in vecs:
             assert not span.add(list(v))
@@ -74,21 +128,25 @@ def test_spanqq_dimension_and_membership():
 
 def test_spanqq_tracked_coordinates():
     rng = random.Random(203)
-    for _ in range(60):
-        n = rng.randint(2, 5)
+    dense = ((n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)])
+             for n in (rng.randint(2, 5) for _ in range(60)))
+    # lazy, so each case is drawn right before its coefficients
+    for n, vecs in itertools.chain(dense, sparse_span_cases(rng, 6)):
         span = SpanQQ(n, track=True)
         basis = []
-        for _ in range(n):
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        for v in vecs:
             if span.add(list(v)):
                 basis.append(v)
         if not basis:
             continue
+        check_span(span, vecs)
         coeffs = [Fraction(rng.randint(-4, 4)) for _ in basis]
         target = [sum(c * v[k] for c, v in zip(coeffs, basis))
                   for k in range(n)]
         got = span.coords_in_added(list(target))
         assert got == coeffs
+        rebuilt = [sum(c * v[k] for c, v in zip(got, basis)) for k in range(n)]
+        assert rebuilt == target
 
 
 def test_coordinates_in_span_matches_recombination():
