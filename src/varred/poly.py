@@ -1,84 +1,125 @@
 """Univariate polynomials over the rationals.
 
-Dense coefficient representation, ascending order.  The zero polynomial has
-an empty coefficient tuple and its degree is the ``None`` sentinel -- code
-that needs a degree must handle the zero case explicitly instead of
+Dense representation, ascending order: a tuple of int numerators over one
+positive int denominator, as FLINT's fmpq_poly keeps them.  The zero
+polynomial has no numerators and its degree is the ``None`` sentinel --
+code that needs a degree must handle the zero case explicitly instead of
 inheriting a -1 from somewhere.
 
-The gcd runs on primitive integer coefficient lists with the subresultant
-polynomial remainder sequence, which keeps intermediate coefficients from
-exploding; everything user-facing is monic over Q.
+The gcd runs on the primitive integer numerators, modular with a
+subresultant polynomial remainder sequence as fallback, which keeps
+intermediate coefficients from exploding; everything user-facing is monic
+over Q.
 """
 from __future__ import annotations
 
 from .rationals import QQ, QQ0, QQ1
 
-from math import gcd as _igcd
+from math import gcd as _igcd, lcm as _ilcm
 
 
-def _strip(coeffs):
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
+def _canon(nums, den) -> "Poly":
+    """The Poly nums/den from an int list and a positive int denominator.
+
+    Strips trailing zeros and divides the gcd of the numerators and the
+    denominator out of both, which makes the pair canonical.
+    """
+    n = len(nums)
+    while n and not nums[n - 1]:
         n -= 1
-    return coeffs[:n]
+    if not n:
+        return _ZERO
+    nums = nums[:n]
+    if den != 1:
+        g = _igcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+    return Poly._new(tuple(nums), den)
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    """A polynomial over Q stored as int numerators over one denominator.
 
-    def __init__(self, coeffs=()):
-        self.coeffs = tuple(_strip([QQ(c) for c in coeffs]))
+    The pair (num, den) is canonical: num is a tuple of ints with no
+    trailing zero, den is a positive int, and den is coprime to the gcd of
+    num.  Zero is ((), 1).  All arithmetic runs on these ints; ``coeffs``
+    gives the rational coefficients on demand.
+    """
+
+    __slots__ = ("_num", "_den", "_coeffs")
+
+    def __new__(cls, coeffs=()):
+        cs = [c if type(c) is int else QQ(c) for c in coeffs]
+        den = _ilcm(*[int(c.denominator) for c in cs if type(c) is not int])
+        nums = [c * den if type(c) is int
+                else int(c.numerator) * (den // int(c.denominator)) for c in cs]
+        return _canon(nums, den)
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def _raw(coeffs) -> "Poly":
-        """Internal: coefficients already QQ and stripped."""
+    def _new(nums, den) -> "Poly":
+        """Internal: (nums, den) already canonical."""
         p = object.__new__(Poly)
-        p.coeffs = tuple(coeffs)
+        p._num = nums
+        p._den = den
+        p._coeffs = None
         return p
 
     @staticmethod
     def const(c) -> "Poly":
         c = QQ(c)
-        return Poly._raw((c,)) if c else Poly._raw(())
+        if not c:
+            return _ZERO
+        return Poly._new((int(c.numerator),), int(c.denominator))
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly._raw((QQ0, QQ1))
+        return Poly._new((0, 1), 1)
 
     # ---- basic structure ----------------------------------------------
 
     @property
+    def coeffs(self):
+        """The rational coefficients, ascending, as a tuple of QQ."""
+        c = self._coeffs
+        if c is None:
+            d = self._den
+            c = self._coeffs = tuple(QQ(v, d) for v in self._num)
+        return c
+
+    @property
     def degree(self):
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._num) - 1 if self._num else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        return self._den == 1 and self._num == (1,)
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     @property
     def lc(self):
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else QQ0
+        return QQ(self._num[-1], self._den) if self._num else QQ0
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._num == other._num
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
         from .expr import poly_to_text
@@ -88,47 +129,73 @@ class Poly:
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly._raw(_strip(out))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [QQ0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return Poly._raw(_strip(out))
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign*other."""
+        a, da = self._num, self._den
+        b, db = other._num, other._den
+        if not b:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = _igcd(da, db)
+            ma, mb, den = db // g, sign * (da // g), da // g * db
+        if len(a) < len(b):
+            a, ma, b, mb = b, mb, a, ma
+        out = list(a) if ma == 1 else [v * ma for v in a]
+        for i, v in enumerate(b):
+            out[i] += mb * v
+        return _canon(out, den)
 
     def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs))
+        return Poly._new(tuple(-v for v in self._num), self._den)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
         if not a or not b:
-            return Poly._raw(())
-        out = [QQ0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return Poly._raw(_strip(out))
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, bi in enumerate(b):
+            if bi:
+                for j, aj in enumerate(a, i):
+                    out[j] += aj * bi
+        return _canon(out, self._den * other._den)
 
     def scale(self, c) -> "Poly":
         c = QQ(c)
         if not c:
-            return Poly._raw(())
-        return Poly._raw(tuple(a * c for a in self.coeffs))
+            return _ZERO
+        return self._scale(int(c.numerator), int(c.denominator))
+
+    def _scale(self, p, q) -> "Poly":
+        """self * p/q for coprime ints p != 0 and q > 0."""
+        a, den = self._num, self._den
+        if not a:
+            return _ZERO
+        g = _igcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            g = _igcd(q, *a)
+            if g != 1:
+                a = [v // g for v in a]
+                q //= g
+        return Poly._new(tuple(v * p for v in a), den * q)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly._raw((QQ1,))
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -138,28 +205,48 @@ class Poly:
         return out
 
     def divmod(self, other):
-        """Exact field division with remainder; other must be nonzero."""
-        if other.is_zero:
+        """Exact field division with remainder; other must be nonzero.
+
+        Fraction-free pseudo-division on the int numerators: each step
+        scales the remainder by lc(b)/g only, g = gcd(lc(b), leading
+        remainder coefficient), and the accumulated scale goes into the
+        denominators at the end.
+        """
+        b, db = other._num, other._den
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Poly._raw(()), Poly._raw(())
-        db = other.degree
-        if db == 0:
-            inv = QQ1 / other.coeffs[0]
-            return self.scale(inv), Poly._raw(())
-        rem = list(self.coeffs)
-        db_lc = other.coeffs[-1]
-        q = [QQ0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+        a, da = self._num, self._den
+        if not a:
+            return _ZERO, _ZERO
+        nb = len(b) - 1
+        if nb == 0:
+            p, q = (db, b[0]) if b[0] > 0 else (-db, -b[0])
+            return self._scale(p, q), _ZERO
+        if len(a) <= nb:
+            return _ZERO, self
+        lb = b[-1]
+        r = list(a)
+        q = [0] * (len(a) - nb)
+        s = 1  # s*a == q*b + r throughout
+        for k in range(len(a) - 1 - nb, -1, -1):
+            c = r[k + nb]
             if not c:
                 continue
-            f = c / db_lc
-            q[i - db] = f
-            rem[i] = QQ0
-            for j in range(db):
-                rem[i - db + j] -= f * other.coeffs[j]
-        return Poly._raw(_strip(q)), Poly._raw(_strip(rem))
+            g = _igcd(c, lb)
+            if lb < 0:
+                g = -g
+            m = lb // g
+            if m != 1:
+                r = [v * m for v in r]
+                q = [v * m for v in q]
+                s *= m
+            f = c // g
+            q[k] = f
+            for j in range(nb):
+                r[k + j] -= f * b[j]
+            r[k + nb] = 0
+        den = s * da
+        return _canon([v * db for v in q], den), _canon(r[:nb], den)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -174,18 +261,21 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        c = self.coeffs
-        return Poly._raw(_strip([c[i] * i for i in range(1, len(c))]))
+        a = self._num
+        return _canon([a[i] * i for i in range(1, len(a))], self._den)
 
     def antiderivative(self) -> "Poly":
         """The primitive with zero constant term."""
-        c = self.coeffs
-        return Poly._raw(_strip([QQ0] + [c[i] / (i + 1) for i in range(len(c))]))
+        a = self._num
+        l = _ilcm(*range(1, len(a) + 1))
+        return _canon([0] + [v * (l // i) for i, v in enumerate(a, 1)], self._den * l)
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.lc == 1:
+        a = self._num
+        if not a or a[-1] == self._den:
             return self
-        return self.scale(QQ1 / self.lc)
+        ints = _int_primitive(a)
+        return Poly._new(tuple(ints), ints[-1])
 
     # ---- integer normal form -------------------------------------------
 
@@ -195,19 +285,15 @@ class Poly:
         The integer list has gcd 1 and positive leading coefficient; the
         sign lives in the content.  Zero polynomial: (0, []).
         """
-        if self.is_zero:
+        a = self._num
+        if not a:
             return QQ0, []
-        den_lcm = 1
-        for c in self.coeffs:
-            d = c.denominator
-            den_lcm = den_lcm * d // _igcd(den_lcm, int(d))
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _igcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return QQ(g, den_lcm), [v // g for v in ints]
+        ints = _int_primitive(a)
+        return QQ(a[-1] // ints[-1], self._den), ints
+
+
+_ZERO = Poly._new((), 1)
+_ONE = Poly._new((1,), 1)
 
 
 # ---- gcd machinery ------------------------------------------------------
@@ -238,9 +324,7 @@ def _int_prem(a, b):
 
 
 def _int_primitive(a):
-    g = 0
-    for v in a:
-        g = _igcd(g, v)
+    g = _igcd(*a)
     if not g:
         return []
     if a[-1] < 0:
@@ -289,7 +373,7 @@ def _modp_gcd_monic(a, b, p):
         fb.pop()
     while fb:
         # fa mod fb by synthetic division
-        inv = pow(fb[-1], p - 2, p)
+        inv = pow(fb[-1], -1, p)
         db = len(fb) - 1
         r = fa[:]
         for k in range(len(r) - 1 - db, -1, -1):
@@ -301,7 +385,7 @@ def _modp_gcd_monic(a, b, p):
         while r and r[-1] == 0:
             r.pop()
         fa, fb = fb, r
-    inv = pow(fa[-1], p - 2, p)
+    inv = pow(fa[-1], -1, p)
     return [v * inv % p for v in fa]
 
 
@@ -358,7 +442,7 @@ def _int_gcd(a, b):
             residues = [v - p if 2 * v > p else v for v in scaled]
         else:
             m, mp = modulus, modulus * p
-            inv = pow(m % p, p - 2, p)
+            inv = pow(m, -1, p)
             combined = []
             for r0, rp in zip(residues, scaled):
                 v = (r0 + (rp - r0) * inv % p * m) % mp
@@ -379,16 +463,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero:
         return a.monic()
     if a.is_constant or b.is_constant:
-        return Poly._raw((QQ1,))
-    _, ia = a.primitive_int()
-    _, ib = b.primitive_int()
-    ig = _int_gcd(ia, ib)
-    return Poly(ig).monic()
+        return _ONE
+    ig = _int_gcd(_int_primitive(a._num), _int_primitive(b._num))
+    return Poly._new(tuple(ig), ig[-1])  # primitive, positive lc: monic
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
-        return Poly._raw(())
+        return _ZERO
     return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 

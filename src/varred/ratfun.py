@@ -89,12 +89,12 @@ class RatFun:
     def __eq__(self, other):
         return (
             isinstance(other, RatFun)
-            and self.num.coeffs == other.num.coeffs
-            and self.den.coeffs == other.den.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFun({self.render()})"

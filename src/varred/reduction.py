@@ -226,12 +226,15 @@ def _pole_factor_set(funcs):
 # ---- diagonal assembly ---------------------------------------------------------
 
 
-def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, p_prev: GaugeMatrix | None):
+def reduce_diagonal(
+    system: BlockSystem, p1: GaugeMatrix, p_prev: GaugeMatrix | None, deadline=None
+):
     """Reduce the diagonal blocks of one order by recycling lower gauges.
 
     The top block is conjugated by the symmetric power of the first-order
     gauge, the trailing blocks by the full gauge of the previous order.
     Returns the partially reduced system together with the recorded step.
+    The deadline is checked before the gauge is applied.
     """
     m = system.order
     if m == 1:
@@ -251,6 +254,7 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, p_prev: GaugeMatrix | 
             "diagonal gauge size %d does not match system size %d"
             % (q.p.rows, system.matrix.rows)
         )
+    check_deadline(deadline)
     reduced = apply_gauge(system.matrix, q)
     step = ReductionStep(kind="diagonal-assembly", gauge=q)
     return BlockSystem(m, reduced, list(system.block_sizes)), step
@@ -548,7 +552,7 @@ def reduce_subdiagonal(
 
     tower = None
     try:
-        tower = picard_vessiot_tower(a)
+        tower = picard_vessiot_tower(a, deadline)
     except UnsupportedRegime:
         tower = None
     certified = tower is not None and len(tower) == lie_final.dim
@@ -709,7 +713,7 @@ class _TowerBuilder:
         return out
 
 
-def picard_vessiot_tower(final: RatMat):
+def picard_vessiot_tower(final: RatMat, deadline=None):
     """Integral tower splitting the solutions of a reduced system.
 
     Requires the coefficient matrix to have a leading generator whose
@@ -718,12 +722,13 @@ def picard_vessiot_tower(final: RatMat):
     non-leading coefficients top-down along the adjoint chains then only
     ever needs antiderivatives, and each one that is not rational becomes a
     named tower symbol.  Raises UnsupportedRegime when the structure does
-    not have this shape.
+    not have this shape.  The deadline goes to the Lie closure and is
+    checked again at every chain position.
     """
     wn = wei_norman(final)
     if wn.dim == 0:
         return []
-    lie = lie_closure(wn.matrices())
+    lie = lie_closure(wn.matrices(), deadline)
     basis = lie.mats
     nb = lie.dim
 
@@ -797,6 +802,7 @@ def picard_vessiot_tower(final: RatMat):
         idxs = list(range(pos, pos + len(ch)))
         pos += len(ch)
         for s in range(len(ch) - 1, -1, -1):
+            check_deadline(deadline)
             cur = formal[idxs[s]]
             if not cur:
                 continue
@@ -833,7 +839,7 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     prev_gauge = None
     for bs in systems:
         check_deadline(deadline)
-        partial, step = reduce_diagonal(bs, p1, prev_gauge)
+        partial, step = reduce_diagonal(bs, p1, prev_gauge, deadline)
         report = reduce_subdiagonal(
             partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
         )

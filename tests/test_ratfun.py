@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -45,6 +46,124 @@ def test_poly_divmod_reconstructs():
         q, r = a.divmod(b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+
+# ---- the int-numerator kernel against a Fraction-list oracle ----------------
+
+
+def _fstrip(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _fadd(a, b, sign=1):
+    n = max(len(a), len(b))
+    pad_a = list(a) + [0] * (n - len(a))
+    pad_b = list(b) + [0] * (n - len(b))
+    return _fstrip(x + sign * y for x, y in zip(pad_a, pad_b))
+
+
+def _fmul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _fstrip(out)
+
+
+def _fdivmod(a, b):
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        f = r[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for j, y in enumerate(b):
+            r[k + j] -= f * y
+    return _fstrip(q), _fstrip(r[:len(b) - 1])
+
+
+def _fgcd(a, b):
+    while b:
+        a, b = b, _fdivmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _kernel_poly(rng):
+    """Rational coefficients whose numerators and denominators share
+    factors, sometimes with a large or negative leading coefficient."""
+    deg = rng.randint(-1, 6)
+    common = Fraction(rng.choice([1, 2, 6, 12, 125, 3**10]),
+                      rng.choice([1, 2, 3, 4, 63, 3**10]))
+    coeffs = [common * Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 9]))
+              for _ in range(deg + 1)]
+    if coeffs and rng.random() < 0.3:
+        coeffs[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(10**9, 10**12),
+                              rng.randint(1, 10**6))
+    return _fstrip(coeffs)
+
+
+def _assert_canonical(p):
+    nums, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    assert not nums or nums[-1] != 0
+    assert gcd(den, *nums) == 1
+    assert p.coeffs == tuple(Fraction(v, den) for v in nums)
+
+
+def test_poly_kernel_matches_fraction_oracle():
+    """Every Poly operation equals plain Fraction-list arithmetic, every
+    result is the canonical (int numerators, denominator) pair, and
+    equality and hashing agree with equality of the coefficient tuples."""
+    rng = random.Random(120)
+    assert (Poly()._num, Poly()._den) == ((), 1)
+    seen = []
+    for _ in range(250):
+        fa, fb = _kernel_poly(rng), _kernel_poly(rng)
+        a, b = Poly(fa), Poly(fb)
+        c = Fraction(rng.randint(-7, 7), rng.choice([1, 3, 10**8]))
+        n = rng.randint(0, 3)
+        fpow = [Fraction(1)]
+        for _ in range(n):
+            fpow = _fmul(fpow, fa)
+        results = [
+            (a, fa),
+            (a + b, _fadd(fa, fb)),
+            (a - b, _fadd(fa, fb, -1)),
+            (-a, [-x for x in fa]),
+            (a * b, _fmul(fa, fb)),
+            (a.scale(c), _fstrip(x * c for x in fa)),
+            (a ** n, fpow),
+            (a.derivative(), [x * i for i, x in enumerate(fa)][1:]),
+            (a.antiderivative(), _fstrip([0] + [x / (i + 1) for i, x in enumerate(fa)])),
+            (a.monic(), [x / fa[-1] for x in fa]),
+            (poly_gcd(a, b), _fgcd(fa, fb)),
+        ]
+        if fb:
+            q, r = a.divmod(b)
+            fq, fr = _fdivmod(fa, fb)
+            results += [(q, fq), (r, fr), (q * b + r, fa)]
+            if not fr:
+                results.append((a.exact_div(b), fq))
+        for p, oracle in results:
+            _assert_canonical(p)
+            assert p.coeffs == tuple(oracle)
+            assert p.degree == (len(oracle) - 1 if oracle else None)
+            assert p.lc == (oracle[-1] if oracle else 0)
+        content, ints = a.primitive_int()
+        if fa:
+            assert gcd(*ints) == 1 and ints[-1] > 0
+            assert [content * v for v in ints] == fa
+        seen += [p for p, _ in results]
+    for p in seen[:400]:
+        for q in seen[:400]:
+            assert (p == q) == (p.coeffs == q.coeffs)
+            if p == q:
+                assert hash(p) == hash(q)
 
 
 def test_poly_gcd_divides_both_and_is_monic():

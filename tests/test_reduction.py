@@ -2,11 +2,12 @@
 bundled example run at orders 1 to 3."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from varred import fixtures
+from varred import fixtures, reduction
 from varred.errors import (
     PreconditionFailure,
     ReductionTimeout,
@@ -327,6 +328,24 @@ def test_reduction_respects_time_budget(hh_p1):
     bs = BlockSystem(1, sf.matrix, [4])
     with pytest.raises(ReductionTimeout):
         reduce_block_systems([bs], hh_p1, max_seconds=0.0)
+
+
+def test_diagonal_assembly_respects_deadline(hh_p1):
+    sf = fixtures.load_system("first-order")
+    bs = BlockSystem(1, sf.matrix, [4])
+    with pytest.raises(ReductionTimeout):
+        reduce_diagonal(bs, hh_p1, None, deadline=time.monotonic() - 1.0)
+
+
+def test_tower_respects_deadline(monkeypatch):
+    final = fixtures.load_system("nilpotent-pair").matrix
+    past = time.monotonic() - 1.0
+    with pytest.raises(ReductionTimeout):
+        picard_vessiot_tower(final, deadline=past)
+    # with a closure that ignores it, the chain positions still check it
+    monkeypatch.setattr(reduction, "lie_closure", lambda gens, deadline=None: lie_closure(gens))
+    with pytest.raises(ReductionTimeout):
+        picard_vessiot_tower(final, deadline=past)
 
 
 # ---- reduced-form certification --------------------------------------------------
