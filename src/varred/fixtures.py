@@ -8,11 +8,11 @@ pipeline must reproduce (entrywise or structurally, see each file).
 
 from importlib import resources
 
-from .errors import PreconditionFailure
+from .errors import PreconditionFailure, UnsupportedRegime
 from .fileformats import HamiltonianFile, SystemFile, parse_hamiltonian, parse_system
 from .gauge import GaugeMatrix, apply_gauge
 from .liealgebra import lie_closure, wei_norman
-from .matrices import SpanQQ
+from .matrices import nilpotent_jordan_chains
 from .poly import Poly
 from .ratfun import RatFun
 from .varequations import build_lve
@@ -50,21 +50,16 @@ def load_p1() -> GaugeMatrix:
 
 
 def _const_rank_profile(c):
-    """Ranks of c, c^2, ... down to the first zero power."""
-    out = []
-    m = c
-    while True:
-        span = SpanQQ(m.cols)
-        for row in m.data:
-            span.add(list(row))
-        if out and span.dim >= out[-1]:
-            # power ranks can only decrease; stabilizing above zero means
-            # the matrix is not nilpotent and the profile never terminates
-            raise PreconditionFailure("matrix is not nilpotent")
-        out.append(span.dim)
-        if span.dim == 0:
-            return out
-        m = m * c
+    """Ranks of c, c^2, ... down to the first zero power.
+
+    A Jordan chain of length s contributes max(s - j, 0) to the rank of c^j.
+    """
+    try:
+        jc = nilpotent_jordan_chains(c)
+    except UnsupportedRegime:
+        raise PreconditionFailure("matrix is not nilpotent") from None
+    return [sum(max(s - j, 0) for s in jc.block_sizes)
+            for j in range(1, jc.nilpotency_index + 1)]
 
 
 def rank_profile(mat, var_factor):

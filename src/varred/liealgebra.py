@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .rationals import QQ0, QQ1
 from .poly import Poly, poly_lcm
 from .ratfun import RatFun
-from .matrices import ConstMat, RatMat, SpanQQ, comm, nullspace, rref
+from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace, rref
 from .errors import PreconditionFailure, check_deadline
 
 
@@ -220,41 +220,7 @@ def split_diag_sub(mats, d1: int):
     # combinations whose diagonal projection vanishes stay strictly sub-diagonal
     proj_rows = [p.flatten() for p in projs]
     kernel = nullspace([list(col) for col in zip(*proj_rows)], len(mats))
-    sub_basis = []
-    for c in kernel:
-        out = ConstMat.zeros(n, n)
-        for k, ck in enumerate(c):
-            if ck:
-                out = out + mats[k].scale(ck)
-        sub_basis.append(out)
-    return diag_basis, sub_basis
-
-
-def adjoint_on_sub(d0: ConstMat, sub_basis) -> ConstMat:
-    """Matrix of B |-> [d0, B] in the coordinates of sub_basis.
-
-    Column j holds the coordinates of [d0, sub_basis[j]].  The bracket must
-    stay inside the span (it does whenever d0 is the diagonal projection of
-    an element of a Lie algebra containing the span).
-    """
-    if not sub_basis:
-        return ConstMat.zeros(0, 0)
-    span = SpanQQ(sub_basis[0].rows * sub_basis[0].cols, track=True)
-    for b in sub_basis:
-        if not span.add(b.flatten()):
-            raise ValueError("sub_basis is linearly dependent")
-    k = len(sub_basis)
-    out = ConstMat.zeros(k, k)
-    for j, b in enumerate(sub_basis):
-        c = span.coords_in_added(comm(d0, b).flatten())
-        if c is None:
-            raise PreconditionFailure(
-                "bracket with the diagonal generator leaves the sub-diagonal space"
-            )
-        for i in range(k):
-            if c[i]:
-                out.data[i][j] = c[i]
-    return out
+    return diag_basis, [lincomb(c, mats) for c in kernel]
 
 
 class DualFrame:

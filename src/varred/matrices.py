@@ -143,6 +143,18 @@ def comm(a: ConstMat, b: ConstMat) -> ConstMat:
     return ConstMat._raw(out)
 
 
+def lincomb(coeffs, mats) -> ConstMat:
+    """sum c_k * mats[k] over nonzero coefficients and entries, into one output."""
+    out = [[QQ0] * mats[0].cols for _ in range(mats[0].rows)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for orow, mrow in zip(out, m.data):
+                for j, v in enumerate(mrow):
+                    if v:
+                        orow[j] += c * v
+    return ConstMat._raw(out)
+
+
 # ---- Gauss elimination over Q ---------------------------------------------
 
 
@@ -288,7 +300,9 @@ def _axpy(v: dict, f, w: dict) -> None:
 def coordinates_in_span(target: ConstMat, basis) -> list | None:
     """Coordinates of target in the span of basis matrices, or None.
 
-    The basis must be linearly independent (ValueError otherwise).
+    The basis must be linearly independent (ValueError otherwise).  The
+    pipeline reads coordinates off the spans it already builds; the tests
+    use this function as their independent reference.
     """
     if not basis:
         raise ValueError("empty basis")
@@ -531,18 +545,6 @@ class JordanChains:
         return [len(c) for c in self.chains]
 
 
-def _mat_pow_ranks(m: ConstMat, limit: int):
-    ranks = []
-    p = m
-    for _ in range(limit):
-        _, pivots = rref(p.data)
-        ranks.append(len(pivots))
-        if ranks[-1] == 0:
-            break
-        p = p * m
-    return ranks
-
-
 def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     """Jordan chain decomposition of a nilpotent matrix over Q.
 
@@ -554,26 +556,25 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
         raise ValueError("operator must be square")
     if n == 0:
         return JordanChains([], 0)
-    ranks = _mat_pow_ranks(m, n + 1)
-    if ranks[-1] != 0:
-        raise UnsupportedRegime(
-            f"operator is not nilpotent: rank of powers stabilizes at {ranks[-1]}"
-        )
-    q = len(ranks)  # nilpotency index: m^q = 0, m^(q-1) != 0
-    # kernels of successive powers
+    # powers[j] = m^j and kernels[j] = basis of ker(m^j), up to the first
+    # zero power; ranks of powers stabilize by m^n at the latest
     powers = [ConstMat.identity(n)]
-    for _ in range(q):
+    kernels = [[]]
+    while len(kernels[-1]) < n and len(powers) <= n:
         powers.append(powers[-1] * m)
-    kernels = [None]  # kernels[j] = basis of ker(m^j)
-    for j in range(1, q + 1):
-        kernels.append(nullspace(powers[j].data, n))
+        kernels.append(nullspace(powers[-1].data, n))
+    if len(kernels[-1]) != n:
+        raise UnsupportedRegime(
+            "operator is not nilpotent: rank of powers stabilizes at %d"
+            % (n - len(kernels[-1]))
+        )
+    q = len(powers) - 1  # nilpotency index: m^q = 0, m^(q-1) != 0
     # choose chain tops, highest stage first
     tops_by_stage = {}
     for j in range(q, 0, -1):
         span = SpanQQ(n)
-        if j >= 2:
-            for v in kernels[j - 1]:
-                span.add(v)
+        for v in kernels[j - 1]:
+            span.add(v)
         for k in range(j + 1, q + 1):
             pw = powers[k - j]
             for t in tops_by_stage.get(k, []):

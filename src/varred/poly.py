@@ -351,15 +351,16 @@ def _int_gcd_prs(a, b):
             return [1]
 
 
-# Primes for the modular gcd, each below 2^31 so products with balanced
-# residues stay cheap machine-word-ish operations.
+# Primes for the modular gcd: the six largest below 2^30, so every residue
+# is a one-digit CPython int (30-bit digits) and takes the fast small-int
+# paths of %, * and pow.
 _GCD_PRIMES = (
-    2147483629,
-    2147483587,
-    2147483579,
-    2147483563,
-    2147483549,
-    2147483543,
+    1073741789,
+    1073741783,
+    1073741741,
+    1073741723,
+    1073741719,
+    1073741717,
 )
 
 

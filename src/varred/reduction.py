@@ -29,7 +29,6 @@ from .liealgebra import (
     DualFrame,
     LieBasis,
     WeiNormanDecomp,
-    adjoint_on_sub,
     lie_closure,
     split_diag_sub,
     wei_norman,
@@ -39,7 +38,7 @@ from .matrices import (
     RatMat,
     SpanQQ,
     comm,
-    coordinates_in_span,
+    lincomb,
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
@@ -184,10 +183,15 @@ def _working_sub_space(d0: ConstMat, closure_mats, sub_basis, d1: int):
     algebra's own subdiagonal part (the pure diagonal generator need not be
     an algebra element).  Seeding with sub_basis keeps those vectors as the
     leading basis elements whenever they already span everything.
+
+    Returns (basis, psi): psi is the matrix of ad(d0) on the span, column j
+    holding the coordinates of [d0, basis[j]].  Every such bracket joins the
+    queue, so once the closure ends its coordinates can be read off.
     """
     n = d0.rows
-    span = SpanQQ(n * n)
+    span = SpanQQ(n * n, track=True)
     basis = []
+    brackets = []
     queue = list(sub_basis) + [_const_sub_projection(b, d1) for b in closure_mats]
     i = 0
     while i < len(queue):
@@ -196,8 +200,10 @@ def _working_sub_space(d0: ConstMat, closure_mats, sub_basis, d1: int):
         if w.is_zero or not span.add(w.flatten()):
             continue
         basis.append(w)
-        queue.append(comm(d0, w))
-    return basis
+        brackets.append(comm(d0, w))
+        queue.append(brackets[-1])
+    cols = [span.coords_in_added(b.flatten()) for b in brackets]
+    return basis, ConstMat._raw([list(row) for row in zip(*cols)])
 
 
 def _new_pole_factors(l: RatFun, beta0: RatFun):
@@ -379,30 +385,10 @@ def _eigen_chains(psi: ConstMat):
                 raise RuntimeError("generalized eigenspace is not invariant")
             cols.append(c)
         restriction = ConstMat([[cols[j][i] for j in range(k)] for i in range(k)])
+        eigenbasis = ConstMat._raw([list(row) for row in zip(*vecs)])  # columns: vecs
         for ch in nilpotent_jordan_chains(restriction).chains:
-            chain_vecs = []
-            for u in ch:
-                vec = [QQ0] * n
-                for l, ul in enumerate(u):
-                    if ul:
-                        base = vecs[l]
-                        for t in range(n):
-                            if base[t]:
-                                vec[t] += ul * base[t]
-                chain_vecs.append(vec)
-            out.append((lam, chain_vecs))
+            out.append((lam, [eigenbasis.apply(u) for u in ch]))
     return out
-
-
-def _chain_matrices(chain_vecs, sub_basis):
-    mats = []
-    for v in chain_vecs:
-        m = ConstMat.zeros(sub_basis[0].rows, sub_basis[0].cols)
-        for k, c in enumerate(v):
-            if c:
-                m = m + sub_basis[k].scale(c)
-        mats.append(m)
-    return mats
 
 
 def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int):
@@ -411,11 +397,12 @@ def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int):
     Longest chains first, each kernel element first, so that
     [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
     """
-    work_basis = _working_sub_space(d0, closure_mats, sub_basis, d1)
+    work_basis, psi = _working_sub_space(d0, closure_mats, sub_basis, d1)
     if not work_basis:
         return []
-    psi = adjoint_on_sub(d0, work_basis)
-    chains = [(lam, _chain_matrices(ch, work_basis)) for lam, ch in _eigen_chains(psi)]
+    chains = [
+        (lam, [lincomb(v, work_basis) for v in ch]) for lam, ch in _eigen_chains(psi)
+    ]
     chains.sort(key=lambda t: -len(t[1]))
     for lam, mats in chains:
         for s, m in enumerate(mats):
@@ -732,33 +719,21 @@ def picard_vessiot_tower(final: RatMat, deadline=None):
     basis = lie.mats
     nb = lie.dim
 
+    def bracket(i, j):
+        """Coordinates of [basis[i], basis[j]], read off the structure table."""
+        return lie.structure[(i, j)] if i < j else [-c for c in lie.structure[(j, i)]]
+
+    noncommuting = [key for key, c in lie.structure.items() if any(c)]
     chosen = None
     for cand in range(nb):
-        ok = True
-        for i in range(nb):
-            if i == cand or not ok:
-                continue
-            for j in range(i + 1, nb):
-                if j == cand:
-                    continue
-                if not comm(basis[i], basis[j]).is_zero:
-                    ok = False
-                    break
-        if not ok:
+        # the other basis elements must commute with each other
+        if not all(cand in key for key in noncommuting):
             continue
         others = [k for k in range(nb) if k != cand]
-        cols = []
-        for k in others:
-            coords = coordinates_in_span(comm(basis[cand], basis[k]), basis)
-            if coords is None or coords[cand]:
-                ok = False
-                break
-            cols.append([coords[o] for o in others])
-        if not ok:
+        cols = [bracket(cand, k) for k in others]
+        if any(c[cand] for c in cols):
             continue
-        ad = ConstMat(
-            [[cols[j][i] for j in range(len(others))] for i in range(len(others))]
-        )
+        ad = ConstMat([[c[o] for c in cols] for o in others])
         try:
             chains = nilpotent_jordan_chains(ad).chains
         except UnsupportedRegime:
@@ -772,14 +747,8 @@ def picard_vessiot_tower(final: RatMat, deadline=None):
         )
     cand, others, chains = chosen
 
-    gens = []
-    for ch in chains:
-        for u in ch:
-            m = ConstMat.zeros(final.rows, final.cols)
-            for l, ul in enumerate(u):
-                if ul:
-                    m = m + basis[others[l]].scale(ul)
-            gens.append(m)
+    other_mats = [basis[o] for o in others]
+    gens = [lincomb(u, other_mats) for ch in chains for u in ch]
     for g in gens:
         if not (g * g).is_zero:
             raise UnsupportedRegime("tower gauges need square-zero generators")
@@ -787,7 +756,7 @@ def picard_vessiot_tower(final: RatMat, deadline=None):
             if not (g * (b * g)).is_zero:
                 raise UnsupportedRegime("tower gauges need isolated generators")
 
-    frame = DualFrame([basis[cand]] + gens) if gens else DualFrame([basis[cand]])
+    frame = DualFrame([basis[cand]] + gens)
     coords = frame.coords(final)
     beta = coords[0]
 

@@ -10,7 +10,6 @@ from varred import fixtures
 from varred.errors import PreconditionFailure, ReductionTimeout
 from varred.liealgebra import (
     DualFrame,
-    adjoint_on_sub,
     lie_closure,
     split_diag_sub,
     wei_norman,
@@ -193,38 +192,6 @@ def test_split_diag_sub_rejects_upper_entries():
     m = ConstMat([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
     with pytest.raises(PreconditionFailure):
         split_diag_sub([m], 1)
-
-
-def test_adjoint_on_sub_columns_are_bracket_coordinates():
-    rng = random.Random(306)
-    for _ in range(30):
-        d1 = rng.randint(1, 3)
-        d2 = rng.randint(1, 3)
-        n = d1 + d2
-        # block-diagonal generator and the full strictly-lower block space
-        d0 = ConstMat.zeros(n, n)
-        d0.data = rand_const(rng, n).data
-        for i in range(d1):
-            for j in range(d1, n):
-                d0.data[i][j] = Fraction(0)
-        for i in range(d1, n):
-            for j in range(d1):
-                d0.data[i][j] = Fraction(0)
-        basis = []
-        for i in range(d1, n):
-            for j in range(d1):
-                e = ConstMat.zeros(n, n)
-                e.data[i][j] = Fraction(1)
-                basis.append(e)
-        psi = adjoint_on_sub(d0, basis)
-        assert psi.rows == len(basis)
-        for j, b in enumerate(basis):
-            want = comm(d0, b)
-            got = ConstMat.zeros(n, n)
-            for i in range(len(basis)):
-                if psi.data[i][j]:
-                    got = got + basis[i].scale(psi.data[i][j])
-            assert got == want
 
 
 def test_dual_frame_reads_back_random_combinations():

@@ -14,6 +14,7 @@ from varred.matrices import (
     comm,
     const_mul_ratmat,
     coordinates_in_span,
+    lincomb,
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
@@ -97,6 +98,8 @@ def test_const_ring_identities():
     dense = ([rand_const(rng, n) for _ in range(3)]
              for n in (rng.randint(1, 5) for _ in range(100)))
     sparse = ([rand_sparse_const(rng, 20) for _ in range(3)] for _ in range(8))
+    # coefficients for lincomb, drawn apart so the matrices stay as they were
+    crng = random.Random(2010)
     for a, b, c in itertools.chain(dense, sparse):
         assert (a + b) * c == a * c + b * c
         assert comm(a, b) == a * b - b * a
@@ -104,6 +107,12 @@ def test_const_ring_identities():
         # Jacobi identity
         assert (comm(a, comm(b, c)) + comm(b, comm(c, a))
                 + comm(c, comm(a, b))).is_zero
+        coeffs = [Fraction(crng.randint(-3, 3), crng.randint(1, 3)) for _ in range(3)]
+        assert lincomb(coeffs, [a, b, c]) == (
+            a.scale(coeffs[0]) + b.scale(coeffs[1]) + c.scale(coeffs[2]))
+        # terms that cancel leave exact zeros behind
+        assert lincomb([coeffs[0], Fraction(1), -coeffs[0]], [a, b, a]) == b
+        assert lincomb([Fraction(2), Fraction(-1), Fraction(-1)], [a, a, a]).is_zero
     with pytest.raises(ValueError):
         comm(ConstMat.identity(2), ConstMat.identity(3))
 
@@ -292,8 +301,12 @@ def test_nilpotent_jordan_chains_random_block_shapes():
 
 def test_nilpotent_jordan_chains_rejects_non_nilpotent():
     m = ConstMat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stabilizes at 1"):
         nilpotent_jordan_chains(m)
+    # rank 2, then 1 for every higher power: e1 is fixed, e2 -> e3 -> 0
+    m3 = ConstMat([[1, 0, 0], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError, match="stabilizes at 1"):
+        nilpotent_jordan_chains(m3)
 
 
 def test_ratmat_blocks_and_submatrix():

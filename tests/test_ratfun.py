@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from varred.poly import (
+    _GCD_PRIMES,
     Poly,
     factor_irreducible,
     poly_gcd,
@@ -164,6 +165,19 @@ def test_poly_kernel_matches_fraction_oracle():
             assert (p == q) == (p.coeffs == q.coeffs)
             if p == q:
                 assert hash(p) == hash(q)
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_gcd_primes_are_the_six_largest_below_2_to_the_30():
+    # below 2^30 every residue is a single 30-bit digit of a CPython int
+    primes = _GCD_PRIMES
+    assert len(primes) == 6 and all(p < 2**30 for p in primes)
+    assert all(_is_prime(p) for p in primes)
+    assert sorted(primes, reverse=True) == [
+        n for n in range(2**30 - 1, min(primes) - 1, -1) if n % 2 and _is_prime(n)]
 
 
 def test_poly_gcd_divides_both_and_is_monic():

@@ -4,6 +4,7 @@ bundled example run at orders 1 to 3."""
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from varred.errors import (
     UnsupportedRegime,
 )
 from varred.expr import poly_to_text
+from varred.fileformats import render_report
 from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge
 from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
 from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
@@ -23,6 +25,7 @@ from varred.reduction import (
     ReductionStep,
     _adjoint_chains,
     _diag_projection,
+    _working_sub_space,
     certify_monogenous_reduced,
     detect_obstruction,
     picard_vessiot_tower,
@@ -263,6 +266,45 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
             ("chain-removal", False), ("hermite-partial", False)} <= seen_steps
 
 
+def test_working_space_psi_columns_are_bracket_coordinates():
+    rng = random.Random(306)
+    krylov_rng = random.Random(3060)
+    for _ in range(30):
+        d1 = rng.randint(1, 3)
+        d2 = rng.randint(1, 3)
+        n = d1 + d2
+        # block-diagonal generator and the full strictly-lower block space
+        d0 = ConstMat([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                       for _ in range(n)])
+        for i in range(d1):
+            for j in range(d1, n):
+                d0.data[i][j] = Fraction(0)
+        for i in range(d1, n):
+            for j in range(d1):
+                d0.data[i][j] = Fraction(0)
+        units = []
+        for i in range(d1, n):
+            for j in range(d1):
+                e = ConstMat.zeros(n, n)
+                e.data[i][j] = Fraction(1)
+                units.append(e)
+        # one random lower-left seed: the span grows by brackets with d0
+        seed = ConstMat.zeros(n, n)
+        for e in units:
+            seed = seed + e.scale(krylov_rng.randint(-2, 2))
+        for sub_basis in (units, [seed]):
+            basis, psi = _working_sub_space(d0, [], sub_basis, d1)
+            if sub_basis is units:
+                assert basis == units
+            assert psi.rows == psi.cols == len(basis)
+            for j, b in enumerate(basis):
+                got = ConstMat.zeros(n, n)
+                for i in range(len(basis)):
+                    if psi.data[i][j]:
+                        got = got + basis[i].scale(psi.data[i][j])
+                assert got == comm(d0, b)
+
+
 # ---- diagonal assembly -----------------------------------------------------------
 
 
@@ -406,6 +448,35 @@ def test_tower_refuses_non_nilpotent_generators():
         picard_vessiot_tower(mat)
 
 
+def test_tower_reads_negated_brackets_when_the_lead_is_not_first():
+    # 4x4 with blocks (1, 3): lead L = E32 + E43 and the chain
+    # E21 -> E31 -> E41 of ad(L).  E21 and E31 come first in the Wei-Norman
+    # order, so the lead is basis element 2 and [L, E21], [L, E31] are read
+    # as negated structure entries; with the wrong sign the coefficient of
+    # E31 enters the tower as -h.  The numerators over the common
+    # denominator x^3 - x are x^2, x and 1, so the Wei-Norman matrices are
+    # E21, E31 and L themselves.
+    zero = rf("0")
+    g, f, h = rf("1/(x^3 - x)"), rf("x/(x^2 - 1)"), rf("1/(x^2 - 1)")
+    mat = RatMat([
+        [zero, zero, zero, zero],
+        [f, zero, zero, zero],
+        [h, g, zero, zero],
+        [zero, zero, g, zero],
+    ])
+    lie = lie_closure(wei_norman(mat).matrices())
+    assert lie.dim == 4 and lie.mats[2].data[2][1] == 1
+    tower = picard_vessiot_tower(mat)
+    assert [(e.integrand_coeff, e.integrand_symbol) for e in tower] == [
+        (g, None),
+        (f, None),
+        (h, None),
+        (g, "I2"),
+        (g, "I3"),
+        (g, "I4"),
+    ]
+
+
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
 
 
@@ -539,3 +610,14 @@ def test_third_order_integral_tower(lve3_run):
 def test_third_order_gauge_replay(lve3_run):
     r3 = lve3_run[0][2]
     assert apply_gauge(r3.system.matrix, r3.total_gauge) == r3.final_matrix
+
+
+REFERENCE_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "hh"
+
+
+def test_reports_match_the_reference_bytes(lve3_run):
+    var = fixtures.load_hamiltonian().variable
+    for rep in lve3_run[0]:
+        for mode, ext in (("text", "txt"), ("structured", "rpt")):
+            path = REFERENCE_REPORTS / ("report_order_%d.%s" % (rep.order, ext))
+            assert render_report(rep, mode, var) == path.read_text(encoding="utf-8"), path.name
