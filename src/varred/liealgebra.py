@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .rationals import QQ0, QQ1
 from .poly import Poly, poly_lcm
 from .ratfun import RatFun
-from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace, rref
+from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace
 from .errors import PreconditionFailure, check_deadline
 
 
@@ -41,15 +41,20 @@ class WeiNormanDecomp:
         return [t.mat for t in self.terms]
 
     def recombine(self) -> RatMat:
-        out = RatMat.zeros(self.rows, self.cols)
-        for t in self.terms:
-            for i in range(self.rows):
-                row = t.mat.data[i]
-                orow = out.data[i]
-                for j in range(self.cols):
-                    if row[j]:
-                        orow[j] = orow[j] + t.func.scale(row[j])
-        return out
+        return rat_lincomb(self.functions(), self.matrices(), self.rows, self.cols)
+
+
+def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
+    """The rational matrix sum funcs[k] * mats[k], over nonzero terms and entries."""
+    out = RatMat.zeros(rows, cols)
+    for f, m in zip(funcs, mats):
+        if f.is_zero:
+            continue
+        for mrow, orow in zip(m.data, out.data):
+            for j, v in enumerate(mrow):
+                if v:
+                    orow[j] = orow[j] + f.scale(v)
+    return out
 
 
 def _reduce_against(w, rows):
@@ -66,6 +71,17 @@ def _reduce_against(w, rows):
         else:
             mults.append((k, QQ0))
     return mults
+
+
+def numerator_vectors(funcs):
+    """(den, vectors): the monic lcm of the denominators of nonzero funcs and
+    the coefficient vectors, all of one length, of their numerators over it."""
+    den = Poly.const(QQ1)
+    for f in funcs:
+        den = poly_lcm(den, f.den)
+    nums = [f.num * den.exact_div(f.den) for f in funcs]
+    length = max(p.degree for p in nums) + 1
+    return den, [list(p.coeffs) + [QQ0] * (length - len(p.coeffs)) for p in nums]
 
 
 def wei_norman(a: RatMat) -> WeiNormanDecomp:
@@ -86,12 +102,7 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
                 entries.append((i, j, f))
     if not entries:
         return WeiNormanDecomp([], a.rows, a.cols)
-    den = Poly.const(QQ1)
-    for _, _, f in entries:
-        den = poly_lcm(den, f.den)
-    nums = [f.num * den.exact_div(f.den) for _, _, f in entries]
-    length = max(p.degree for p in nums) + 1
-    vectors = [list(p.coeffs) + [QQ0] * (length - len(p.coeffs)) for p in nums]
+    den, vectors = numerator_vectors([f for _, _, f in entries])
     rows = []  # (pivot, residual vector), in order of acceptance
     for v in vectors:
         w = list(v)
@@ -226,10 +237,10 @@ def split_diag_sub(mats, d1: int):
 class DualFrame:
     """Coordinates of rational matrices over a fixed constant basis.
 
-    A set of pivot entry positions (one per basis element) is chosen once,
-    together with the inverse of the pivot system; reading a matrix off the
-    frame then costs only those entries, plus one full recombination check
-    that catches matrices outside the span.
+    A matrix is read through its Wei-Norman decomposition a = sum f_j M_j.
+    The f_j are Q-linearly independent, so a lies in the Q(x)-span of the
+    basis exactly when every M_j lies in its Q-span; the coordinates are
+    then sum f_j * kappa(M_j), with kappa(M_j) the Q-coordinates of M_j.
     """
 
     def __init__(self, basis):
@@ -237,49 +248,26 @@ class DualFrame:
         if not basis:
             raise ValueError("empty basis")
         self.basis = basis
-        k = len(basis)
-        flats = [b.flatten() for b in basis]
-        span = SpanQQ(len(flats[0]))
-        for f in flats:
-            if not span.add(f):
+        self.span = SpanQQ(basis[0].rows * basis[0].cols, track=True)
+        for b in basis:
+            if not self.span.add(b.flatten()):
                 raise ValueError("basis matrices are linearly dependent")
-        self.pivots = [p for p, _ in span.rows]
-        aug = []
-        for r in range(k):
-            row = [flats[c][self.pivots[r]] for c in range(k)]
-            row.extend(QQ1 if i == r else QQ0 for i in range(k))
-            aug.append(row)
-        red, _ = rref(aug)
-        self.sinv = [row[k:] for row in red]
 
     def coords(self, a: RatMat):
         """Coefficients c with a = sum c_k * basis[k]; ValueError if outside."""
-        k = len(self.basis)
-        zero = RatFun.const(0)
-        coords = []
-        for r in range(k):
-            acc = zero
-            for c in range(k):
-                s = self.sinv[r][c]
-                if s:
-                    i, j = divmod(self.pivots[c], a.cols)
-                    acc = acc + a.data[i][j].scale(s)
-            coords.append(acc)
-        if not self.combine(coords) == a:
-            raise ValueError("matrix is outside the span of the basis")
-        return coords
+        b = self.basis[0]
+        if (a.rows, a.cols) != (b.rows, b.cols):
+            raise ValueError("shape mismatch")
+        wn = wei_norman(a)
+        kappas = []
+        for m in wn.matrices():
+            kappa = self.span.coords_in_added(m.flatten())
+            if kappa is None:
+                raise ValueError("matrix is outside the span of the basis")
+            kappas.append(ConstMat._raw([kappa]))
+        return rat_lincomb(wn.functions(), kappas, 1, len(self.basis)).data[0]
 
     def combine(self, coeffs) -> RatMat:
         """The rational matrix sum coeffs[k] * basis[k]."""
-        rows, cols = self.basis[0].rows, self.basis[0].cols
-        out = RatMat.zeros(rows, cols)
-        for ck, b in zip(coeffs, self.basis):
-            if ck.is_zero:
-                continue
-            for i in range(rows):
-                brow = b.data[i]
-                orow = out.data[i]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] = orow[j] + ck.scale(brow[j])
-        return out
+        b = self.basis[0]
+        return rat_lincomb(coeffs, self.basis, b.rows, b.cols)

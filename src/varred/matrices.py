@@ -486,45 +486,6 @@ class RatMat:
         return RatMat([row[n:] for row in aug])
 
 
-def ratmat_mul_const(a: RatMat, c: ConstMat) -> RatMat:
-    """a @ c with a rational, c constant (cheap scalar multiplies)."""
-    if a.cols != c.rows:
-        raise ValueError("shape mismatch")
-    out = [[_RF_ZERO] * c.cols for _ in range(a.rows)]
-    for i, arow in enumerate(a.data):
-        orow = out[i]
-        for k, aik in enumerate(arow):
-            if aik.is_zero:
-                continue
-            crow = c.data[k]
-            for j, ckj in enumerate(crow):
-                if ckj:
-                    orow[j] = orow[j] + aik.scale(ckj)
-    m = object.__new__(RatMat)
-    m.rows, m.cols = a.rows, c.cols
-    m.data = out
-    return m
-
-
-def const_mul_ratmat(c: ConstMat, a: RatMat) -> RatMat:
-    if c.cols != a.rows:
-        raise ValueError("shape mismatch")
-    out = [[_RF_ZERO] * a.cols for _ in range(c.rows)]
-    for i, crow in enumerate(c.data):
-        orow = out[i]
-        for k, cik in enumerate(crow):
-            if not cik:
-                continue
-            arow = a.data[k]
-            for j, akj in enumerate(arow):
-                if not akj.is_zero:
-                    orow[j] = orow[j] + akj.scale(cik)
-    m = object.__new__(RatMat)
-    m.rows, m.cols = c.rows, a.cols
-    m.data = out
-    return m
-
-
 # ---- nilpotent structure ------------------------------------------------------
 
 
@@ -554,15 +515,15 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     n = m.rows
     if n != m.cols:
         raise ValueError("operator must be square")
-    if n == 0:
-        return JordanChains([], 0)
     # powers[j] = m^j and kernels[j] = basis of ker(m^j), up to the first
-    # zero power; ranks of powers stabilize by m^n at the latest
+    # zero power, or until the kernel stops growing (then it never grows again)
     powers = [ConstMat.identity(n)]
     kernels = [[]]
-    while len(kernels[-1]) < n and len(powers) <= n:
+    while len(kernels[-1]) < n:
         powers.append(powers[-1] * m)
         kernels.append(nullspace(powers[-1].data, n))
+        if len(kernels[-1]) == len(kernels[-2]):
+            break
     if len(kernels[-1]) != n:
         raise UnsupportedRegime(
             "operator is not nilpotent: rank of powers stabilizes at %d"

@@ -30,6 +30,7 @@ from .liealgebra import (
     LieBasis,
     WeiNormanDecomp,
     lie_closure,
+    numerator_vectors,
     split_diag_sub,
     wei_norman,
 )
@@ -42,6 +43,7 @@ from .matrices import (
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
+    rref,
 )
 from .poly import factor_irreducible
 from .rationals import QQ0
@@ -355,19 +357,18 @@ def remove_generator(
 def _eigen_chains(psi: ConstMat):
     """Jordan chain vectors of psi, grouped as (eigenvalue, chain) pairs.
 
-    Chains are coordinate vectors ordered kernel-first.  All eigenvalues
-    must be rational; a single eigenvalue zero takes the direct nilpotent
-    route, otherwise each generalized eigenspace is split off separately.
+    Chains are coordinate vectors ordered kernel-first.  A nilpotent psi
+    takes the direct route; otherwise all eigenvalues must be rational and
+    each generalized eigenspace is split off separately.
     """
-    n = psi.rows
-    if n == 0:
-        return []
-    eigen = rational_eigenvalues(psi)
-    if len(eigen) == 1 and eigen[0][0] == 0:
+    try:
         return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi).chains]
+    except UnsupportedRegime:
+        pass
+    n = psi.rows
     out = []
     eye = ConstMat.identity(n)
-    for lam, mult in eigen:
+    for lam, mult in rational_eigenvalues(psi):
         shifted = psi - eye.scale(lam)
         power = shifted
         for _ in range(mult - 1):
@@ -508,11 +509,8 @@ def reduce_subdiagonal(
             "diagonal algebra is not monogenous (dimension %d)" % len(diag_basis)
         )
 
-    beta0 = _RF_ZERO
     if diag_basis:
         chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1)
-        if chains:
-            beta0 = DualFrame(diag_basis).coords(_diag_projection(a0, d1))[0]
     else:
         # zero diagonal: every generator is its own chain, pure antidifferentiation
         chains = [(QQ0, [w]) for w in sub_basis]
@@ -524,13 +522,15 @@ def reduce_subdiagonal(
     a = a0
     total = q
     if chains:
-        frame = DualFrame([m for _, mats in chains for m in mats])
-        g, left, sweep_steps = _sweep_chains(
-            chains, frame.coords(_sub_projection(a0, d1)), beta0, deadline
-        )
+        # one read of a0: beta0 leads, the chain coefficients follow
+        frame = DualFrame(diag_basis + [m for _, mats in chains for m in mats])
+        coords = frame.coords(a0)
+        lead = coords[: len(diag_basis)]
+        beta0 = lead[0] if lead else _RF_ZERO
+        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, deadline)
         steps.extend(sweep_steps)
-        a = _diag_projection(a0, d1) + frame.combine(left)
-        s = frame.combine(g)
+        a = frame.combine(lead + left)
+        s = frame.combine([_RF_ZERO] * len(lead) + g)
         total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv, check=False)
 
     wn_final = wei_norman(a)
@@ -542,7 +542,9 @@ def reduce_subdiagonal(
         tower = picard_vessiot_tower(a, deadline)
     except UnsupportedRegime:
         tower = None
-    certified = tower is not None and len(tower) == lie_final.dim
+    certified = (
+        tower is not None and len(tower) == lie_final.dim and _letters_independent(tower)
+    )
 
     initial = initial_matrix if initial_matrix is not None else a0
     report = ReductionReport(
@@ -574,6 +576,19 @@ def reduce_subdiagonal(
             "initial matrix to the final one"
         )
     return report
+
+
+def _letters_independent(tower) -> bool:
+    """True when the depth-1 integrands of the tower are Q-linearly independent.
+
+    They are Hermite l parts, with simple poles only, so by Ostrowski-Kolchin
+    their primitives are algebraically independent over Q(x) exactly then.
+    The rank is read with rref on their numerators over one denominator.
+    """
+    letters = [el.integrand_coeff for el in tower if el.depth == 1]
+    if not letters:
+        return True
+    return len(rref(numerator_vectors(letters)[1])[1]) == len(letters)
 
 
 def _verdict(report: ReductionReport) -> str:

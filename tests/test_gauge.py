@@ -14,7 +14,7 @@ from varred.gauge import (
     sym_power_algebra,
     sym_power_group,
 )
-from varred.matrices import ConstMat, RatMat, const_mul_ratmat, ratmat_mul_const
+from varred.matrices import ConstMat, RatMat
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
 
@@ -76,7 +76,7 @@ def test_split_block_identities():
             for j in range(n):
                 if not (i >= d1 and j < d1):
                     assert bracket.data[i][j].is_zero
-        sandwich = ratmat_mul_const(const_mul_ratmat(b1, dmat), b1)
+        sandwich = lifted * dmat * lifted
         assert sandwich.is_zero
 
 

@@ -194,7 +194,21 @@ def test_split_diag_sub_rejects_upper_entries():
         split_diag_sub([m], 1)
 
 
+def lifted_combination(funcs, basis):
+    """The rational matrix sum funcs[k] * basis[k], built entry by entry."""
+    n = basis[0].rows
+    a = RatMat.zeros(n, n)
+    for f, b in zip(funcs, basis):
+        lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
+                         for row in b.data])
+        a = a + lifted.scale(f)
+    return a
+
+
 def test_dual_frame_reads_back_random_combinations():
+    """Random combinations read back exactly, also with Q-dependent
+    coefficient functions (f, 2f, f+g: Wei-Norman then has fewer terms than
+    the basis) and for the zero matrix."""
     rng = random.Random(307)
     for _ in range(40):
         n = rng.randint(2, 4)
@@ -205,14 +219,16 @@ def test_dual_frame_reads_back_random_combinations():
             b = rand_const(rng, n)
             if span.add(b.flatten()):
                 basis.append(b)
-        funcs = [rand_ratfun(rng) for _ in range(k)]
-        a = RatMat.zeros(n, n)
-        for f, b in zip(funcs, basis):
-            lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
-                             for row in b.data])
-            a = a + lifted.scale(f)
         frame = DualFrame(basis)
-        assert frame.coords(a) == funcs
+        funcs = [rand_ratfun(rng) for _ in range(k)]
+        assert frame.coords(lifted_combination(funcs, basis)) == funcs
+        f = funcs[0]
+        dependent = [f, f.scale(2), f + rand_ratfun(rng)][:k]
+        a = lifted_combination(dependent, basis)
+        if k > 1:
+            assert wei_norman(a).dim < k
+        assert frame.coords(a) == dependent
+        assert frame.coords(RatMat.zeros(n, n)) == [RatFun.const(0)] * k
 
 
 def test_dual_frame_rejects_outside_matrices():
@@ -222,3 +238,23 @@ def test_dual_frame_rejects_outside_matrices():
                       [parse_ratfun("0"), parse_ratfun("0")]])
     with pytest.raises(ValueError):
         frame.coords(outside)
+    # a 4x1 matrix with the entries of 1/x * e11 flattened
+    column = RatMat([[parse_ratfun("1/x")], [parse_ratfun("0")],
+                     [parse_ratfun("0")], [parse_ratfun("0")]])
+    with pytest.raises(ValueError, match="shape"):
+        frame.coords(column)
+    # an inside combination f*E21 + h*E31 plus g*E32: of the three
+    # Wei-Norman terms (E21, E31, E32) only the last leaves the span
+    def unit(i, j):
+        m = ConstMat.zeros(3)
+        m.data[i][j] = Fraction(1)
+        return m
+
+    frame = DualFrame([unit(1, 0), unit(2, 0)])
+    f, h, g = parse_ratfun("1/x"), parse_ratfun("x"), parse_ratfun("1/(x + 1)")
+    inside = lifted_combination([f, h], frame.basis)
+    assert frame.coords(inside) == [f, h]
+    a = inside + lifted_combination([g], [unit(2, 1)])
+    assert wei_norman(a).matrices() == [unit(1, 0), unit(2, 0), unit(2, 1)]
+    with pytest.raises(ValueError, match="outside"):
+        frame.coords(a)

@@ -12,14 +12,12 @@ from varred.matrices import (
     SpanQQ,
     charpoly,
     comm,
-    const_mul_ratmat,
     coordinates_in_span,
     lincomb,
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
     rref,
-    ratmat_mul_const,
 )
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
@@ -215,18 +213,6 @@ def test_ratmat_inverse_and_det():
         assert inv * a == ident
         assert not a.det().is_zero
         done += 1
-
-
-def test_ratmat_const_product_helpers():
-    rng = random.Random(207)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        a = rand_ratmat(rng, n, deg=1)
-        c = rand_const(rng, n)
-        lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
-                         for row in c.data])
-        assert ratmat_mul_const(a, c) == a * lifted
-        assert const_mul_ratmat(c, a) == lifted * a
 
 
 def test_charpoly_cayley_hamilton():

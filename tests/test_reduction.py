@@ -477,6 +477,25 @@ def test_tower_reads_negated_brackets_when_the_lead_is_not_first():
     ]
 
 
+def test_dependent_depth_one_letters_are_not_certified():
+    # blocks (2, 1): the diagonal generator E21 with beta0 = 1/x - 1/x^2 and
+    # the subdiagonal E32 with 1/x.  The tower has the right length, but its
+    # depth-1 letters are both 1/x, so I1 - I2 is a constant; every solution
+    # lies in Q(x)(log x), whose Galois group is abelian.
+    zero = rf("0")
+    a = RatMat([
+        [zero, zero, zero],
+        [rf("1/x - 1/x^2"), zero, zero],
+        [zero, rf("1/x"), zero],
+    ])
+    report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
+    letters = [e.integrand_coeff for e in report.tower if e.depth == 1]
+    assert letters == [rf("1/x"), rf("1/x")]
+    assert len(report.tower) == report.final_lie.dim
+    assert not report.reduced_certified
+    assert "candidate obstruction" in report.verdict
+
+
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
 
 
