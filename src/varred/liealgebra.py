@@ -237,7 +237,8 @@ def split_diag_sub(mats, d1: int):
 class DualFrame:
     """Coordinates of rational matrices over a fixed constant basis.
 
-    A matrix is read through its Wei-Norman decomposition a = sum f_j M_j.
+    A matrix is read through its Wei-Norman decomposition a = sum f_j M_j,
+    which the caller already holds.
     The f_j are Q-linearly independent, so a lies in the Q(x)-span of the
     basis exactly when every M_j lies in its Q-span; the coordinates are
     then sum f_j * kappa(M_j), with kappa(M_j) the Q-coordinates of M_j.
@@ -253,12 +254,12 @@ class DualFrame:
             if not self.span.add(b.flatten()):
                 raise ValueError("basis matrices are linearly dependent")
 
-    def coords(self, a: RatMat):
-        """Coefficients c with a = sum c_k * basis[k]; ValueError if outside."""
+    def coords(self, wn: WeiNormanDecomp):
+        """Coefficients c with a = sum c_k * basis[k], where wn = wei_norman(a);
+        ValueError if a has another shape or lies outside the span."""
         b = self.basis[0]
-        if (a.rows, a.cols) != (b.rows, b.cols):
+        if (wn.rows, wn.cols) != (b.rows, b.cols):
             raise ValueError("shape mismatch")
-        wn = wei_norman(a)
         kappas = []
         for m in wn.matrices():
             kappa = self.span.coords_in_added(m.flatten())

@@ -63,12 +63,6 @@ class ConstMat:
     def is_zero(self) -> bool:
         return all(not v for row in self.data for v in row)
 
-    def copy(self) -> "ConstMat":
-        m = object.__new__(ConstMat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [row[:] for row in self.data]
-        return m
-
     def flatten(self):
         out = []
         for row in self.data:
@@ -359,12 +353,6 @@ class RatMat:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.data for e in row)
-
-    def copy(self) -> "RatMat":
-        m = object.__new__(RatMat)
-        m.rows, m.cols = self.rows, self.cols
-        m.data = [row[:] for row in self.data]
-        return m
 
     def is_constant(self) -> bool:
         return all(e.is_constant or e.is_zero for row in self.data for e in row)

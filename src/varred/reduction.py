@@ -17,7 +17,12 @@ import time
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import PreconditionFailure, UnsupportedRegime, check_deadline
+from .errors import (
+    PreconditionFailure,
+    ReductionTimeout,
+    UnsupportedRegime,
+    check_deadline,
+)
 from .gauge import (
     GaugeMatrix,
     apply_gauge,
@@ -295,7 +300,7 @@ def remove_generator(
     with calling it position by position down every chain.
     """
     if coords is None:
-        coords = subframe.coords(_sub_projection(a, d1))
+        coords = subframe.coords(wei_norman(_sub_projection(a, d1)))
     gen = subframe.basis[index]
     coeff = coords[index]
     if coeff.is_zero:
@@ -332,7 +337,7 @@ def remove_generator(
 
     p = exp_sub_nilpotent(g, gen)
     a2 = apply_gauge(a, p)
-    coords2 = subframe.coords(_sub_projection(a2, d1))
+    coords2 = subframe.coords(wei_norman(_sub_projection(a2, d1)))
     if coords2[index] != expected:
         raise RuntimeError(
             "elimination postcondition failed: coefficient %d is %r, expected %r"
@@ -524,7 +529,7 @@ def reduce_subdiagonal(
     if chains:
         # one read of a0: beta0 leads, the chain coefficients follow
         frame = DualFrame(diag_basis + [m for _, mats in chains for m in mats])
-        coords = frame.coords(a0)
+        coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
         g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, deadline)
@@ -537,9 +542,8 @@ def reduce_subdiagonal(
     lie_final = lie_closure(wn_final.matrices(), deadline)
     abelian = lie_final.is_abelian()
 
-    tower = None
     try:
-        tower = picard_vessiot_tower(a, deadline)
+        tower = picard_vessiot_tower(wn_final, lie_final, deadline)
     except UnsupportedRegime:
         tower = None
     certified = (
@@ -715,22 +719,20 @@ class _TowerBuilder:
         return out
 
 
-def picard_vessiot_tower(final: RatMat, deadline=None):
+def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     """Integral tower splitting the solutions of a reduced system.
 
-    Requires the coefficient matrix to have a leading generator whose
-    adjoint acts nilpotently on the remaining basis of the Lie algebra,
-    all of whose elements commute with each other.  Eliminating the
-    non-leading coefficients top-down along the adjoint chains then only
-    ever needs antiderivatives, and each one that is not rational becomes a
-    named tower symbol.  Raises UnsupportedRegime when the structure does
-    not have this shape.  The deadline goes to the Lie closure and is
-    checked again at every chain position.
+    wn is the Wei-Norman decomposition of the reduced matrix, lie the closure
+    of its matrices.  Requires a leading generator whose adjoint acts
+    nilpotently on the remaining basis of the Lie algebra, all of whose
+    elements commute with each other.  Eliminating the non-leading
+    coefficients top-down along the adjoint chains then only ever needs
+    antiderivatives, and each one that is not rational becomes a named tower
+    symbol.  Raises UnsupportedRegime when the structure does not have this
+    shape.  The deadline is checked at every chain position.
     """
-    wn = wei_norman(final)
     if wn.dim == 0:
         return []
-    lie = lie_closure(wn.matrices(), deadline)
     basis = lie.mats
     nb = lie.dim
 
@@ -772,7 +774,7 @@ def picard_vessiot_tower(final: RatMat, deadline=None):
                 raise UnsupportedRegime("tower gauges need isolated generators")
 
     frame = DualFrame([basis[cand]] + gens)
-    coords = frame.coords(final)
+    coords = frame.coords(wn)
     beta = coords[0]
 
     builder = _TowerBuilder()
@@ -814,7 +816,8 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
 
     p1 reduces the first-order system; higher orders reuse it through
     symmetric powers together with the accumulated gauge of the previous
-    order.  Returns one ReductionReport per order, lowest first.
+    order.  Returns one ReductionReport per order, lowest first.  Regime
+    and timeout errors are raised again with "order m: " in front.
     """
     deadline = None
     if max_seconds is not None:
@@ -822,11 +825,14 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     reports = []
     prev_gauge = None
     for bs in systems:
-        check_deadline(deadline)
-        partial, step = reduce_diagonal(bs, p1, prev_gauge, deadline)
-        report = reduce_subdiagonal(
-            partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
-        )
+        try:
+            check_deadline(deadline)
+            partial, step = reduce_diagonal(bs, p1, prev_gauge, deadline)
+            report = reduce_subdiagonal(
+                partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
+            )
+        except (UnsupportedRegime, ReductionTimeout) as e:
+            raise type(e)("order %d: %s" % (bs.order, e)) from e
         reports.append(report)
         prev_gauge = report.total_gauge
     return reports

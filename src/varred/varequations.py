@@ -347,6 +347,8 @@ def _unit(nv, i):
 
 def build_lve(system: HamiltonianSystem, order: int):
     """Variational systems of orders 1..order as BlockSystem values."""
+    if order < 1:
+        raise PreconditionFailure("order must be at least 1, got %d" % order)
     nv = 2 * system.dof
     out = []
     for m in range(1, order + 1):

@@ -125,6 +125,15 @@ def test_build_lve_writes_block_systems(tmp_path, capsys):
     assert sf2.matrix.submatrix(10, 14, 10, 14) == sf1.matrix
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_build_lve_refuses_orders_below_one(tmp_path, capsys, order):
+    ham = write(tmp_path / "hh.ham", fixtures.fixture_text("henon-heiles"))
+    out_dir = tmp_path / "lve"
+    assert main(["build-lve", ham, "--order", order, "--out", str(out_dir)]) == 3
+    assert "order must be at least 1, got %s" % order in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_reduce_text_report_to_stdout(tmp_path, capsys):
     sys1 = write(tmp_path / "a1.sys",
                  fixtures.fixture_text("first-order"))
@@ -204,6 +213,7 @@ def test_exit_code_for_unsupported_regime(tmp_path, capsys):
     assert main(["reduce", sys2, "--p1", p1]) == 4
     err = capsys.readouterr().err
     assert "unsupported regime" in err
+    assert "order 2" in err
     assert "not monogenous" in err
 
 
@@ -213,6 +223,7 @@ def test_exit_code_for_timeout(tmp_path, capsys):
                  "--max-minutes", "0"]) == 5
     err = capsys.readouterr().err
     assert "timeout" in err
+    assert "order 1" in err
 
 
 def test_lie_command_outputs(tmp_path, capsys):

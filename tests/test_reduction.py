@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from varred import fixtures, reduction
+from varred import fixtures, liealgebra, reduction
 from varred.errors import (
     PreconditionFailure,
     ReductionTimeout,
@@ -65,6 +65,13 @@ def step_kinds(report):
     for st in report.steps:
         kinds[st.kind] = kinds.get(st.kind, 0) + 1
     return kinds
+
+
+def tower_of(mat, deadline=None):
+    """The integral tower of a matrix, read from its Wei-Norman decomposition
+    and the closure of its matrices as reduce_subdiagonal hands them over."""
+    wn = wei_norman(mat)
+    return picard_vessiot_tower(wn, lie_closure(wn.matrices()), deadline)
 
 
 # ---- single elimination gauges --------------------------------------------------
@@ -218,7 +225,7 @@ def one_gauge_at_a_time(a0, d1, q):
     lie = lie_closure(wei_norman(a0).matrices())
     diag, sub = split_diag_sub(lie.mats, d1)
     chains = _adjoint_chains(diag[0], lie.mats, sub, d1)
-    beta0 = DualFrame(diag).coords(_diag_projection(a0, d1))[0]
+    beta0 = DualFrame(diag).coords(wei_norman(_diag_projection(a0, d1)))[0]
     frame = DualFrame([m for _, mats in chains for m in mats])
     a, coords, steps = a0, None, []
     total = q
@@ -379,15 +386,12 @@ def test_diagonal_assembly_respects_deadline(hh_p1):
         reduce_diagonal(bs, hh_p1, None, deadline=time.monotonic() - 1.0)
 
 
-def test_tower_respects_deadline(monkeypatch):
-    final = fixtures.load_system("nilpotent-pair").matrix
-    past = time.monotonic() - 1.0
+def test_tower_respects_deadline():
+    # the closure is built before the deadline passes; the chain positions
+    # check it
     with pytest.raises(ReductionTimeout):
-        picard_vessiot_tower(final, deadline=past)
-    # with a closure that ignores it, the chain positions still check it
-    monkeypatch.setattr(reduction, "lie_closure", lambda gens, deadline=None: lie_closure(gens))
-    with pytest.raises(ReductionTimeout):
-        picard_vessiot_tower(final, deadline=past)
+        tower_of(fixtures.load_system("nilpotent-pair").matrix,
+                 deadline=time.monotonic() - 1.0)
 
 
 # ---- reduced-form certification --------------------------------------------------
@@ -412,8 +416,7 @@ def test_certify_monogenous_reduced():
 
 
 def test_tower_of_the_reduced_first_order_system():
-    tower = picard_vessiot_tower(
-        fixtures.load_system("first-order-reduced").matrix)
+    tower = tower_of(fixtures.load_system("first-order-reduced").matrix)
     assert len(tower) == 1
     elem = tower[0]
     assert elem.depth == 1
@@ -425,7 +428,7 @@ def test_tower_of_the_reduced_first_order_system():
 def test_tower_of_the_zero_system_is_empty():
     zero = rf("0")
     mat = RatMat([[zero, zero], [zero, zero]])
-    assert picard_vessiot_tower(mat) == []
+    assert tower_of(mat) == []
 
 
 def test_tower_allows_a_single_diagonal_generator():
@@ -433,7 +436,7 @@ def test_tower_allows_a_single_diagonal_generator():
     # nilpotent: x^M is already split by adjoining log x.
     zero = rf("0")
     mat = RatMat([[rf("1/x"), zero], [zero, rf("2/x")]])
-    tower = picard_vessiot_tower(mat)
+    tower = tower_of(mat)
     assert len(tower) == 1
     assert tower[0].recognized_as == "log"
     assert tower[0].argument == rf("x")
@@ -445,7 +448,7 @@ def test_tower_refuses_non_nilpotent_generators():
     zero = rf("0")
     mat = RatMat([[rf("1/x"), zero], [zero, rf("1/(x + 1)")]])
     with pytest.raises(UnsupportedRegime, match="square-zero"):
-        picard_vessiot_tower(mat)
+        tower_of(mat)
 
 
 def test_tower_reads_negated_brackets_when_the_lead_is_not_first():
@@ -464,9 +467,10 @@ def test_tower_reads_negated_brackets_when_the_lead_is_not_first():
         [h, g, zero, zero],
         [zero, zero, g, zero],
     ])
-    lie = lie_closure(wei_norman(mat).matrices())
+    wn = wei_norman(mat)
+    lie = lie_closure(wn.matrices())
     assert lie.dim == 4 and lie.mats[2].data[2][1] == 1
-    tower = picard_vessiot_tower(mat)
+    tower = picard_vessiot_tower(wn, lie)
     assert [(e.integrand_coeff, e.integrand_symbol) for e in tower] == [
         (g, None),
         (f, None),
@@ -494,6 +498,34 @@ def test_dependent_depth_one_letters_are_not_certified():
     assert len(report.tower) == report.final_lie.dim
     assert not report.reduced_certified
     assert "candidate obstruction" in report.verdict
+
+
+def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
+    # a0 and the final matrix are decomposed and closed once each; the
+    # frame and the tower read what reduce_subdiagonal already holds
+    counts = {"wei_norman": 0, "lie_closure": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(reduction, "wei_norman")
+    count(liealgebra, "wei_norman")
+    count(reduction, "lie_closure")
+    zero = rf("0")
+    a = RatMat([
+        [zero, zero, zero],
+        [rf("1/x"), zero, zero],
+        [zero, rf("1/(x + 1)"), zero],
+    ])
+    report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
+    assert report.jordan_block_sizes and report.tower
+    assert counts == {"wei_norman": 2, "lie_closure": 2}
 
 
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
