@@ -7,6 +7,7 @@ always produces the same bytes.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FileFormatError
 from .expr import ExprError, poly_to_text
@@ -179,12 +180,16 @@ def parse_hamiltonian(text: str) -> HamiltonianFile:
     if "variable" not in fields:
         raise FileFormatError("hamiltonian file is missing the variable")
     variable = fields["variable"][1]
-    names = canonical_names(dof)
-    needed = ["hamiltonian"] + names + ["sigma"]
+    # key by key, so that a huge declared dof fails at its first missing key
+    # instead of first building 2*dof names
+    needed = chain(["hamiltonian"], (f"{c}{i}" for c in "qp" for i in range(1, dof + 1)),
+                   ["sigma"])
     for key in needed:
         if key not in fields:
             raise FileFormatError("hamiltonian file is missing %r" % key)
-    extra = [k for k in order if k not in needed and k not in ("dof", "variable")]
+    names = canonical_names(dof)
+    known = set(names) | {"hamiltonian", "sigma", "dof", "variable"}
+    extra = [k for k in order if k not in known]
     if extra:
         raise FileFormatError("unknown key %r" % extra[0])
     lineno, value = fields["hamiltonian"]

@@ -148,13 +148,10 @@ class GaugeMatrix:
         """Frame change `self` followed by `then` (so P_total = P1 P2)."""
         return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv, check=False)
 
-    def apply(self, a: RatMat) -> RatMat:
-        return self.p_inv * (a * self.p - self.p.derivative())
-
 
 def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
     """P[a] = P^(-1) (a P - P')."""
-    return p.apply(a)
+    return p.p_inv * (a * p.p - p.p.derivative())
 
 
 def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:

@@ -16,32 +16,27 @@ from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace
 from .errors import PreconditionFailure, check_deadline
 
 
-@dataclass
-class WeiNormanTerm:
-    func: RatFun
-    mat: ConstMat
-
-
 class WeiNormanDecomp:
-    """A(x) = sum of func_k(x) * mat_k with independent coefficient functions."""
+    """A(x) = sum of funcs[k](x) * mats[k] with independent coefficient functions."""
 
-    def __init__(self, terms, rows, cols):
-        self.terms = terms
+    def __init__(self, funcs, mats, rows, cols):
+        self.funcs = funcs
+        self.mats = mats
         self.rows = rows
         self.cols = cols
 
     @property
     def dim(self) -> int:
-        return len(self.terms)
+        return len(self.funcs)
 
     def functions(self):
-        return [t.func for t in self.terms]
+        return list(self.funcs)
 
     def matrices(self):
-        return [t.mat for t in self.terms]
+        return list(self.mats)
 
     def recombine(self) -> RatMat:
-        return rat_lincomb(self.functions(), self.matrices(), self.rows, self.cols)
+        return rat_lincomb(self.funcs, self.mats, self.rows, self.cols)
 
 
 def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
@@ -55,22 +50,6 @@ def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
                 if v:
                     orow[j] = orow[j] + f.scale(v)
     return out
-
-
-def _reduce_against(w, rows):
-    """Eliminate w at every stored pivot; returns the multipliers used."""
-    mults = []
-    for k, (p, row) in enumerate(rows):
-        c = w[p]
-        if c:
-            f = c / row[p]
-            for idx, ri in enumerate(row):
-                if ri:
-                    w[idx] -= f * ri
-            mults.append((k, f))
-        else:
-            mults.append((k, QQ0))
-    return mults
 
 
 def numerator_vectors(funcs):
@@ -88,11 +67,15 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
     """Decompose a rational matrix as sum a_k(x) * M_k, constant M_k.
 
     The construction is deterministic: all nonzero entries are brought over
-    their common denominator (the monic lcm), the numerator coefficient
-    vectors are reduced greedily in row-major order of first appearance, and
-    each nonzero residual, divided back by the common denominator, becomes a
-    coefficient function.  The residuals are kept unnormalized, which makes
-    the resulting functions independent of the denominator representative.
+    their common denominator (the monic lcm), and their numerator coefficient
+    vectors are added in row-major order to a SpanQQ.  Each vector that
+    enlarges the span leaves a nonzero residual, which, divided back by the
+    common denominator, becomes a coefficient function; the terms come in
+    order of acceptance, and the multipliers of an entry's vector over the
+    residuals are its entries in the M_k.  The rows have distinct pivots, so
+    residuals and multipliers do not depend on the elimination order.  The
+    residuals are kept unnormalized, which makes the resulting functions
+    independent of the denominator representative.
     """
     entries = []
     for i in range(a.rows):
@@ -101,24 +84,26 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
             if not f.is_zero:
                 entries.append((i, j, f))
     if not entries:
-        return WeiNormanDecomp([], a.rows, a.cols)
+        return WeiNormanDecomp([], [], a.rows, a.cols)
     den, vectors = numerator_vectors([f for _, _, f in entries])
-    rows = []  # (pivot, residual vector), in order of acceptance
+    length = len(vectors[0])
+    span = SpanQQ(length)
+    accepted = {}  # pivot -> index of acceptance
     for v in vectors:
-        w = list(v)
-        _reduce_against(w, rows)
-        piv = next((idx for idx, c in enumerate(w) if c), None)
-        if piv is not None:
-            rows.append((piv, w))
-    mats = [ConstMat.zeros(a.rows, a.cols) for _ in rows]
+        if span.add(v):
+            # the new row is the one whose pivot has no index yet
+            pivot = next(p for p, _ in span.rows if p not in accepted)
+            accepted[pivot] = len(accepted)
+    term = [accepted[p] for p, _ in span.rows]  # span.rows are sorted by pivot
+    funcs = [None] * len(term)
+    for k, (_, row) in zip(term, span.rows):
+        funcs[k] = RatFun(Poly([row.get(idx, QQ0) for idx in range(length)]), den)
+    mats = [ConstMat.zeros(a.rows, a.cols) for _ in term]
     for (i, j, _), v in zip(entries, vectors):
-        w = list(v)
-        for k, f in _reduce_against(w, rows):
+        for k, f in zip(term, span.coords_in_rows(v)):
             if f:
                 mats[k].data[i][j] = f
-    funcs = [RatFun(Poly(row), den) for _, row in rows]
-    terms = [WeiNormanTerm(f, m) for f, m in zip(funcs, mats)]
-    return WeiNormanDecomp(terms, a.rows, a.cols)
+    return WeiNormanDecomp(funcs, mats, a.rows, a.cols)
 
 
 # ---- Lie closure ---------------------------------------------------------------

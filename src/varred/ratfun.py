@@ -400,8 +400,10 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
     Completeness: a denominator bound is assembled from the poles of gamma
     and beta (with the usual residue refinement at simple poles of gamma),
     a degree bound from the behaviour at infinity, and the remaining linear
-    system over Q is solved exactly.  Any returned solution is verified by
-    substitution.
+    system over Q is solved exactly: `matrices.rref` reduces the augmented
+    rows [row | rhs], a pivot in the rhs column means no solution, and
+    otherwise every free unknown is 0 and each pivot unknown is the rhs
+    entry of its row.  Any returned solution is verified by substitution.
     """
     if gamma.is_zero:
         split = hermite_split(beta)
@@ -473,54 +475,22 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
         if p.degree is not None:
             ncols = max(ncols, p.degree + 1)
     # solve sum u_i * lhs_rows[i] = rhs_const coefficientwise
-    mat = [[QQ0] * (udeg + 1) for _ in range(ncols)]
-    rhs = [QQ0] * ncols
+    from .matrices import rref  # imported here: matrices imports this module
+
+    aug = [[QQ0] * (udeg + 2) for _ in range(ncols)]
     for i, p in enumerate(lhs_rows):
         for k, ck in enumerate(p.coeffs):
-            mat[k][i] = ck
+            aug[k][i] = ck
     for k, ck in enumerate(rhs_const.coeffs):
-        rhs[k] = ck
-    sol = _solve_linear(mat, rhs)
-    if sol is None:
-        return None
+        aug[k][-1] = ck
+    red, pivots = rref(aug)
+    if pivots and pivots[-1] == udeg + 1:
+        return None  # a pivot in the rhs column: inconsistent
+    sol = [QQ0] * (udeg + 1)  # free unknowns stay 0
+    for r, col in enumerate(pivots):
+        sol[col] = red[r][-1]
     u = Poly(sol)
     g = RatFun(u, w)
     if g.derivative() != gamma * g + beta:
         return None
     return g
-
-
-def _solve_linear(mat, rhs):
-    """One exact solution of mat*x = rhs over Q (free variables set to 0)."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = [list(r) + [v] for r, v in zip(mat, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        inv = QQ1 / pr[col]
-        for j in range(col, n + 1):
-            pr[j] = pr[j] * inv
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                for j in range(col, n + 1):
-                    rows[r][j] -= f * pr[j]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if rows[r][n]:
-            return None
-    x = [QQ0] * n
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n]
-    return x

@@ -13,6 +13,7 @@ stay as coefficients of their generators, and they are what a later
 obstruction certificate points at.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -619,7 +620,7 @@ def certify_monogenous_reduced(a: RatMat) -> bool:
     wn = wei_norman(a)
     if wn.dim != 1:
         return False
-    return not hermite_split(wn.terms[0].func).l.is_zero
+    return not hermite_split(wn.functions()[0]).l.is_zero
 
 
 def detect_obstruction(report: ReductionReport):
@@ -817,10 +818,14 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     p1 reduces the first-order system; higher orders reuse it through
     symmetric powers together with the accumulated gauge of the previous
     order.  Returns one ReductionReport per order, lowest first.  Regime
-    and timeout errors are raised again with "order m: " in front.
+    and timeout errors are raised again with "order m: " in front; a NaN
+    max_seconds raises PreconditionFailure.
     """
     deadline = None
     if max_seconds is not None:
+        if math.isnan(max_seconds):
+            # a NaN deadline compares false with every clock reading
+            raise PreconditionFailure("the time budget is not a number")
         deadline = time.monotonic() + max_seconds
     reports = []
     prev_gauge = None

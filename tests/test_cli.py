@@ -96,6 +96,10 @@ def test_hamiltonian_rejections():
         ("dof = 2\n", "must start with a format line"),
         ("format = hamiltonian v1\nvariable = x\n", "missing dof"),
         ("format = hamiltonian v1\ndof = 0\n", "at least 1"),
+        # a huge declared dof fails at its first missing key, without
+        # building the 2*dof variable names first
+        ("format = hamiltonian v1\ndof = 1000000000000\nvariable = x\n"
+         "hamiltonian = 0\nq1 = 0\n", "missing 'q2'"),
     ]
     for text, snippet in cases:
         with pytest.raises(FileFormatError, match=snippet):
@@ -224,6 +228,16 @@ def test_exit_code_for_timeout(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "timeout" in err
     assert "order 1" in err
+
+
+def test_exit_code_for_nan_time_budget(tmp_path, capsys):
+    # a NaN deadline would never fire; --max-minutes 0 stays a valid budget
+    sys1 = write(tmp_path / "a1.sys", fixtures.fixture_text("first-order"))
+    assert main(["reduce", sys1, "--p1-fixture", "henon-heiles",
+                 "--max-minutes", "nan"]) == 3
+    err = capsys.readouterr().err
+    assert "precondition failed" in err
+    assert "time budget is not a number" in err
 
 
 def test_lie_command_outputs(tmp_path, capsys):

@@ -93,6 +93,14 @@ def test_wei_norman_known_split():
     wn = wei_norman(a)
     assert wn.dim == 2
     assert wn.recombine() == a
+    # terms come in order of acceptance: the entry x (pivot 1) is read
+    # before x + 1 (pivot 0), so ordering terms by pivot would swap them
+    a = RatMat([[parse_ratfun("x"), parse_ratfun("x + 1")],
+                [parse_ratfun("1"), parse_ratfun("0")]])
+    wn = wei_norman(a)
+    assert wn.functions() == [parse_ratfun("x"), parse_ratfun("1")]
+    assert wn.matrices() == [ConstMat([[1, 1], [0, 0]]),
+                             ConstMat([[0, 1], [1, 0]])]
 
 
 def test_wei_norman_zero_matrix():

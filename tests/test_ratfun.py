@@ -376,6 +376,15 @@ def test_solve_first_order_rational_round_trip():
     assert solved >= 50
 
 
+def test_solve_first_order_rational_sets_free_unknowns_to_zero():
+    # y' = gamma*y has the rational solution x^2 (resp. x^3) here, so the
+    # linear system has a free unknown; the solver sets it to 0
+    for gamma, beta, want in [("2/x", "1", "-x"), ("3/x", "x", "-x^2"),
+                              ("2/x", "1/x", "-1/2")]:
+        got = solve_first_order_rational(parse_ratfun(gamma), parse_ratfun(beta))
+        assert got == parse_ratfun(want)
+
+
 def test_solve_first_order_rational_unsolvable():
     # y' = y/x + 1 has general solution x*log(x) + c*x: not rational
     beta = parse_ratfun("1/x")

@@ -1,7 +1,9 @@
 """Reduction pipeline: elimination steps, certificates, towers, and the
 bundled example run at orders 1 to 3."""
 
+import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +17,7 @@ from varred.errors import (
     UnsupportedRegime,
 )
 from varred.expr import poly_to_text
-from varred.fileformats import render_report
+from varred.fileformats import parse_system, render_report
 from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge
 from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
 from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
@@ -663,7 +665,8 @@ def test_third_order_gauge_replay(lve3_run):
     assert apply_gauge(r3.system.matrix, r3.total_gauge) == r3.final_matrix
 
 
-REFERENCE_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "hh"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE_REPORTS = PERFBENCH / "reference" / "hh"
 
 
 def test_reports_match_the_reference_bytes(lve3_run):
@@ -672,3 +675,24 @@ def test_reports_match_the_reference_bytes(lve3_run):
         for mode, ext in (("text", "txt"), ("structured", "rpt")):
             path = REFERENCE_REPORTS / ("report_order_%d.%s" % (rep.order, ext))
             assert render_report(rep, mode, var) == path.read_text(encoding="utf-8"), path.name
+
+
+def test_synth_reports_match_the_reference_hashes():
+    """The 12 seeded systems of the synth-chains benchmark (seed 0) meet
+    nonzero-eigenvalue chains and pole factors other than x and x^2 + 1;
+    each total gauge replays and each structured report hashes as stored."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import synth
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    stored = (PERFBENCH / "reference" / "synth" / "seed0.sha256").read_text(
+        encoding="utf-8").split()
+    texts = synth.generate_texts(0, 12)
+    assert len(stored) == len(texts) == 12
+    for k, (text, digest) in enumerate(zip(texts, stored)):
+        sf = parse_system(text)
+        rep = reduce_subdiagonal(BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)))
+        assert apply_gauge(sf.matrix, rep.total_gauge) == rep.final_matrix, k
+        out = render_report(rep, "structured", sf.variable)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, k
