@@ -337,8 +337,8 @@ def render_report(report, mode: str = "text", var: str = "x") -> str:
         if st.new_poles:
             parts.append("new-poles %s"
                          % " | ".join(poly_to_text(p, var) for p in st.new_poles))
-        if st.note:
-            parts.append(st.note)
+        if st.unsolved is not None:
+            parts.append(st.note_text(var))
         lines.append("step %d = %s" % (k + 1, " | ".join(parts)))
     lines.append("end steps")
     return "\n".join(lines) + "\n"

@@ -129,6 +129,23 @@ class LieBasis:
     def is_abelian(self) -> bool:
         return all(not any(c) for c in self.structure.values())
 
+    def adjoint(self, i):
+        """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
+
+        others lists the other indices in order, and column c of ad holds
+        the coordinates of [mats[i], mats[others[c]]] along them; for
+        k < i, [mats[i], mats[k]] is the negated (k, i) entry.  None when
+        some bracket has a component along mats[i].
+        """
+        others = [k for k in range(self.dim) if k != i]
+        cols = [
+            self.structure[(i, k)] if i < k else [-c for c in self.structure[(k, i)]]
+            for k in others
+        ]
+        if any(c[i] for c in cols):
+            return None
+        return others, ConstMat._raw([[c[o] for c in cols] for o in others])
+
     def first_noncommuting_pair(self):
         """Smallest (i, j) with [mats[i], mats[j]] != 0, or None."""
         for key in sorted(self.structure):
@@ -162,13 +179,13 @@ def lie_closure(generators, deadline=None) -> LieBasis:
         for i in range(j):
             b = comm(basis[i], basis[j])
             flat = b.flatten()
-            if span.add(flat):
+            coords = span.coords_in_added(flat)
+            if coords is None:
+                span.add(flat)
                 basis.append(b)
                 coords = [QQ0] * len(basis)
                 coords[-1] = QQ1
-                structure[(i, j)] = coords
-            else:
-                structure[(i, j)] = span.coords_in_added(flat)
+            structure[(i, j)] = coords
         j += 1
     dim = len(basis)
     for key, coords in structure.items():

@@ -117,7 +117,8 @@ class ConstMat:
 
 
 def _nonzero_rows(m: ConstMat):
-    return [[(j, v) for j, v in enumerate(row) if v] for row in m.data]
+    # the identity test passes the shared zero without a Fraction.__bool__ call
+    return [[(j, v) for j, v in enumerate(row) if v is not QQ0 and v] for row in m.data]
 
 
 def comm(a: ConstMat, b: ConstMat) -> ConstMat:
@@ -226,7 +227,7 @@ class SpanQQ:
         return len(self.rows)
 
     def _reduce(self, vec):
-        v = {i: c for i, c in enumerate(vec) if c}
+        v = {i: c for i, c in enumerate(vec) if c is not QQ0 and c}  # as in _nonzero_rows
         mults = []
         for idx, (p, row) in enumerate(self.rows):
             c = v.get(p)

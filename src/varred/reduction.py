@@ -80,6 +80,8 @@ class ReductionStep:
     from the chain sweep carry no gauge of their own: the sweep applies
     Id + sum(solved_g * generator) over all of them at once, and the
     report's total gauge is the diagonal-assembly gauge followed by it.
+    An unresolved step keeps (a, b) of the equation g' = a g + b that has
+    no rational solution as unsolved.
     """
 
     kind: str
@@ -88,7 +90,15 @@ class ReductionStep:
     solved_g: RatFun | None = None
     residual_l: RatFun | None = None
     new_poles: list = field(default_factory=list)
-    note: str = ""
+    unsolved: tuple | None = None
+
+    def note_text(self, var: str = "x") -> str:
+        """Why the step is unresolved, or "" when it is not."""
+        if self.unsolved is None:
+            return ""
+        return "no rational solution of g' = (%s) g + (%s); generator retained" % tuple(
+            f.render(var) for f in self.unsolved
+        )
 
 
 @dataclass
@@ -181,37 +191,6 @@ def _const_sub_projection(m: ConstMat, d1: int) -> ConstMat:
         for j in range(d1):
             out.data[i][j] = m.data[i][j]
     return out
-
-
-def _working_sub_space(d0: ConstMat, closure_mats, sub_basis, d1: int):
-    """Ambient space for the chain elimination, closed under ad(d0).
-
-    The subdiagonal part of the system lives in the span of the sub
-    projections of the algebra, which can be strictly bigger than the
-    algebra's own subdiagonal part (the pure diagonal generator need not be
-    an algebra element).  Seeding with sub_basis keeps those vectors as the
-    leading basis elements whenever they already span everything.
-
-    Returns (basis, psi): psi is the matrix of ad(d0) on the span, column j
-    holding the coordinates of [d0, basis[j]].  Every such bracket joins the
-    queue, so once the closure ends its coordinates can be read off.
-    """
-    n = d0.rows
-    span = SpanQQ(n * n, track=True)
-    basis = []
-    brackets = []
-    queue = list(sub_basis) + [_const_sub_projection(b, d1) for b in closure_mats]
-    i = 0
-    while i < len(queue):
-        w = queue[i]
-        i += 1
-        if w.is_zero or not span.add(w.flatten()):
-            continue
-        basis.append(w)
-        brackets.append(comm(d0, w))
-        queue.append(brackets[-1])
-    cols = [span.coords_in_added(b.flatten()) for b in brackets]
-    return basis, ConstMat._raw([list(row) for row in zip(*cols)])
 
 
 def _new_pole_factors(l: RatFun, beta0: RatFun):
@@ -308,14 +287,10 @@ def remove_generator(
         return a, ReductionStep(kind="chain-removal", generator=gen), coords
 
     if lam != QQ0:
-        g = solve_first_order_rational(beta0.scale(lam), coeff)
+        rate = beta0.scale(lam)
+        g = solve_first_order_rational(rate, coeff)
         if g is None:
-            step = ReductionStep(
-                kind="unresolved",
-                generator=gen,
-                note="no rational solution of g' = (%s) g + (%s); generator retained"
-                % (beta0.scale(lam).render(), coeff.render()),
-            )
+            step = ReductionStep(kind="unresolved", generator=gen, unsolved=(rate, coeff))
             return a, step, coords
         expected = _RF_ZERO
         residual = None
@@ -398,15 +373,23 @@ def _eigen_chains(psi: ConstMat):
     return out
 
 
-def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int):
+def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int, deadline=None):
     """(lam, matrices) chains of ad(d0) on the working subdiagonal space.
+
+    That space is spanned by sub_basis (first, so those stay the leading
+    basis elements when they span everything) and the sub projections of
+    closure_mats, which can be more (the pure diagonal generator need not
+    be an algebra element), and closed under ad(d0).  Strictly subdiagonal
+    matrices commute, so it is their closure with d0, without d0, and
+    ad(d0) is read off its structure table; the closure checks the deadline.
 
     Longest chains first, each kernel element first, so that
     [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
     """
-    work_basis, psi = _working_sub_space(d0, closure_mats, sub_basis, d1)
-    if not work_basis:
-        return []
+    seeds = [_const_sub_projection(b, d1) for b in closure_mats]
+    work = lie_closure([d0] + list(sub_basis) + seeds, deadline)
+    _, psi = work.adjoint(0)
+    work_basis = work.mats[1:]
     chains = [
         (lam, [lincomb(v, work_basis) for v in ch]) for lam, ch in _eigen_chains(psi)
     ]
@@ -453,14 +436,10 @@ def _sweep_chains(chains, coords, beta0: RatFun, deadline):
                 above = _RF_ZERO
                 continue
             if lam != QQ0:
-                sol = solve_first_order_rational(beta0.scale(lam), c)
+                rate = beta0.scale(lam)
+                sol = solve_first_order_rational(rate, c)
                 if sol is None:
-                    step = ReductionStep(
-                        kind="unresolved",
-                        generator=mats[s],
-                        note="no rational solution of g' = (%s) g + (%s); "
-                        "generator retained" % (beta0.scale(lam).render(), c.render()),
-                    )
+                    step = ReductionStep(kind="unresolved", generator=mats[s], unsolved=(rate, c))
                 else:
                     g[k], left[k] = sol, _RF_ZERO
                     step = ReductionStep(kind="chain-removal", generator=mats[s], solved_g=sol)
@@ -516,7 +495,7 @@ def reduce_subdiagonal(
         )
 
     if diag_basis:
-        chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1)
+        chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1, deadline)
     else:
         # zero diagonal: every generator is its own chain, pure antidifferentiation
         chains = [(QQ0, [w]) for w in sub_basis]
@@ -737,21 +716,16 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     basis = lie.mats
     nb = lie.dim
 
-    def bracket(i, j):
-        """Coordinates of [basis[i], basis[j]], read off the structure table."""
-        return lie.structure[(i, j)] if i < j else [-c for c in lie.structure[(j, i)]]
-
     noncommuting = [key for key, c in lie.structure.items() if any(c)]
     chosen = None
     for cand in range(nb):
         # the other basis elements must commute with each other
         if not all(cand in key for key in noncommuting):
             continue
-        others = [k for k in range(nb) if k != cand]
-        cols = [bracket(cand, k) for k in others]
-        if any(c[cand] for c in cols):
+        adjoint = lie.adjoint(cand)
+        if adjoint is None:
             continue
-        ad = ConstMat([[c[o] for c in cols] for o in others])
+        others, ad = adjoint
         try:
             chains = nilpotent_jordan_chains(ad).chains
         except UnsupportedRegime:

@@ -157,6 +157,83 @@ def test_lie_closure_respects_deadline():
         lie_closure(gens, deadline=time.monotonic() - 1.0)
 
 
+def test_working_space_psi_columns_are_bracket_coordinates():
+    # the ad(d0)-closure of lower-left seeds is lie_closure([d0] + seeds)
+    # without d0, since lower-left matrices commute; adjoint(0) is psi
+    rng = random.Random(306)
+    krylov_rng = random.Random(3060)
+    for _ in range(30):
+        d1 = rng.randint(1, 3)
+        d2 = rng.randint(1, 3)
+        n = d1 + d2
+        # block-diagonal generator and the full strictly-lower block space
+        d0 = ConstMat([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
+                       for _ in range(n)])
+        for i in range(d1):
+            for j in range(d1, n):
+                d0.data[i][j] = Fraction(0)
+        for i in range(d1, n):
+            for j in range(d1):
+                d0.data[i][j] = Fraction(0)
+        units = []
+        for i in range(d1, n):
+            for j in range(d1):
+                e = ConstMat.zeros(n, n)
+                e.data[i][j] = Fraction(1)
+                units.append(e)
+        # one random lower-left seed: the span grows by brackets with d0
+        seed = ConstMat.zeros(n, n)
+        for e in units:
+            seed = seed + e.scale(krylov_rng.randint(-2, 2))
+        for sub_basis in (units, [seed]):
+            work = lie_closure([d0] + sub_basis)
+            assert work.mats[0] == d0
+            others, psi = work.adjoint(0)
+            basis = [work.mats[k] for k in others]
+            if sub_basis is units:
+                assert basis == units
+            assert psi.rows == psi.cols == len(basis)
+            for j, b in enumerate(basis):
+                got = ConstMat.zeros(n, n)
+                for i in range(len(basis)):
+                    if psi.data[i][j]:
+                        got = got + basis[i].scale(psi.data[i][j])
+                assert got == comm(d0, b)
+
+
+def unit(n, i, j):
+    e = ConstMat.zeros(n, n)
+    e.data[i][j] = Fraction(1)
+    return e
+
+
+def test_adjoint_negates_the_entries_of_later_elements():
+    # Heisenberg: [x, y] = z, so ad(y) sends x to -z, read off (0, 1)
+    x, y = unit(3, 0, 1), unit(3, 1, 2)
+    lie = lie_closure([x, y])
+    assert lie.mats[2] == unit(3, 0, 2)
+    others, ad_x = lie.adjoint(0)
+    assert others == [1, 2]
+    assert ad_x.data == [[0, 0], [1, 0]]
+    others, ad_y = lie.adjoint(1)
+    assert others == [0, 2]
+    assert ad_y.data == [[0, 0], [-1, 0]]
+    # [a, b] = b with b listed first: the (0, 1) entry holds [b, a] = -b
+    a, b = unit(2, 0, 0), unit(2, 0, 1)
+    others, ad_a = lie_closure([b, a]).adjoint(1)
+    assert others == [0]
+    assert ad_a.data == [[1]]
+
+
+def test_adjoint_is_none_when_a_bracket_leaves_a_component_along_the_element():
+    # [a, b] = b: ad(b) sends a to -b, a component along b itself
+    a, b = unit(2, 0, 0), unit(2, 0, 1)
+    lie = lie_closure([a, b])
+    assert lie.dim == 2 and lie.structure[(0, 1)] == [0, 1]
+    assert lie.adjoint(1) is None
+    assert lie.adjoint(0)[1].data == [[1]]
+
+
 def test_split_diag_sub_dimension_identity():
     """dim(span) = dim(diagonal projections) + dim(span intersect sub)."""
     rng = random.Random(305)

@@ -3,12 +3,14 @@ bundled example run at orders 1 to 3."""
 
 import hashlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from varred import fixtures, liealgebra, reduction
 from varred.errors import (
@@ -17,7 +19,7 @@ from varred.errors import (
     UnsupportedRegime,
 )
 from varred.expr import poly_to_text
-from varred.fileformats import parse_system, render_report
+from varred.fileformats import parse_report, parse_system, render_report
 from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge
 from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
 from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
@@ -27,7 +29,6 @@ from varred.reduction import (
     ReductionStep,
     _adjoint_chains,
     _diag_projection,
-    _working_sub_space,
     certify_monogenous_reduced,
     detect_obstruction,
     picard_vessiot_tower,
@@ -158,7 +159,7 @@ def test_elimination_nonzero_eigenvalue_unresolved():
                                         lam=Fraction(1))
     assert step.kind == "unresolved"
     assert step.gauge is None
-    assert "no rational solution" in step.note
+    assert "no rational solution" in step.note_text()
     assert a2 == a
     assert coords[0] == coeff
 
@@ -238,7 +239,8 @@ def one_gauge_at_a_time(a0, d1, q):
                                              lam=lam, coords=coords)
             if st.gauge is not None:
                 total = total.compose(st.gauge)
-            if st.gauge is not None or st.residual_l is not None or st.note:
+            if (st.gauge is not None or st.residual_l is not None
+                    or st.unsolved is not None):
                 steps.append((lam, st))
         start += len(mats)
     return a, steps, total, [(lam, len(mats)) for lam, mats in chains]
@@ -261,8 +263,8 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
         )
         final, steps, total, shapes = one_gauge_at_a_time(a0, d1, q)
         assert report.final_matrix == final
-        assert [(st.kind, st.residual_l, st.note) for st in report.steps[1:]] == [
-            (st.kind, st.residual_l, st.note) for _, st in steps]
+        assert [(st.kind, st.residual_l, st.note_text()) for st in report.steps[1:]] == [
+            (st.kind, st.residual_l, st.note_text()) for _, st in steps]
         assert report.total_gauge.p == total.p
         assert report.total_gauge.p_inv == total.p_inv
         assert apply_gauge(initial, report.total_gauge) == report.final_matrix
@@ -273,45 +275,6 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
     assert {(False, 3), (True, 2)} <= seen_chains
     assert {("chain-removal", True), ("unresolved", True),
             ("chain-removal", False), ("hermite-partial", False)} <= seen_steps
-
-
-def test_working_space_psi_columns_are_bracket_coordinates():
-    rng = random.Random(306)
-    krylov_rng = random.Random(3060)
-    for _ in range(30):
-        d1 = rng.randint(1, 3)
-        d2 = rng.randint(1, 3)
-        n = d1 + d2
-        # block-diagonal generator and the full strictly-lower block space
-        d0 = ConstMat([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                       for _ in range(n)])
-        for i in range(d1):
-            for j in range(d1, n):
-                d0.data[i][j] = Fraction(0)
-        for i in range(d1, n):
-            for j in range(d1):
-                d0.data[i][j] = Fraction(0)
-        units = []
-        for i in range(d1, n):
-            for j in range(d1):
-                e = ConstMat.zeros(n, n)
-                e.data[i][j] = Fraction(1)
-                units.append(e)
-        # one random lower-left seed: the span grows by brackets with d0
-        seed = ConstMat.zeros(n, n)
-        for e in units:
-            seed = seed + e.scale(krylov_rng.randint(-2, 2))
-        for sub_basis in (units, [seed]):
-            basis, psi = _working_sub_space(d0, [], sub_basis, d1)
-            if sub_basis is units:
-                assert basis == units
-            assert psi.rows == psi.cols == len(basis)
-            for j, b in enumerate(basis):
-                got = ConstMat.zeros(n, n)
-                for i in range(len(basis)):
-                    if psi.data[i][j]:
-                        got = got + basis[i].scale(psi.data[i][j])
-                assert got == comm(d0, b)
 
 
 # ---- diagonal assembly -----------------------------------------------------------
@@ -503,15 +466,20 @@ def test_dependent_depth_one_letters_are_not_certified():
 
 
 def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
-    # a0 and the final matrix are decomposed and closed once each; the
-    # frame and the tower read what reduce_subdiagonal already holds
+    # a0 and the final matrix are decomposed and closed once each, and the
+    # working subdiagonal space is closed once, led by the diagonal
+    # generator; the frame and the tower read what reduce_subdiagonal
+    # already holds
     counts = {"wei_norman": 0, "lie_closure": 0}
+    closed = []
 
     def count(module, name):
         inner = getattr(module, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if name == "lie_closure":
+                closed.append(list(args[0]))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -527,7 +495,29 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
     ])
     report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
     assert report.jordan_block_sizes and report.tower
-    assert counts == {"wei_norman": 2, "lie_closure": 2}
+    assert counts == {"wei_norman": 2, "lie_closure": 3}
+    e21 = ConstMat.zeros(3, 3)
+    e21.data[1][0] = Fraction(1)
+    assert closed[0] == wei_norman(a).matrices()
+    assert closed[1][0] == e21
+    assert closed[2] == report.final_wei_norman.matrices()
+
+
+def test_working_space_closure_respects_deadline():
+    # blocks (2, 1), diagonal generator E21: the working space holds E32
+    # and [E21, E32] = -E31, so closing it takes a round of brackets
+    zero = rf("0")
+    a = RatMat([
+        [zero, zero, zero],
+        [rf("1/x"), zero, zero],
+        [zero, rf("1/(x + 1)"), zero],
+    ])
+    lie = lie_closure(wei_norman(a).matrices())
+    diag, sub = split_diag_sub(lie.mats, 2)
+    chains = _adjoint_chains(diag[0], lie.mats, sub, 2)
+    assert sum(len(mats) for _, mats in chains) >= 2
+    with pytest.raises(ReductionTimeout):
+        _adjoint_chains(diag[0], lie.mats, sub, 2, time.monotonic() - 1.0)
 
 
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
@@ -677,22 +667,108 @@ def test_reports_match_the_reference_bytes(lve3_run):
             assert render_report(rep, mode, var) == path.read_text(encoding="utf-8"), path.name
 
 
-def test_synth_reports_match_the_reference_hashes():
-    """The 12 seeded systems of the synth-chains benchmark (seed 0) meet
-    nonzero-eigenvalue chains and pole factors other than x and x^2 + 1;
-    each total gauge replays and each structured report hashes as stored."""
+def synth_texts(seed, count):
+    """The system files of the synth-chains benchmark, as the bench makes them."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import synth
     finally:
         sys.path.remove(str(PERFBENCH))
+    return synth.generate_texts(seed, count)
+
+
+def reduce_system_text(text):
+    """(system file, report) of one `system v1` text reduced on its own."""
+    sf = parse_system(text)
+    return sf, reduce_subdiagonal(BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)))
+
+
+@pytest.fixture(scope="module")
+def synth_seed0():
+    """(system file, report) for the 12 systems of the synth-chains seed 0."""
+    return [reduce_system_text(text) for text in synth_texts(0, 12)]
+
+
+def test_synth_reports_match_the_reference_hashes(synth_seed0):
+    """The 12 seeded systems of the synth-chains benchmark (seed 0) meet
+    nonzero-eigenvalue chains and pole factors other than x and x^2 + 1;
+    each total gauge replays and each structured report hashes as stored."""
     stored = (PERFBENCH / "reference" / "synth" / "seed0.sha256").read_text(
         encoding="utf-8").split()
-    texts = synth.generate_texts(0, 12)
-    assert len(stored) == len(texts) == 12
-    for k, (text, digest) in enumerate(zip(texts, stored)):
-        sf = parse_system(text)
-        rep = reduce_subdiagonal(BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)))
+    assert len(stored) == len(synth_seed0) == 12
+    for k, ((sf, rep), digest) in enumerate(zip(synth_seed0, stored)):
         assert apply_gauge(sf.matrix, rep.total_gauge) == rep.final_matrix, k
         out = render_report(rep, "structured", sf.variable)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, k
+
+
+# x standing alone, as a variable; "final-matrix" holds an x inside a word
+LONE_X = re.compile(r"(?<![A-Za-z])x(?![A-Za-z])")
+
+
+def test_structured_report_writes_every_function_in_its_variable(synth_seed0):
+    # system 0 of seed 0 has an unresolved step, whose note renders the
+    # equation g' = a g + b; in t the report is the x report with x -> t
+    sf, rep = synth_seed0[0]
+    assert any(st.kind == "unresolved" for st in rep.steps)
+    in_x = render_report(rep, "structured", sf.variable)
+    t_text = LONE_X.sub("t", synth_texts(0, 1)[0])
+    assert "variable = t" in t_text
+    sf_t, rep_t = reduce_system_text(t_text)
+    in_t = render_report(rep_t, "structured", sf_t.variable)
+    assert "unresolved | no rational solution of g' = (" in in_t
+    assert not LONE_X.search(in_t)
+    assert in_t == LONE_X.sub("t", in_x)
+
+
+def sympy_rank_over_q(texts, var):
+    """Rank over Q of rational functions given as text, computed by sympy:
+    the rank of their numerator coefficients over a common denominator."""
+    v = sympy.Symbol(var)
+    exprs = [sympy.sympify(t.replace("^", "**"), locals={var: v}) for t in texts]
+    den = sympy.lcm([sympy.fraction(sympy.together(e))[1] for e in exprs])
+    nums = [sympy.Poly(sympy.cancel(e * den), v) for e in exprs]
+    top = max(p.degree() for p in nums)
+    return sympy.Matrix([[p.coeff_monomial(v ** k) for k in range(top + 1)]
+                         for p in nums]).rank()
+
+
+def recheck_structured_report(text):
+    """Check what a structured report states against its final matrix alone.
+    Returns the (abelian, reduced-certified) flags it checked."""
+    parsed = parse_report(text)
+    meta, sections = parsed["meta"], parsed["sections"]
+    var = meta["variable"]
+    wn = wei_norman(parsed["final_matrix"].matrix)
+    lie = lie_closure(wn.matrices())
+    assert wn.functions() == [parse_ratfun(v, var) for _, v in sections["wei-norman"]]
+    assert lie.dim == int(meta["final-lie-dim"])
+    pair = lie.first_noncommuting_pair()
+    assert (pair is None) == (meta["abelian"] == "yes") == ("certificate" not in sections)
+    if pair is not None:
+        cert = sections["certificate"]
+        witness = [v for k, v in cert if k == "witness"]
+        assert witness == ["%d %d" % (pair[0] + 1, pair[1] + 1)]
+        stated = {tuple(int(t) for t in k.split()[1:]): Fraction(v)
+                  for k, v in cert if k.startswith("bracket ")}
+        bracket = comm(lie.mats[pair[0]], lie.mats[pair[1]])
+        assert stated == {(i + 1, j + 1): c for i, row in enumerate(bracket.data)
+                          for j, c in enumerate(row) if c}
+    if meta["reduced-certified"] == "yes":
+        # element k = name | depth d | tag | [argument u |] integrand f
+        elements = [v.split(" | ") for _, v in sections["tower"]]
+        assert len(elements) == lie.dim
+        letters = [parts[-1][len("integrand "):] for parts in elements
+                   if parts[1] == "depth 1"]
+        assert sympy_rank_over_q(letters, var) == len(letters)
+    return meta["abelian"], meta["reduced-certified"]
+
+
+def test_structured_reports_recheck_from_their_bytes(lve3_run, synth_seed0):
+    var = fixtures.load_hamiltonian().variable
+    texts = [render_report(rep, "structured", var) for rep in lve3_run[0]]
+    texts += [render_report(rep, "structured", sf.variable) for sf, rep in synth_seed0]
+    flags = [recheck_structured_report(text) for text in texts]
+    # order 3 of Henon-Heiles: a certified non-abelian form
+    assert flags[2] == ("no", "yes")
+    assert ("yes", "yes") in flags
