@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from .errors import check_deadline
 from .rationals import QQ
 from .ratfun import RatFun
 from .matrices import ConstMat, RatMat
@@ -149,9 +150,16 @@ class GaugeMatrix:
         return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv, check=False)
 
 
-def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
-    """P[a] = P^(-1) (a P - P')."""
-    return p.p_inv * (a * p.p - p.p.derivative())
+def apply_gauge(a: RatMat, p: GaugeMatrix, deadline=None) -> RatMat:
+    """P[a] = P^(-1) (a P - P').
+
+    The deadline is checked before each of the two products;
+    ReductionTimeout once it has passed.
+    """
+    check_deadline(deadline)
+    inner = a * p.p - p.p.derivative()
+    check_deadline(deadline)
+    return p.p_inv * inner
 
 
 def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:
@@ -165,12 +173,11 @@ def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:
     n = b.rows
     p = RatMat.identity(n)
     p_inv = RatMat.identity(n)
-    for i in range(n):
-        for j in range(n):
-            c = b.data[i][j]
-            if c:
-                p.data[i][j] = p.data[i][j] + g.scale(c)
-                p_inv.data[i][j] = p_inv.data[i][j] - g.scale(c)
+    for i, row in b.num.items():
+        for j, v in row.items():
+            c = QQ(v, b.den)
+            p.data[i][j] = p.data[i][j] + g.scale(c)
+            p_inv.data[i][j] = p_inv.data[i][j] - g.scale(c)
     return GaugeMatrix(p, p_inv, check=False)
 
 

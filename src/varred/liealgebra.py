@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ0, QQ1
+from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, poly_lcm
 from .ratfun import RatFun
 from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace
@@ -40,30 +40,52 @@ class WeiNormanDecomp:
 
 
 def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
-    """The rational matrix sum funcs[k] * mats[k], over nonzero terms and entries."""
+    """The rational matrix sum funcs[k] * mats[k], over nonzero terms and entries.
+
+    An entry with one term is that function scaled; an entry with more is
+    summed over the common denominator L of the functions, as
+    (sum v_k * num_k * (L / den_k)) / L, and normalized once.
+    """
+    terms = [(f, m) for f, m in zip(funcs, mats) if not f.is_zero]
+    by_entry = {}
+    for k, (_, m) in enumerate(terms):
+        for i, row in m.num.items():
+            for j, v in row.items():
+                by_entry.setdefault((i, j), []).append((k, QQ(v, m.den)))
     out = RatMat.zeros(rows, cols)
-    for f, m in zip(funcs, mats):
-        if f.is_zero:
-            continue
-        for mrow, orow in zip(m.data, out.data):
-            for j, v in enumerate(mrow):
-                if v:
-                    orow[j] = orow[j] + f.scale(v)
+    if not by_entry:
+        return out
+    den, nums = _common_denominator([f for f, _ in terms])
+    for (i, j), parts in by_entry.items():
+        if len(parts) == 1:
+            k, c = parts[0]
+            out.data[i][j] = terms[k][0].scale(c)
+        else:
+            num = Poly()
+            for k, c in parts:
+                num = num + nums[k].scale(c)
+            out.data[i][j] = RatFun(num, den)
     return out
+
+
+def _common_denominator(funcs):
+    """(den, nums): the monic lcm of the denominators of nonzero funcs and
+    their numerators over it."""
+    den = Poly.const(QQ1)
+    for f in funcs:
+        den = poly_lcm(den, f.den)
+    return den, [f.num * den.exact_div(f.den) for f in funcs]
 
 
 def numerator_vectors(funcs):
     """(den, vectors): the monic lcm of the denominators of nonzero funcs and
     the coefficient vectors, all of one length, of their numerators over it."""
-    den = Poly.const(QQ1)
-    for f in funcs:
-        den = poly_lcm(den, f.den)
-    nums = [f.num * den.exact_div(f.den) for f in funcs]
+    den, nums = _common_denominator(funcs)
     length = max(p.degree for p in nums) + 1
     return den, [list(p.coeffs) + [QQ0] * (length - len(p.coeffs)) for p in nums]
 
 
-def wei_norman(a: RatMat) -> WeiNormanDecomp:
+def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
     """Decompose a rational matrix as sum a_k(x) * M_k, constant M_k.
 
     The construction is deterministic: all nonzero entries are brought over
@@ -75,7 +97,8 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
     residuals are its entries in the M_k.  The rows have distinct pivots, so
     residuals and multipliers do not depend on the elimination order.  The
     residuals are kept unnormalized, which makes the resulting functions
-    independent of the denominator representative.
+    independent of the denominator representative.  The deadline is checked
+    between entries; ReductionTimeout once it has passed.
     """
     entries = []
     for i in range(a.rows):
@@ -90,19 +113,22 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
     span = SpanQQ(length)
     accepted = {}  # pivot -> index of acceptance
     for v in vectors:
+        check_deadline(deadline)
         if span.add(v):
             # the new row is the one whose pivot has no index yet
-            pivot = next(p for p, _ in span.rows if p not in accepted)
+            pivot = next(p for p, _, _ in span.rows if p not in accepted)
             accepted[pivot] = len(accepted)
-    term = [accepted[p] for p, _ in span.rows]  # span.rows are sorted by pivot
+    term = [accepted[p] for p, _, _ in span.rows]  # span.rows are sorted by pivot
     funcs = [None] * len(term)
-    for k, (_, row) in zip(term, span.rows):
-        funcs[k] = RatFun(Poly([row.get(idx, QQ0) for idx in range(length)]), den)
-    mats = [ConstMat.zeros(a.rows, a.cols) for _ in term]
+    for k, (_, ints, scale) in zip(term, span.rows):
+        funcs[k] = RatFun(Poly([ints.get(idx, 0) for idx in range(length)]).scale(scale), den)
+    entries_of = [{} for _ in term]  # per term: {i: {j: coefficient}}
     for (i, j, _), v in zip(entries, vectors):
+        check_deadline(deadline)
         for k, f in zip(term, span.coords_in_rows(v)):
             if f:
-                mats[k].data[i][j] = f
+                entries_of[k].setdefault(i, {})[j] = f
+    mats = [ConstMat.from_rows(a.rows, a.cols, e) for e in entries_of]
     return WeiNormanDecomp(funcs, mats, a.rows, a.cols)
 
 
@@ -144,7 +170,7 @@ class LieBasis:
         ]
         if any(c[i] for c in cols):
             return None
-        return others, ConstMat._raw([[c[o] for c in cols] for o in others])
+        return others, ConstMat([[c[o] for c in cols] for o in others])
 
     def first_noncommuting_pair(self):
         """Smallest (i, j) with [mats[i], mats[j]] != 0, or None."""
@@ -167,10 +193,7 @@ def lie_closure(generators, deadline=None) -> LieBasis:
     if not gens:
         return LieBasis([], {}, 0)
     span = SpanQQ(gens[0].rows * gens[0].cols, track=True)
-    basis = []
-    for g in gens:
-        if span.add(g.flatten()):
-            basis.append(g)
+    basis = [g for g in gens if span.add(g)]
     n_gen = len(basis)
     structure = {}
     j = 1
@@ -178,10 +201,9 @@ def lie_closure(generators, deadline=None) -> LieBasis:
         check_deadline(deadline)
         for i in range(j):
             b = comm(basis[i], basis[j])
-            flat = b.flatten()
-            coords = span.coords_in_added(flat)
+            coords = span.coords_in_added(b)
             if coords is None:
-                span.add(flat)
+                span.add(b)
                 basis.append(b)
                 coords = [QQ0] * len(basis)
                 coords[-1] = QQ1
@@ -197,6 +219,24 @@ def lie_closure(generators, deadline=None) -> LieBasis:
 # ---- block structure ------------------------------------------------------------
 
 
+def diag_projection(m: ConstMat, d1: int) -> ConstMat:
+    """The block-diagonal part of m along the (d1, n-d1) partition."""
+    num = {i: {j: v for j, v in row.items() if (j < d1) == (i < d1)} for i, row in m.num.items()}
+    return ConstMat.from_ints(m.rows, m.cols, num, m.den)
+
+
+def check_block_lower(mats, d1: int) -> None:
+    """PreconditionFailure naming the first nonzero upper-right entry, if any."""
+    for m in mats:
+        for i in range(d1):
+            upper = [j for j in m.num.get(i, ()) if j >= d1]
+            if upper:
+                raise PreconditionFailure(
+                    f"matrix is not block lower triangular at the ({d1},{m.rows - d1}) "
+                    f"split: entry ({i + 1},{min(upper) + 1}) is nonzero"
+                )
+
+
 def split_diag_sub(mats, d1: int):
     """Split block lower-triangular matrices along the (d1, n-d1) partition.
 
@@ -208,31 +248,16 @@ def split_diag_sub(mats, d1: int):
     """
     if not mats:
         return [], []
+    check_block_lower(mats, d1)
     n = mats[0].rows
-    d2 = n - d1
-    for m in mats:
-        for i in range(d1):
-            for j in range(d1, n):
-                if m.data[i][j]:
-                    raise PreconditionFailure(
-                        f"matrix is not block lower triangular at the ({d1},{d2}) "
-                        f"split: entry ({i + 1},{j + 1}) is nonzero"
-                    )
-
-    def diag_part(m):
-        out = ConstMat.zeros(n, n)
-        for i in range(d1):
-            out.data[i][:d1] = m.data[i][:d1]
-        for i in range(d1, n):
-            out.data[i][d1:] = m.data[i][d1:]
-        return out
-
-    projs = [diag_part(m) for m in mats]
+    projs = [diag_projection(m, d1) for m in mats]
     span = SpanQQ(n * n)
-    diag_basis = [p for p in projs if span.add(p.flatten())]
-    # combinations whose diagonal projection vanishes stay strictly sub-diagonal
-    proj_rows = [p.flatten() for p in projs]
-    kernel = nullspace([list(col) for col in zip(*proj_rows)], len(mats))
+    diag_basis = [p for p in projs if span.add(p)]
+    # combinations whose diagonal projection vanishes stay strictly
+    # sub-diagonal: one equation per entry that some projection holds
+    held = sorted({(i, j) for p in projs for i, row in p.num.items() for j in row})
+    eqs = [[QQ(p.num.get(i, {}).get(j, 0), p.den) for p in projs] for i, j in held]
+    kernel = nullspace(eqs, len(mats))
     return diag_basis, [lincomb(c, mats) for c in kernel]
 
 
@@ -253,7 +278,7 @@ class DualFrame:
         self.basis = basis
         self.span = SpanQQ(basis[0].rows * basis[0].cols, track=True)
         for b in basis:
-            if not self.span.add(b.flatten()):
+            if not self.span.add(b):
                 raise ValueError("basis matrices are linearly dependent")
 
     def coords(self, wn: WeiNormanDecomp):
@@ -264,10 +289,10 @@ class DualFrame:
             raise ValueError("shape mismatch")
         kappas = []
         for m in wn.matrices():
-            kappa = self.span.coords_in_added(m.flatten())
+            kappa = self.span.coords_in_added(m)
             if kappa is None:
                 raise ValueError("matrix is outside the span of the basis")
-            kappas.append(ConstMat._raw([kappa]))
+            kappas.append(ConstMat([kappa]))
         return rat_lincomb(wn.functions(), kappas, 1, len(self.basis)).data[0]
 
     def combine(self, coeffs) -> RatMat:

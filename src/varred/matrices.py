@@ -1,15 +1,21 @@
 """Exact matrices: constant (over Q) and rational-function entries.
 
-Products skip zero entries, which matters a lot here -- the block systems
-and their gauge factors are sparse.  The constant Lie-algebra kernel goes
-further: comm and SpanQQ work on nonzero entries only, since the Lie
-closure matrices hold a few dozen nonzeros in a thousand entries.  Row
-reduction is plain Gauss with the leftmost-nonzero pivot rule so every
-result is deterministic.
+A constant matrix (ConstMat) is stored sparse and fraction-free, as FLINT's
+fmpq_mat keeps it: the rows that hold nonzeros, each as {column: int}, over
+one positive int denominator, in a canonical form so that equality is
+structural.  Its arithmetic (comm, lincomb, products) runs on those ints and
+touches only stored entries, which matters a lot here -- the Lie closure
+matrices hold a few dozen nonzeros in a thousand entries; entries reach
+callers as QQ only through the read-only `data` view.  SpanQQ eliminates on
+the same ints by cross-multiplication.  Row reduction keeps the
+leftmost-nonzero pivot rule so every result is deterministic.  Rational-
+function matrices (RatMat) are dense lists of RatFun, and products skip
+zero entries, since the block systems and their gauges are sparse.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd as _igcd, lcm as _ilcm
 
 from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, factor_irreducible
@@ -18,42 +24,80 @@ from .errors import UnsupportedRegime
 
 
 class ConstMat:
-    __slots__ = ("rows", "cols", "data")
+    """A constant matrix over Q: int entries over one positive int denominator.
 
-    def __init__(self, data):
-        self.data = [[QQ(v) for v in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+    num maps a row index to {column index: int} and the matrix is num/den,
+    as FLINT's fmpq_mat keeps it.  The pair is canonical: no zero entry and
+    no empty row is stored, and den is coprime to the gcd of the entries
+    (zero is ({}, 1)), so equal matrices are equal structures.  rows and
+    cols are the shape.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
+
+    def __new__(cls, data):
+        data = [list(row) for row in data]
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged matrix")
+        entries = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(data)}
+        return ConstMat.from_rows(len(data), cols, entries)
 
     @staticmethod
-    def _raw(data) -> "ConstMat":
+    def from_rows(rows, cols, entries) -> "ConstMat":
+        """The matrix with the rational entries {i: {j: value}}, others zero."""
+        ints, den = _int_entries(
+            ((i, j), QQ(v)) for i, row in entries.items() for j, v in row.items()
+        )
+        num = {}
+        for (i, j), v in ints.items():
+            num.setdefault(i, {})[j] = v
+        return ConstMat.from_ints(rows, cols, num, den)
+
+    @staticmethod
+    def from_ints(rows, cols, num, den) -> "ConstMat":
+        """The matrix num/den for {i: {j: int}} and a positive int den.
+
+        Drops zero entries and empty rows and divides out the gcd, which
+        makes the pair canonical.
+        """
+        out = {}
+        g = den
+        for i, row in num.items():
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                out[i] = row
+                if g != 1:
+                    g = _igcd(g, *row.values())
+        if not out:
+            den = 1
+        elif g != 1:
+            den //= g
+            out = {i: {j: v // g for j, v in row.items()} for i, row in out.items()}
+        return ConstMat._new(rows, cols, out, den)
+
+    @staticmethod
+    def _new(rows, cols, num, den) -> "ConstMat":
+        """Internal: (num, den) already canonical."""
         m = object.__new__(ConstMat)
-        m.data = data
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
+        m.rows, m.cols, m.num, m.den = rows, cols, num, den
         return m
 
     @staticmethod
     def zeros(rows, cols=None) -> "ConstMat":
-        cols = rows if cols is None else cols
-        return ConstMat._raw([[QQ0] * cols for _ in range(rows)])
+        return ConstMat._new(rows, rows if cols is None else cols, {}, 1)
 
     @staticmethod
     def identity(n) -> "ConstMat":
-        m = ConstMat.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = QQ1
-        return m
+        return ConstMat._new(n, n, {i: {i: 1} for i in range(n)}, 1)
 
     def __eq__(self, other):
         return (
             isinstance(other, ConstMat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self):
@@ -61,93 +105,138 @@ class ConstMat:
 
     @property
     def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
+        return not self.num
+
+    @property
+    def data(self):
+        """The entries as QQ: a read-only tuple of row tuples, built on each read."""
+        zero_row = (QQ0,) * self.cols
+        out = []
+        for i in range(self.rows):
+            row = self.num.get(i)
+            if row is None:
+                out.append(zero_row)
+                continue
+            dense = [QQ0] * self.cols
+            for j, v in row.items():
+                dense[j] = QQ(v, self.den)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def flatten(self):
+        """The entries as one row-major list of QQ."""
         out = []
         for row in self.data:
             out.extend(row)
         return out
 
+    def _plus(self, other, sign):
+        """self + sign*other."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        g = _igcd(self.den, other.den)
+        ma, mb = other.den // g, sign * (self.den // g)
+        out = {i: {j: ma * v for j, v in row.items()} for i, row in self.num.items()}
+        for i, row in other.num.items():
+            orow = out.setdefault(i, {})
+            for j, v in row.items():
+                orow[j] = orow.get(j, 0) + mb * v
+        return ConstMat.from_ints(self.rows, self.cols, out, self.den // g * other.den)
+
     def __add__(self, other):
-        return ConstMat._raw(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return ConstMat._raw(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return ConstMat._raw([[-a for a in row] for row in self.data])
+        num = {i: {j: -v for j, v in row.items()} for i, row in self.num.items()}
+        return ConstMat._new(self.rows, self.cols, num, self.den)
 
     def scale(self, c) -> "ConstMat":
         c = QQ(c)
-        return ConstMat._raw([[a * c for a in row] for row in self.data])
+        p, q = int(c.numerator), int(c.denominator)
+        num = {i: {j: p * v for j, v in row.items()} for i, row in self.num.items()}
+        return ConstMat.from_ints(self.rows, self.cols, num, q * self.den)
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = [[QQ0] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                brow = other.data[k]
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        orow[j] += aik * bkj
-        return ConstMat._raw(out)
+        bn = other.num
+        out = {}
+        for i, arow in self.num.items():
+            orow = out[i] = {}
+            for k, aik in arow.items():
+                brow = bn.get(k)
+                if brow:
+                    for j, bkj in brow.items():
+                        orow[j] = orow.get(j, 0) + aik * bkj
+        return ConstMat.from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def submatrix(self, r0, r1, c0, c1) -> "ConstMat":
-        return ConstMat([row[c0:c1] for row in self.data[r0:r1]])
+        num = {
+            i - r0: {j - c0: v for j, v in row.items() if c0 <= j < c1}
+            for i, row in self.num.items()
+            if r0 <= i < r1
+        }
+        return ConstMat.from_ints(r1 - r0, c1 - c0, num, self.den)
 
     def apply(self, vec):
         """Matrix times coordinate vector (list of QQ)."""
-        out = []
-        for row in self.data:
-            s = QQ0
-            for a, v in zip(row, vec):
-                if a and v:
-                    s += a * v
-            out.append(s)
+        w, den = _int_entries(enumerate(vec))
+        den *= self.den
+        out = [QQ0] * self.rows
+        for i, row in self.num.items():
+            s = sum(v * w[j] for j, v in row.items() if j in w)
+            if s:
+                out[i] = QQ(s, den)
         return out
 
 
-def _nonzero_rows(m: ConstMat):
-    # the identity test passes the shared zero without a Fraction.__bool__ call
-    return [[(j, v) for j, v in enumerate(row) if v is not QQ0 and v] for row in m.data]
+def _int_entries(items):
+    """({index: int}, den) for the nonzero rationals of (index, value) pairs:
+    value = int / den for each of them."""
+    nz = [(i, v) for i, v in items if v]
+    den = _ilcm(*[int(v.denominator) for _, v in nz])
+    return {i: int(v.numerator) * (den // int(v.denominator)) for i, v in nz}, den
 
 
 def comm(a: ConstMat, b: ConstMat) -> ConstMat:
-    """Commutator [a, b] = a*b - b*a, summed over nonzero entries only."""
+    """Commutator [a, b] = a*b - b*a, on the stored rows and entries only."""
     n = a.rows
     if not (a.cols == b.rows == n and b.cols == n):
         raise ValueError("shape mismatch")
-    an, bn = _nonzero_rows(a), _nonzero_rows(b)
-    out = [[QQ0] * n for _ in range(n)]
-    for orow, arow, brow in zip(out, an, bn):
-        for k, aik in arow:
-            for j, bkj in bn[k]:
-                orow[j] += aik * bkj
-        for k, bik in brow:
-            for j, akj in an[k]:
-                orow[j] -= bik * akj
-    return ConstMat._raw(out)
+    an, bn = a.num, b.num
+    out = {}
+    for i, arow in an.items():
+        orow = out[i] = {}
+        for k, aik in arow.items():
+            brow = bn.get(k)
+            if brow:
+                for j, bkj in brow.items():
+                    orow[j] = orow.get(j, 0) + aik * bkj
+    for i, brow in bn.items():
+        orow = out.setdefault(i, {})
+        for k, bik in brow.items():
+            arow = an.get(k)
+            if arow:
+                for j, akj in arow.items():
+                    orow[j] = orow.get(j, 0) - bik * akj
+    return ConstMat.from_ints(n, n, out, a.den * b.den)
 
 
 def lincomb(coeffs, mats) -> ConstMat:
-    """sum c_k * mats[k] over nonzero coefficients and entries, into one output."""
-    out = [[QQ0] * mats[0].cols for _ in range(mats[0].rows)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for orow, mrow in zip(out, m.data):
-                for j, v in enumerate(mrow):
-                    if v:
-                        orow[j] += c * v
-    return ConstMat._raw(out)
+    """sum c_k * mats[k] over nonzero coefficients, on ints over one denominator."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    den = _ilcm(*[int(c.denominator) * m.den for c, m in terms])
+    out = {}
+    for c, m in terms:
+        f = int(c.numerator) * (den // (int(c.denominator) * m.den))
+        for i, row in m.num.items():
+            orow = out.setdefault(i, {})
+            for j, v in row.items():
+                orow[j] = orow.get(j, 0) + f * v
+    return ConstMat.from_ints(mats[0].rows, mats[0].cols, out, den)
 
 
 # ---- Gauss elimination over Q ---------------------------------------------
@@ -206,20 +295,26 @@ def nullspace(mat_rows, n):
 
 
 class SpanQQ:
-    """Incremental echelon span of QQ vectors with coordinate tracking.
+    """Incremental echelon span of rational vectors with coordinate tracking.
 
-    Vectors come in dense (lists of length `length`); rows and combos are
-    stored sparse, as {index: nonzero value}.  Rows are kept sorted by pivot
-    (their smallest index) and unreduced against each other, so an added
-    vector is stored verbatim as the new basis row after forward reduction
-    -- callers rely on that (basis = reduced residuals in input order).
+    A vector comes in dense (a sequence of `length` rationals) or as a
+    ConstMat, read row-major; both become ints over one denominator at
+    _int_vector, and elimination is fraction-free, by integer
+    cross-multiplication.  Row k is stored as (pivot, ints, scale), the
+    rational vector scale * ints, with ints a primitive {index: int} whose
+    pivot entry is positive.  Rows are kept sorted by pivot (their smallest
+    index) and unreduced against each other, so an added vector's residual
+    after forward reduction becomes the new basis row as the same rational
+    vector whatever the scaling -- callers rely on that (basis = reduced
+    residuals in input order).  With tracking, combos[k] is (ints, den):
+    the ints of row k are sum ints[i] / den * (i-th accepted vector).
     """
 
     def __init__(self, length: int, track: bool = False):
         self.length = length
-        self.rows = []  # (pivot, {index: value}) sorted by pivot
+        self.rows = []  # (pivot, {index: int}, QQ scale) sorted by pivot
         self.track = track
-        self.combos = []  # combos[k]: row k as {original index: coefficient}
+        self.combos = []  # combos[k]: ({accepted index: int}, int den)
         self.n_added = 0
 
     @property
@@ -227,55 +322,103 @@ class SpanQQ:
         return len(self.rows)
 
     def _reduce(self, vec):
-        v = {i: c for i, c in enumerate(vec) if c is not QQ0 and c}  # as in _nonzero_rows
-        mults = []
-        for idx, (p, row) in enumerate(self.rows):
-            c = v.get(p)
-            if c is not None:
-                f = c / row[p]
-                _axpy(v, -f, row)
-                mults.append((idx, f))
-        return v, mults
+        """(w, t, sn, sd) with vec = sn/sd * (w + sum t[k] * ints of row k).
+
+        Each row whose pivot is still in w clears it: w becomes a*w - b*ints
+        with a/b the pivot ratio in lowest terms, a > 0.
+        """
+        w, sn, sd = _int_vector(vec)
+        t = {}
+        for k, (p, r, _) in enumerate(self.rows):
+            c = w.get(p)
+            if c is None:
+                continue
+            rp = r[p]
+            g = _igcd(c, rp)
+            a, b = rp // g, c // g
+            if a != 1:
+                w = {i: a * v for i, v in w.items()}
+                for i in t:
+                    t[i] *= a
+                sd *= a
+            _axpy(w, -b, r)
+            t[k] = b
+        return w, t, sn, sd
 
     def add(self, vec) -> bool:
         """Add vector; True if it enlarged the span (residual became a row)."""
-        v, mults = self._reduce(vec)
-        if not v:
+        w, t, sn, sd = self._reduce(vec)
+        if not w:
             return False
-        pivot = min(v)
-        pos = next((k for k, (p, _) in enumerate(self.rows) if p > pivot), len(self.rows))
-        self.rows.insert(pos, (pivot, v))
+        pivot = min(w)
+        g = _igcd(*w.values())
+        if w[pivot] < 0:
+            g = -g
+        ints = {i: v // g for i, v in w.items()}
+        pos = next((k for k, (p, _, _) in enumerate(self.rows) if p > pivot), len(self.rows))
         if self.track:
-            combo = {self.n_added: QQ1}
-            for idx, f in mults:
-                _axpy(combo, -f, self.combos[idx])
-            self.combos.insert(pos, combo)
+            # ints = (sd/sn * vec - sum t[k] * ints_k) / g, each ints_k over its combo
+            den = _ilcm(sn, *[self.combos[k][1] for k in t])
+            combo = {self.n_added: sd * (den // sn)}
+            for k, tk in t.items():
+                ck, ek = self.combos[k]
+                _axpy(combo, -tk * (den // ek), ck)
+            den *= g
+            if den < 0:
+                den = -den
+                combo = {i: -v for i, v in combo.items()}
+            h = _igcd(den, *combo.values())
+            self.combos.insert(pos, ({i: v // h for i, v in combo.items()}, den // h))
             self.n_added += 1
+        self.rows.insert(pos, (pivot, ints, QQ(sn * g, sd)))
         return True
 
     def coords_in_rows(self, vec):
         """Coordinates of vec in the current rows, or None if outside."""
-        v, mults = self._reduce(vec)
-        if v:
+        w, t, sn, sd = self._reduce(vec)
+        if w:
             return None
         out = [QQ0] * len(self.rows)
-        for idx, f in mults:
-            out[idx] = f
+        for k, tk in t.items():
+            scale = self.rows[k][2]
+            out[k] = QQ(sn * tk * int(scale.denominator), sd * int(scale.numerator))
         return out
 
     def coords_in_added(self, vec):
         """Coordinates of vec in the accepted original vectors, or None."""
         if not self.track:
             raise ValueError("span built without tracking")
-        row_coords = self.coords_in_rows(vec)
-        if row_coords is None:
+        w, t, sn, sd = self._reduce(vec)
+        if w:
             return None
+        den = _ilcm(*[self.combos[k][1] for k in t])
+        acc = {}
+        for k, tk in t.items():
+            ck, ek = self.combos[k]
+            _axpy(acc, tk * (den // ek), ck)
         out = [QQ0] * self.n_added
-        for k, f in enumerate(row_coords):
-            if f:
-                for i, ci in self.combos[k].items():
-                    out[i] += f * ci
+        for i, v in acc.items():
+            out[i] = QQ(sn * v, sd * den)
         return out
+
+
+def _int_vector(vec):
+    """(w, sn, sd): vec = sn/sd * w with w a primitive {index: int}, sn > 0.
+
+    vec is a ConstMat, read row-major, or a dense sequence of rationals.
+    """
+    if isinstance(vec, ConstMat):
+        cols = vec.cols
+        w = {i * cols + j: v for i, row in vec.num.items() for j, v in row.items()}
+        den = vec.den
+    else:
+        w, den = _int_entries(enumerate(vec))
+    if not w:
+        return w, 1, 1
+    g = _igcd(*w.values())
+    if g != 1:
+        w = {i: v // g for i, v in w.items()}
+    return w, g, den
 
 
 def _axpy(v: dict, f, w: dict) -> None:
@@ -301,12 +444,11 @@ def coordinates_in_span(target: ConstMat, basis) -> list | None:
     """
     if not basis:
         raise ValueError("empty basis")
-    n = basis[0].rows * basis[0].cols
-    span = SpanQQ(n, track=True)
+    span = SpanQQ(basis[0].rows * basis[0].cols, track=True)
     for b in basis:
-        if not span.add(b.flatten()):
+        if not span.add(b):
             raise ValueError("basis matrices are linearly dependent")
-    return span.coords_in_added(target.flatten())
+    return span.coords_in_added(target)
 
 
 # ---- rational-function matrices ---------------------------------------------
@@ -556,14 +698,13 @@ def charpoly(m: ConstMat) -> Poly:
     n = m.rows
     coeffs = [QQ0] * (n + 1)
     coeffs[n] = QQ1
-    mk = ConstMat.identity(n)
+    eye = ConstMat.identity(n)
+    mk = eye
     for k in range(1, n + 1):
         mk = m * mk
-        tr = sum((mk.data[i][i] for i in range(n)), QQ0)
-        c = -tr / k
+        c = -QQ(sum(row.get(i, 0) for i, row in mk.num.items()), k * mk.den)
         coeffs[n - k] = c
-        for i in range(n):
-            mk.data[i][i] += c
+        mk = mk + eye.scale(c)
     return Poly(coeffs)
 
 

@@ -35,6 +35,8 @@ from .liealgebra import (
     DualFrame,
     LieBasis,
     WeiNormanDecomp,
+    check_block_lower,
+    diag_projection,
     lie_closure,
     numerator_vectors,
     split_diag_sub,
@@ -186,11 +188,8 @@ def _sub_projection(a: RatMat, d1: int) -> RatMat:
 
 
 def _const_sub_projection(m: ConstMat, d1: int) -> ConstMat:
-    out = ConstMat.zeros(m.rows, m.cols)
-    for i in range(d1, m.rows):
-        for j in range(d1):
-            out.data[i][j] = m.data[i][j]
-    return out
+    num = {i: {j: v for j, v in row.items() if j < d1} for i, row in m.num.items() if i >= d1}
+    return ConstMat.from_ints(m.rows, m.cols, num, m.den)
 
 
 def _new_pole_factors(l: RatFun, beta0: RatFun):
@@ -227,7 +226,7 @@ def reduce_diagonal(
     The top block is conjugated by the symmetric power of the first-order
     gauge, the trailing blocks by the full gauge of the previous order.
     Returns the partially reduced system together with the recorded step.
-    The deadline is checked before the gauge is applied.
+    The gauge application checks the deadline.
     """
     m = system.order
     if m == 1:
@@ -247,8 +246,7 @@ def reduce_diagonal(
             "diagonal gauge size %d does not match system size %d"
             % (q.p.rows, system.matrix.rows)
         )
-    check_deadline(deadline)
-    reduced = apply_gauge(system.matrix, q)
+    reduced = apply_gauge(system.matrix, q, deadline)
     step = ReductionStep(kind="diagonal-assembly", gauge=q)
     return BlockSystem(m, reduced, list(system.block_sizes)), step
 
@@ -367,7 +365,7 @@ def _eigen_chains(psi: ConstMat):
                 raise RuntimeError("generalized eigenspace is not invariant")
             cols.append(c)
         restriction = ConstMat([[cols[j][i] for j in range(k)] for i in range(k)])
-        eigenbasis = ConstMat._raw([list(row) for row in zip(*vecs)])  # columns: vecs
+        eigenbasis = ConstMat(list(zip(*vecs)))  # columns: vecs
         for ch in nilpotent_jordan_chains(restriction).chains:
             out.append((lam, [eigenbasis.apply(u) for u in ch]))
     return out
@@ -486,13 +484,10 @@ def reduce_subdiagonal(
     d1 = system.block_sizes[0]
     check_deadline(deadline)
 
-    wn0 = wei_norman(a0)
+    wn0 = wei_norman(a0, deadline)
+    _check_monogenous(wn0.matrices(), d1, deadline)
     lie0 = lie_closure(wn0.matrices(), deadline)
     diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
-    if len(diag_basis) > 1:
-        raise UnsupportedRegime(
-            "diagonal algebra is not monogenous (dimension %d)" % len(diag_basis)
-        )
 
     if diag_basis:
         chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1, deadline)
@@ -518,7 +513,7 @@ def reduce_subdiagonal(
         s = frame.combine([_RF_ZERO] * len(lead) + g)
         total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv, check=False)
 
-    wn_final = wei_norman(a)
+    wn_final = wei_norman(a, deadline)
     lie_final = lie_closure(wn_final.matrices(), deadline)
     abelian = lie_final.is_abelian()
 
@@ -553,13 +548,31 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    check_deadline(deadline)
-    if apply_gauge(initial, total) != a:
+    if apply_gauge(initial, total, deadline) != a:
         raise RuntimeError(
             "replay postcondition failed: the total gauge does not carry the "
             "initial matrix to the final one"
         )
     return report
+
+
+def _check_monogenous(mats, d1: int, deadline=None) -> None:
+    """UnsupportedRegime unless the diagonal algebra has dimension <= 1.
+
+    On block lower-triangular matrices the projection to the block diagonal
+    is a Lie homomorphism, so the diagonal algebra is generated by the
+    projections of mats: a span of dimension <= 1 is already closed, and
+    only a refusal closes them, for the dimension it names.
+    """
+    check_block_lower(mats, d1)
+    projs = [diag_projection(m, d1) for m in mats]
+    if projs:
+        span = SpanQQ(projs[0].rows * projs[0].cols)
+        if sum(span.add(p) for p in projs) > 1:
+            raise UnsupportedRegime(
+                "diagonal algebra is not monogenous (dimension %d)"
+                % lie_closure(projs, deadline).dim
+            )
 
 
 def _letters_independent(tower) -> bool:

@@ -1,10 +1,12 @@
 """Gauge transformations, symmetric powers, and split-block identities."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from varred.errors import ReductionTimeout
 from varred.gauge import (
     GaugeMatrix,
     apply_gauge,
@@ -51,11 +53,11 @@ def rand_sub_pair(rng, d1, d2):
     for i in range(d1, n):
         for j in range(d1, n):
             d.data[i][j] = rand_ratfun(rng, 1)
-    b = ConstMat.zeros(n, n)
+    b = [[Fraction(0)] * n for _ in range(n)]
     for i in range(d1, n):
         for j in range(d1):
-            b.data[i][j] = Fraction(rng.randint(-3, 3))
-    return d, b
+            b[i][j] = Fraction(rng.randint(-3, 3))
+    return d, ConstMat(b)
 
 
 def test_split_block_identities():
@@ -119,6 +121,14 @@ def test_gauge_composition_matches_sequential_application():
         q = rand_gauge(rng, n)
         two_step = apply_gauge(apply_gauge(a, p), q)
         assert two_step == apply_gauge(a, p.compose(q))
+
+
+def test_apply_gauge_respects_deadline():
+    rng = random.Random(409)
+    a = rand_ratmat(rng, 2, 2)
+    p = rand_gauge(rng, 2)
+    with pytest.raises(ReductionTimeout):
+        apply_gauge(a, p, deadline=time.monotonic() - 1.0)
 
 
 def test_gauge_inverse_round_trip():

@@ -157,6 +157,12 @@ def test_lie_closure_respects_deadline():
         lie_closure(gens, deadline=time.monotonic() - 1.0)
 
 
+def test_wei_norman_respects_deadline():
+    with pytest.raises(ReductionTimeout):
+        wei_norman(fixtures.load_system("nilpotent-pair").matrix,
+                   deadline=time.monotonic() - 1.0)
+
+
 def test_working_space_psi_columns_are_bracket_coordinates():
     # the ad(d0)-closure of lower-left seeds is lie_closure([d0] + seeds)
     # without d0, since lower-left matrices commute; adjoint(0) is psi
@@ -167,20 +173,15 @@ def test_working_space_psi_columns_are_bracket_coordinates():
         d2 = rng.randint(1, 3)
         n = d1 + d2
         # block-diagonal generator and the full strictly-lower block space
-        d0 = ConstMat([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                       for _ in range(n)])
+        d0 = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         for i in range(d1):
             for j in range(d1, n):
-                d0.data[i][j] = Fraction(0)
+                d0[i][j] = Fraction(0)
         for i in range(d1, n):
             for j in range(d1):
-                d0.data[i][j] = Fraction(0)
-        units = []
-        for i in range(d1, n):
-            for j in range(d1):
-                e = ConstMat.zeros(n, n)
-                e.data[i][j] = Fraction(1)
-                units.append(e)
+                d0[i][j] = Fraction(0)
+        d0 = ConstMat(d0)
+        units = [unit(n, i, j) for i in range(d1, n) for j in range(d1)]
         # one random lower-left seed: the span grows by brackets with d0
         seed = ConstMat.zeros(n, n)
         for e in units:
@@ -202,9 +203,9 @@ def test_working_space_psi_columns_are_bracket_coordinates():
 
 
 def unit(n, i, j):
-    e = ConstMat.zeros(n, n)
-    e.data[i][j] = Fraction(1)
-    return e
+    e = [[Fraction(0)] * n for _ in range(n)]
+    e[i][j] = Fraction(1)
+    return ConstMat(e)
 
 
 def test_adjoint_negates_the_entries_of_later_elements():
@@ -214,15 +215,15 @@ def test_adjoint_negates_the_entries_of_later_elements():
     assert lie.mats[2] == unit(3, 0, 2)
     others, ad_x = lie.adjoint(0)
     assert others == [1, 2]
-    assert ad_x.data == [[0, 0], [1, 0]]
+    assert ad_x == ConstMat([[0, 0], [1, 0]])
     others, ad_y = lie.adjoint(1)
     assert others == [0, 2]
-    assert ad_y.data == [[0, 0], [-1, 0]]
+    assert ad_y == ConstMat([[0, 0], [-1, 0]])
     # [a, b] = b with b listed first: the (0, 1) entry holds [b, a] = -b
     a, b = unit(2, 0, 0), unit(2, 0, 1)
     others, ad_a = lie_closure([b, a]).adjoint(1)
     assert others == [0]
-    assert ad_a.data == [[1]]
+    assert ad_a == ConstMat([[1]])
 
 
 def test_adjoint_is_none_when_a_bracket_leaves_a_component_along_the_element():
@@ -231,7 +232,7 @@ def test_adjoint_is_none_when_a_bracket_leaves_a_component_along_the_element():
     lie = lie_closure([a, b])
     assert lie.dim == 2 and lie.structure[(0, 1)] == [0, 1]
     assert lie.adjoint(1) is None
-    assert lie.adjoint(0)[1].data == [[1]]
+    assert lie.adjoint(0)[1] == ConstMat([[1]])
 
 
 def test_split_diag_sub_dimension_identity():
@@ -243,11 +244,11 @@ def test_split_diag_sub_dimension_identity():
         n = d1 + d2
         mats = []
         for _ in range(rng.randint(1, 5)):
-            m = rand_const(rng, n)
+            m = [list(row) for row in rand_const(rng, n).data]
             for i in range(d1):
                 for j in range(d1, n):
-                    m.data[i][j] = Fraction(0)
-            mats.append(m)
+                    m[i][j] = Fraction(0)
+            mats.append(ConstMat(m))
         span = SpanQQ(n * n)
         indep = [m for m in mats if span.add(m.flatten())]
         if not indep:
@@ -265,11 +266,12 @@ def test_split_diag_sub_dimension_identity():
             for b in diag_basis:
                 check.add(b.flatten())
             # the diagonal projection of every input lies in the span
-            proj = ConstMat.zeros(n, n)
+            proj = [[Fraction(0)] * n for _ in range(n)]
             for i in range(d1):
-                proj.data[i][:d1] = m.data[i][:d1]
+                proj[i][:d1] = m.data[i][:d1]
             for i in range(d1, n):
-                proj.data[i][d1:] = m.data[i][d1:]
+                proj[i][d1:] = m.data[i][d1:]
+            proj = ConstMat(proj)
             assert not check.add(proj.flatten()) or proj.is_zero
 
 
@@ -331,9 +333,9 @@ def test_dual_frame_rejects_outside_matrices():
     # an inside combination f*E21 + h*E31 plus g*E32: of the three
     # Wei-Norman terms (E21, E31, E32) only the last leaves the span
     def unit(i, j):
-        m = ConstMat.zeros(3)
-        m.data[i][j] = Fraction(1)
-        return m
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        m[i][j] = Fraction(1)
+        return ConstMat(m)
 
     frame = DualFrame([unit(1, 0), unit(2, 0)])
     f, h, g = parse_ratfun("1/x"), parse_ratfun("x"), parse_ratfun("1/(x + 1)")

@@ -48,10 +48,10 @@ def rand_sparse_entry(rng):
 
 def rand_sparse_const(rng, n, density=0.08):
     """n x n matrix with about density*n*n nonzeros, denominators up to 3^10."""
-    m = ConstMat.zeros(n, n)
+    m = [[Fraction(0)] * n for _ in range(n)]
     for _ in range(max(1, round(density * n * n))):
-        m.data[rng.randrange(n)][rng.randrange(n)] = rand_sparse_entry(rng)
-    return m
+        m[rng.randrange(n)][rng.randrange(n)] = rand_sparse_entry(rng)
+    return ConstMat(m)
 
 
 def rand_sparse_vec(rng, n, density=0.05):
@@ -75,17 +75,24 @@ def sparse_span_cases(rng, count):
         yield n, vecs
 
 
+def span_rows(span):
+    """(pivot, {index: value}) for each row of a span, read back as exact
+    rationals from its stored ints and scale."""
+    return [(p, {i: scale * v for i, v in ints.items()}) for p, ints, scale in span.rows]
+
+
 def check_span(span, vecs):
     """The span's rank, echelon rows and row coordinates against rref."""
     assert span.dim == len(rref(vecs)[1])
-    pivots = [p for p, _ in span.rows]
+    rows = span_rows(span)
+    pivots = [p for p, _ in rows]
     assert pivots == sorted(pivots)
-    for p, row in span.rows:
+    for p, row in rows:
         assert p == min(i for i, c in row.items() if c)
     for v in vecs:
         coords = span.coords_in_rows(list(v))
         rebuilt = [Fraction(0)] * len(v)
-        for c, (_, row) in zip(coords, span.rows):
+        for c, (_, row) in zip(coords, rows):
             for i, ri in row.items():
                 rebuilt[i] += c * ri
         assert rebuilt == v
@@ -154,6 +161,191 @@ def test_spanqq_tracked_coordinates():
         assert got == coeffs
         rebuilt = [sum(c * v[k] for c, v in zip(got, basis)) for k in range(n)]
         assert rebuilt == target
+
+
+# ---- the int kernel against a dense Fraction reference ----------------------
+
+# denominators are products of these, so the ints meet primes beyond 2 and 3
+REF_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def ref_entry(rng):
+    """A Fraction that is zero about half the time."""
+    if rng.random() < 0.5:
+        return Fraction(0)
+    den = 1
+    for _ in range(rng.randint(0, 3)):
+        den *= rng.choice(REF_PRIMES)
+    return Fraction(rng.randint(-9, 9), den)
+
+
+def ref_matrix(rng, n, m):
+    return [[ref_entry(rng) for _ in range(m)] for _ in range(n)]
+
+
+def ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def as_lists(m):
+    return [list(row) for row in m.data]
+
+
+class RefSpan:
+    """Dense Fraction forward elimination: rows sorted by pivot, each the
+    residual of an accepted vector, with coordinates over the accepted ones."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, dense row)
+        self.combos = []  # dense coordinates of each row over the accepted vectors
+        self.n_added = 0
+
+    def reduce(self, v):
+        v = list(v)
+        mults = {}
+        for k, (p, row) in enumerate(self.rows):
+            if v[p]:
+                f = v[p] / row[p]
+                v = [x - f * y for x, y in zip(v, row)]
+                mults[k] = f
+        return v, mults
+
+    def add(self, v):
+        res, mults = self.reduce(v)
+        if not any(res):
+            return False
+        pivot = next(i for i, x in enumerate(res) if x)
+        pos = sum(1 for p, _ in self.rows if p < pivot)
+        combo = {self.n_added: Fraction(1)}
+        for k, f in mults.items():
+            for i, c in self.combos[k].items():
+                combo[i] = combo.get(i, Fraction(0)) - f * c
+        self.rows.insert(pos, (pivot, res))
+        self.combos.insert(pos, combo)
+        self.n_added += 1
+        return True
+
+    def coords_in_rows(self, v):
+        res, mults = self.reduce(v)
+        if any(res):
+            return None
+        return [mults.get(k, Fraction(0)) for k in range(len(self.rows))]
+
+    def coords_in_added(self, v):
+        rows = self.coords_in_rows(v)
+        if rows is None:
+            return None
+        out = [Fraction(0)] * self.n_added
+        for f, combo in zip(rows, self.combos):
+            for i, c in combo.items():
+                out[i] += f * c
+        return out
+
+
+def test_int_kernel_matches_dense_reference():
+    """comm, products, sums, lincomb, scale and apply on the sparse int form
+    against dense Fraction arithmetic, and equality after cancellation."""
+    rng = random.Random(211)
+    shapes = [(0, 0), (1, 1)] + [(n, n) for n in (rng.randint(2, 7) for _ in range(60))]
+    for n, _ in shapes:
+        a, b, c = (ref_matrix(rng, n, n) for _ in range(3))
+        ma, mb, mc = ConstMat(a), ConstMat(b), ConstMat(c)
+        assert (ma.rows, ma.cols) == (n, n)
+        assert as_lists(ma) == a
+        assert as_lists(ma * mb) == ref_mul(a, b)
+        assert as_lists(comm(ma, mb)) == ref_sub(ref_mul(a, b), ref_mul(b, a))
+        assert as_lists(ma + mb) == [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert as_lists(ma - mb) == ref_sub(a, b)
+        coeffs = [ref_entry(rng) for _ in range(3)]
+        want = [[coeffs[0] * x + coeffs[1] * y + coeffs[2] * z
+                 for x, y, z in zip(ra, rb, rc)] for ra, rb, rc in zip(a, b, c)]
+        got = lincomb(coeffs, [ma, mb, mc])
+        assert as_lists(got) == want
+        assert got == ConstMat(want)
+        assert as_lists(ma.scale(coeffs[0])) == [[coeffs[0] * x for x in row] for row in a]
+        vec = [ref_entry(rng) for _ in range(n)]
+        assert ma.apply(vec) == [sum((x * y for x, y in zip(row, vec)), Fraction(0))
+                                 for row in a]
+        # entries that cancel to zero leave the canonical form of what stays
+        assert ma * mb - mb * ma == comm(ma, mb)
+        assert (ma - ma).is_zero and ma - ma == ConstMat.zeros(n, n)
+        assert lincomb([Fraction(1, 7), Fraction(-1, 7)], [ma, ma]) == ConstMat.zeros(n)
+        assert ma.scale(Fraction(3, 11)).scale(Fraction(11, 3)) == ma
+        assert comm(ma, ma).is_zero
+        zero = ConstMat.zeros(n)
+        assert ma * zero == zero and comm(zero, mb) == zero and ma + zero == ma
+        assert ConstMat.identity(n) * ma == ma == ma * ConstMat.identity(n)
+    # canonical: no stored zero, no empty row, den coprime to the entries
+    m = ConstMat([[Fraction(2, 35), Fraction(0)], [Fraction(0), Fraction(0)],
+                  [Fraction(4, 5), Fraction(-6, 7)]])
+    assert m.num == {0: {0: 2}, 2: {0: 28, 1: -30}} and m.den == 35
+    assert ConstMat([[Fraction(3, 13)]]).scale(Fraction(13, 3)) == ConstMat([[1]])
+    assert ConstMat([[Fraction(5, 11)]]).scale(0).num == {}
+    assert ConstMat([[Fraction(5, 11)]]).scale(0).den == 1
+
+
+def test_const_mat_data_is_read_only():
+    m = ConstMat([[Fraction(1, 5), Fraction(0)], [Fraction(0), Fraction(2)]])
+    with pytest.raises(TypeError):
+        m.data[0][1] = Fraction(1)
+    with pytest.raises(TypeError):
+        m.data[0] = [Fraction(1), Fraction(1)]
+    assert m.data == ((Fraction(1, 5), Fraction(0)), (Fraction(0), Fraction(2)))
+    assert m.flatten() == [Fraction(1, 5), Fraction(0), Fraction(0), Fraction(2)]
+
+
+def spans_agree(span, ref):
+    """Rows read back as exact rationals equal the reference residuals."""
+    assert span.dim == len(ref.rows)
+    got = [(p, {i: scale * v for i, v in ints.items()}) for p, ints, scale in span.rows]
+    want = [(p, {i: x for i, x in enumerate(row) if x}) for p, row in ref.rows]
+    assert got == want
+
+
+def test_spanqq_matches_dense_reference():
+    """add, coords_in_rows and coords_in_added against RefSpan on seeded
+    vectors: primes up to 13 in the denominators, combinations of earlier
+    vectors, vectors that cancel to zero and the zero vector; a dense list
+    and the matrix of the same entries give the same span."""
+    rng = random.Random(212)
+    for case in range(40):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        n = r * c
+        vecs = [[ref_entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 7))]
+        for _ in range(rng.randint(1, 3)):
+            picks = rng.sample(vecs, min(len(vecs), 2))
+            coeffs = [ref_entry(rng) or Fraction(1, 5) for _ in picks]
+            vecs.append([sum((f * v[k] for f, v in zip(coeffs, picks)), Fraction(0))
+                         for k in range(n)])
+        vecs.append([x - x for x in vecs[0]])  # cancels to the zero vector
+        rng.shuffle(vecs)
+        mats = [ConstMat([v[i * c:(i + 1) * c] for i in range(r)]) for v in vecs]
+        ref = RefSpan()
+        dense, matrix = SpanQQ(n, track=True), SpanQQ(n, track=True)
+        for v, m in zip(vecs, mats):
+            grew = ref.add(v)
+            assert dense.add(list(v)) == grew
+            assert matrix.add(m) == grew
+            spans_agree(dense, ref)
+            spans_agree(matrix, ref)
+            assert dense.combos == matrix.combos
+        probes = vecs + [[ref_entry(rng) for _ in range(n)] for _ in range(3)]
+        for v in probes:
+            m = ConstMat([v[i * c:(i + 1) * c] for i in range(r)])
+            for span in (dense, matrix):
+                assert span.coords_in_rows(list(v)) == ref.coords_in_rows(v)
+                assert span.coords_in_rows(m) == ref.coords_in_rows(v)
+                assert span.coords_in_added(list(v)) == ref.coords_in_added(v)
+                assert span.coords_in_added(m) == ref.coords_in_added(v)
+    # 0x0 matrices and empty vectors span nothing
+    span = SpanQQ(0, track=True)
+    assert not span.add(ConstMat([])) and not span.add([])
+    assert span.coords_in_added(ConstMat([])) == []
 
 
 def test_coordinates_in_span_matches_recombination():
@@ -233,10 +425,11 @@ def test_rational_eigenvalues_on_triangular():
     rng = random.Random(209)
     for _ in range(40):
         n = rng.randint(1, 5)
-        a = rand_const(rng, n)
+        a = [list(row) for row in rand_const(rng, n).data]
         for i in range(n):
             for j in range(i + 1, n):
-                a.data[i][j] = Fraction(0)
+                a[i][j] = Fraction(0)
+        a = ConstMat(a)
         counts = {}
         for i in range(n):
             counts[a.data[i][i]] = counts.get(a.data[i][i], 0) + 1
@@ -252,18 +445,20 @@ def test_nilpotent_jordan_chains_random_block_shapes():
         sizes = sorted((rng.randint(1, 4)
                         for _ in range(rng.randint(1, 3))), reverse=True)
         n = sum(sizes)
-        m = ConstMat.zeros(n, n)
+        m = [[Fraction(0)] * n for _ in range(n)]
         # shift blocks on the diagonal
         pos = 0
         for s in sizes:
             for k in range(s - 1):
-                m.data[pos + k + 1][pos + k] = Fraction(1)
+                m[pos + k + 1][pos + k] = Fraction(1)
             pos += s
+        m = ConstMat(m)
         # conjugate by a random invertible integer matrix to hide the basis
         while True:
-            g = rand_const(rng, n, lo=-2, hi=2)
+            g = [list(row) for row in rand_const(rng, n, lo=-2, hi=2).data]
             for i in range(n):
-                g.data[i][i] = g.data[i][i] + Fraction(1 + (i % 2))
+                g[i][i] = g[i][i] + Fraction(1 + (i % 2))
+            g = ConstMat(g)
             lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
                              for row in g.data])
             if not lifted.det().is_zero:

@@ -337,6 +337,30 @@ def test_non_monogenous_diagonal_is_refused():
         reduce_subdiagonal(BlockSystem(1, mat, [2, 1]))
 
 
+def test_wide_diagonal_is_refused_before_the_full_closure(monkeypatch):
+    # E12 and E21 in the leading block: their diagonal projections span two
+    # dimensions and close to sl2, the dimension the message names; the
+    # closure of the Wei-Norman matrices (with E31) is never built
+    closed = []
+    inner = reduction.lie_closure
+
+    def recording(gens, deadline=None):
+        closed.append(list(gens))
+        return inner(gens, deadline)
+
+    monkeypatch.setattr(reduction, "lie_closure", recording)
+    zero = rf("0")
+    a = RatMat([
+        [zero, rf("1/x"), zero],
+        [rf("1/(x + 1)"), zero, zero],
+        [rf("x"), zero, zero],
+    ])
+    with pytest.raises(UnsupportedRegime, match=r"not monogenous \(dimension 3\)"):
+        reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
+    assert len(closed) == 1
+    assert wei_norman(a).matrices() not in closed
+
+
 def test_reduction_respects_time_budget(hh_p1):
     sf = fixtures.load_system("first-order")
     bs = BlockSystem(1, sf.matrix, [4])
@@ -496,8 +520,7 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
     report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
     assert report.jordan_block_sizes and report.tower
     assert counts == {"wei_norman": 2, "lie_closure": 3}
-    e21 = ConstMat.zeros(3, 3)
-    e21.data[1][0] = Fraction(1)
+    e21 = ConstMat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     assert closed[0] == wei_norman(a).matrices()
     assert closed[1][0] == e21
     assert closed[2] == report.final_wei_norman.matrices()
