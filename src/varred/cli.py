@@ -27,7 +27,7 @@ from .fileformats import (
 from .gauge import GaugeMatrix
 from .liealgebra import lie_closure, wei_norman
 from .reduction import reduce_block_systems
-from .varequations import BlockSystem, build_lve
+from .varequations import build_lve, nested_systems
 
 
 def _read_text(path: str) -> str:
@@ -68,32 +68,20 @@ def _load_p1(args) -> GaugeMatrix:
 
 
 def _nested_systems(sf: SystemFile, order) -> list:
-    """Split a block matrix into its trailing subsystems, lowest order first.
-
-    The degree blocks of a variational system are ordered so that dropping
-    the leading block leaves the system of the previous order; reduction
-    then recurses through the trailing square submatrices.
-    """
-    n = sf.matrix.rows
+    """The trailing subsystems of a block system file, lowest order first,
+    after checking the requested order against its blocks."""
     blocks = sf.blocks
     if blocks is None:
         if order is not None and order != 1:
             raise PreconditionFailure(
                 "order %d requested but the system file carries no block "
                 "sizes" % order)
-        blocks = [n]
+        blocks = [sf.matrix.rows]
     if order is not None and order != len(blocks):
         raise PreconditionFailure(
             "order %d requested but the system file has %d blocks"
             % (order, len(blocks)))
-    order = len(blocks)
-    out = []
-    for m in range(1, order + 1):
-        tail = blocks[order - m:]
-        s = sum(tail)
-        sub = sf.matrix.submatrix(n - s, n, n - s, n)
-        out.append(BlockSystem(m, sub, list(tail)))
-    return out
+    return nested_systems(sf.matrix, blocks)
 
 
 def cmd_reduce(args) -> int:

@@ -2,15 +2,22 @@
 
 The accepted grammar is deliberately small: integer literals, symbol names,
 binary + - * /, unary -, ^ with a nonnegative integer literal exponent, and
-parentheses.  The parser evaluates on the fly through a resolver callback,
-so the same grammar serves rational functions in one variable and
-multivariate Hamiltonian polynomials.
+parentheses.  Literals have at most MAX_DIGITS digits and exponents are at
+most MAX_EXPONENT, so that a short input cannot make a huge power.  The
+parser evaluates on the fly through a resolver callback, so the same grammar
+serves rational functions in one variable and multivariate Hamiltonian
+polynomials.
 
 Rendering produces text the parser maps back to the same object.
 """
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
+
+# Longest integer literal, below the 4300 digits that int() converts by default.
+MAX_DIGITS = 1000
+# Largest exponent literal; the bundled files use at most 12.
+MAX_EXPONENT = 100
 
 
 class ExprError(ValueError):
@@ -39,6 +46,8 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprError(f"integer literal longer than {MAX_DIGITS} digits", i)
             toks.append(Token("int", text[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -118,7 +127,10 @@ class _Parser:
             e = self.next()
             if e.kind != "int":
                 raise ExprError("exponent must be a nonnegative integer literal", e.pos)
-            v = v ** int(e.text)
+            k = int(e.text)
+            if k > MAX_EXPONENT:
+                raise ExprError(f"exponent {k} is above the limit of {MAX_EXPONENT}", e.pos)
+            v = v ** k
         return v
 
     def atom(self):

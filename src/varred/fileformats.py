@@ -13,7 +13,13 @@ from .errors import FileFormatError
 from .expr import ExprError, poly_to_text
 from .matrices import RatMat
 from .ratfun import RatFun, parse_ratfun
-from .varequations import HamiltonianSystem, MPoly, canonical_names, parse_mpoly
+from .varequations import (
+    MAX_SYSTEM_SIZE,
+    HamiltonianSystem,
+    MPoly,
+    canonical_names,
+    parse_mpoly,
+)
 
 SYSTEM_FORMAT = "system v1"
 HAMILTONIAN_FORMAT = "hamiltonian v1"
@@ -102,6 +108,9 @@ def parse_system(text: str) -> SystemFile:
         raise FileFormatError("system file is missing the variable")
     if size is None or size < 1:
         raise FileFormatError("system file is missing a positive size")
+    if size > MAX_SYSTEM_SIZE:
+        raise FileFormatError("size %d is above the limit of %d"
+                              % (size, MAX_SYSTEM_SIZE))
     if blocks is not None:
         if any(b < 1 for b in blocks) or sum(blocks) != size:
             raise FileFormatError("blocks must be positive and sum to %d" % size)

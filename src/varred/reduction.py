@@ -27,8 +27,10 @@ from .errors import (
 from .gauge import (
     GaugeMatrix,
     apply_gauge,
+    assemble_block_diag,
     block_diag_gauge,
     exp_sub_nilpotent,
+    sym_power_algebra,
     sym_power_group,
 )
 from .liealgebra import (
@@ -148,11 +150,13 @@ class ReductionReport:
     """Everything the reduction of one order produced.
 
     system.matrix is the matrix the reduction starts from; applying
-    total_gauge to it reproduces final_matrix exactly.
+    total_gauge to it reproduces final_matrix exactly.  assembled_matrix is
+    the matrix after the diagonal assembly, which the sweep starts from.
     """
 
     order: int
     system: BlockSystem
+    assembled_matrix: RatMat
     steps: list
     final_matrix: RatMat
     final_wei_norman: WeiNormanDecomp
@@ -218,35 +222,42 @@ def _pole_factor_set(funcs):
 # ---- diagonal assembly ---------------------------------------------------------
 
 
-def reduce_diagonal(
-    system: BlockSystem, p1: GaugeMatrix, p_prev: GaugeMatrix | None, deadline=None
-):
+def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, deadline=None):
     """Reduce the diagonal blocks of one order by recycling lower gauges.
 
-    The top block is conjugated by the symmetric power of the first-order
-    gauge, the trailing blocks by the full gauge of the previous order.
-    Returns the partially reduced system together with the recorded step.
-    The gauge application checks the deadline.
+    The gauge is p1 at order 1 and Q = diag(Sym^m(p1), P_(m-1)) at order m,
+    where lower holds the reports of orders 1 to m-1.  Q[A] is affine in A,
+    so Q[A] = diag(sym^m(p1[A1]), final_(m-1)) + Q^-1 (A - B) Q with
+    B = diag(sym^m(A1), A_(m-1)); on a variational system A - B is only the
+    subdiagonal block.  Returns the partially reduced system together with
+    the recorded step; the deadline is checked before the products.
     """
     m = system.order
     if m == 1:
         q = p1
+    elif not lower:
+        raise PreconditionFailure(
+            "diagonal assembly at order %d needs the gauge of order %d" % (m, m - 1)
+        )
     else:
-        if p_prev is None:
-            raise PreconditionFailure(
-                "diagonal assembly at order %d needs the gauge of order %d"
-                % (m, m - 1)
-            )
+        first, prev = lower[0], lower[-1]
         top = GaugeMatrix(
             sym_power_group(p1.p, m), sym_power_group(p1.p_inv, m), check=False
         )
-        q = block_diag_gauge([top, p_prev])
+        q = block_diag_gauge([top, prev.total_gauge])
     if q.p.rows != system.matrix.rows:
         raise PreconditionFailure(
             "diagonal gauge size %d does not match system size %d"
             % (q.p.rows, system.matrix.rows)
         )
-    reduced = apply_gauge(system.matrix, q, deadline)
+    if m == 1:
+        reduced = apply_gauge(system.matrix, q, deadline)
+    else:
+        check_deadline(deadline)
+        diag = [sym_power_algebra(first.assembled_matrix, m), prev.final_matrix]
+        known = [sym_power_algebra(first.system.matrix, m), prev.system.matrix]
+        delta = system.matrix - assemble_block_diag(known)
+        reduced = assemble_block_diag(diag) + q.p_inv * (delta * q.p)
     step = ReductionStep(kind="diagonal-assembly", gauge=q)
     return BlockSystem(m, reduced, list(system.block_sizes)), step
 
@@ -529,6 +540,7 @@ def reduce_subdiagonal(
     report = ReductionReport(
         order=system.order,
         system=BlockSystem(system.order, initial, list(system.block_sizes)),
+        assembled_matrix=a0,
         steps=steps,
         final_matrix=a,
         final_wei_norman=wn_final,
@@ -802,11 +814,10 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
 def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     """Reduce a nested family of block systems, given lowest order first.
 
-    p1 reduces the first-order system; higher orders reuse it through
-    symmetric powers together with the accumulated gauge of the previous
-    order.  Returns one ReductionReport per order, lowest first.  Regime
-    and timeout errors are raised again with "order m: " in front; a NaN
-    max_seconds raises PreconditionFailure.
+    p1 reduces the first-order system; higher orders are assembled from it
+    and from the reports of the lower orders.  Returns one ReductionReport
+    per order, lowest first.  Regime and timeout errors are raised again
+    with "order m: " in front; a NaN max_seconds raises PreconditionFailure.
     """
     deadline = None
     if max_seconds is not None:
@@ -815,18 +826,16 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
             raise PreconditionFailure("the time budget is not a number")
         deadline = time.monotonic() + max_seconds
     reports = []
-    prev_gauge = None
     for bs in systems:
         try:
             check_deadline(deadline)
-            partial, step = reduce_diagonal(bs, p1, prev_gauge, deadline)
+            partial, step = reduce_diagonal(bs, p1, reports, deadline)
             report = reduce_subdiagonal(
                 partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
             )
         except (UnsupportedRegime, ReductionTimeout) as e:
             raise type(e)("order %d: %s" % (bs.order, e)) from e
         reports.append(report)
-        prev_gauge = report.total_gauge
     return reports
 
 

@@ -257,13 +257,20 @@ class HamiltonianSystem:
 # ---- variational systems -------------------------------------------------------
 
 
+# Largest system that is parsed or built.  It is far above every bundled
+# input (the Henon-Heiles LVE^4 has size 69), and a zero matrix of this size
+# already holds a million entries.
+MAX_SYSTEM_SIZE = 1000
+
+
 def lve_block_sizes(n_vars: int, order: int):
     """Sizes of the degree blocks, highest degree first."""
     return [math.comb(n_vars + k - 1, k) for k in range(order, 0, -1)]
 
 
 def lve_dimension(n_vars: int, order: int) -> int:
-    return sum(lve_block_sizes(n_vars, order))
+    """Sum of the block sizes, in closed form: C(n_vars + order, order) - 1."""
+    return math.comb(n_vars + order, n_vars) - 1 if order > 0 else 0
 
 
 @dataclass
@@ -345,13 +352,28 @@ def _unit(nv, i):
     return tuple(e)
 
 
+def nested_systems(matrix: RatMat, blocks) -> list:
+    """Trailing subsystems of a block system, lowest order first: dropping
+    the leading degree block leaves the system of the previous order."""
+    n = matrix.rows
+    out = []
+    for m in range(1, len(blocks) + 1):
+        tail = list(blocks[len(blocks) - m:])
+        s = sum(tail)
+        out.append(BlockSystem(m, matrix.submatrix(n - s, n, n - s, n), tail))
+    return out
+
+
 def build_lve(system: HamiltonianSystem, order: int):
-    """Variational systems of orders 1..order as BlockSystem values."""
+    """Variational systems of orders 1..order as BlockSystem values, sliced
+    out of the top order; an order above MAX_SYSTEM_SIZE is refused first."""
     if order < 1:
         raise PreconditionFailure("order must be at least 1, got %d" % order)
     nv = 2 * system.dof
-    out = []
-    for m in range(1, order + 1):
-        mat = variational_matrix(system.field, system.solution, m)
-        out.append(BlockSystem(m, mat, lve_block_sizes(nv, m)))
-    return out
+    size = lve_dimension(nv, order)
+    if size > MAX_SYSTEM_SIZE:
+        raise PreconditionFailure(
+            "order %d needs a system of size %d, above the limit of %d"
+            % (order, size, MAX_SYSTEM_SIZE))
+    mat = variational_matrix(system.field, system.solution, order)
+    return nested_systems(mat, lve_block_sizes(nv, order))

@@ -1,6 +1,8 @@
 """Command-line driver and the line-oriented file formats."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from varred import fixtures
 from varred.cli import main
 from varred.errors import FileFormatError
+from varred.expr import MAX_DIGITS, MAX_EXPONENT
 from varred.fileformats import (
     SystemFile,
     parse_hamiltonian,
@@ -20,6 +23,7 @@ from varred.liealgebra import lie_closure, wei_norman
 from varred.matrices import RatMat
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
+from varred.varequations import MAX_SYSTEM_SIZE
 
 
 def rf(text):
@@ -74,6 +78,12 @@ def test_system_file_rejections():
         (good + "banana = 1\n", "unknown key"),
         (good + "blocks = 1 2\n", "sum to 2"),
         ("format = system v1\nvariable = x\n", "missing a positive size"),
+        ("format = system v1\nvariable = x\nsize = %d\n" % (MAX_SYSTEM_SIZE + 1),
+         "size %d is above the limit of %d" % (MAX_SYSTEM_SIZE + 1, MAX_SYSTEM_SIZE)),
+        (good + "entry 1 1 = x^%d\n" % (MAX_EXPONENT + 1),
+         "exponent %d is above the limit of %d" % (MAX_EXPONENT + 1, MAX_EXPONENT)),
+        (good + "entry 1 1 = %s\n" % ("7" * (MAX_DIGITS + 1)),
+         "longer than %d digits" % MAX_DIGITS),
     ]
     for text, snippet in cases:
         with pytest.raises(FileFormatError, match=snippet):
@@ -194,6 +204,44 @@ def test_exit_code_for_malformed_input(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_huge_exponents_are_refused_quickly(tmp_path, capsys):
+    # two entries found by a mutation sweep of the bundled system files;
+    # both ran for more than 3 seconds before the exponent limit
+    for entry in ("x^299999999", "(x^2 + 1)^999999992"):
+        path = write(tmp_path / "power.sys", "format = system v1\nvariable = x\n"
+                     "size = 1\nentry 1 1 = %s\n" % entry)
+        t0 = time.monotonic()
+        assert main(["lie", path]) == 2
+        assert time.monotonic() - t0 < 1.0
+        assert "is above the limit of %d" % MAX_EXPONENT in capsys.readouterr().err
+
+
+def test_oversized_systems_are_refused_before_allocation(tmp_path, capsys):
+    # a declared size and a build-lve order above MAX_SYSTEM_SIZE are refused
+    # before any matrix is made: within 2 seconds and 5 MB of traced
+    # allocations, where either matrix would need gigabytes
+    big = write(tmp_path / "big.sys",
+                "format = system v1\nvariable = x\nsize = 499999999\n")
+    ham = write(tmp_path / "hh.ham", fixtures.fixture_text("henon-heiles"))
+    out_dir = tmp_path / "lve"
+    tracemalloc.start()
+    t0 = time.monotonic()
+    try:
+        codes = (main(["lie", big]),
+                 main(["build-lve", ham, "--order", "50", "--out", str(out_dir)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert codes == (2, 3)
+    assert "size 499999999 is above the limit of %d" % MAX_SYSTEM_SIZE in err
+    assert "order 50 needs a system of size 316250, above the limit of %d" % MAX_SYSTEM_SIZE in err
+    assert not out_dir.exists()
+    assert elapsed < 2.0
+    assert peak < 5 * 2**20
+
+
 def test_exit_code_for_order_mismatch(tmp_path, capsys):
     sys1 = write(tmp_path / "a1.sys", fixtures.fixture_text("first-order"))
     assert main(["reduce", sys1, "--p1-fixture", "henon-heiles",
@@ -219,6 +267,24 @@ def test_exit_code_for_unsupported_regime(tmp_path, capsys):
     assert "unsupported regime" in err
     assert "order 2" in err
     assert "not monogenous" in err
+
+
+def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys):
+    # the diagonal algebra of LVE^4 has dimension 5, so order 4 is outside
+    # the monogenous regime; as a command the refusal took 5.1 to 5.5
+    # seconds on a 2-CPU Xeon with Python 3.11, and the bound leaves room
+    # for a loaded machine
+    ham = write(tmp_path / "hh.ham", fixtures.fixture_text("henon-heiles"))
+    out_dir = tmp_path / "lve"
+    assert main(["build-lve", ham, "--order", "4", "--out", str(out_dir)]) == 0
+    t0 = time.monotonic()
+    rc = main(["reduce", str(out_dir / "lve_order_4.sys"), "--p1-fixture", "henon-heiles"])
+    elapsed = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "order 4" in err
+    assert "not monogenous (dimension 5)" in err
+    assert elapsed < 60.0
 
 
 def test_exit_code_for_timeout(tmp_path, capsys):

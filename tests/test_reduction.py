@@ -20,7 +20,7 @@ from varred.errors import (
 )
 from varred.expr import poly_to_text
 from varred.fileformats import parse_report, parse_system, render_report
-from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge
+from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge, sym_power_algebra
 from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
 from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
 from varred.poly import Poly
@@ -303,6 +303,60 @@ def test_diagonal_gauge_size_mismatch(hh_p1):
     bs = BlockSystem(1, mat, [2])
     with pytest.raises(PreconditionFailure, match="does not match"):
         reduce_diagonal(bs, hh_p1, None)
+
+
+def test_assembly_matches_the_whole_matrix_gauge_on_henon_heiles(lve3_run, hh_p1):
+    # orders 2 and 3 are assembled from the lower reports; the result is
+    # the diagonal gauge applied to the whole initial matrix
+    reports = lve3_run[0]
+    for m in (2, 3):
+        rep = reports[m - 1]
+        partial, step = reduce_diagonal(rep.system, hh_p1, reports[:m - 1])
+        assert partial.matrix == apply_gauge(rep.system.matrix, step.gauge)
+        assert partial.matrix == rep.assembled_matrix
+    with pytest.raises(ReductionTimeout):
+        reduce_diagonal(reports[1].system, hh_p1, reports[:1], time.monotonic() - 1.0)
+
+
+def test_assembly_matches_the_whole_matrix_gauge_on_block_systems():
+    # order-2 block systems (3, 2) that are not variational: the leading
+    # block is random, not sym^2 of the order-1 matrix, and the trailing
+    # block is the order-1 matrix (odd seeds) or random too.  The order-1
+    # matrix is [[b, 0], [c + x, b]] hidden by a random gauge and split in
+    # blocks (1, 1), so its sweep integrates x away and its final matrix is
+    # not the assembled one.
+    for seed in range(6):
+        rng = random.Random(4200 + seed)
+        p1 = unit_lower_gauge(rng, 2)
+        b = rand_ratfun(rng, deg=2).scale(Fraction(rng.randint(1, 3)))
+        hidden = RatMat([[b, rf("0")], [rand_ratfun(rng) + rf("x"), b]])
+        a1 = apply_gauge(hidden, GaugeMatrix(p1.p_inv, p1.p, check=False))
+        lower = reduce_block_systems([BlockSystem(1, a1, [1, 1])], p1)
+        assert lower[0].assembled_matrix == hidden != lower[0].final_matrix
+        a = RatMat.zeros(5, 5)
+        for i in range(5):
+            for j in range(3 if i < 3 else 5):
+                a.data[i][j] = rand_ratfun(rng)
+        if seed % 2:
+            a.set_block(3, 3, a1)
+        assert a.submatrix(0, 3, 0, 3) != sym_power_algebra(a1, 2)
+        partial, step = reduce_diagonal(BlockSystem(2, a, [3, 2]), p1, lower)
+        assert partial.matrix == apply_gauge(a, step.gauge)
+
+
+def test_orders_above_one_apply_no_whole_matrix_gauge(monkeypatch, hh_system, hh_p1):
+    # the order-1 assembly and one replay per order apply a gauge to a
+    # whole matrix; the assemblies of orders 2 and 3 do not
+    sizes = []
+    inner = reduction.apply_gauge
+
+    def counted(a, p, deadline=None):
+        sizes.append(a.rows)
+        return inner(a, p, deadline)
+
+    monkeypatch.setattr(reduction, "apply_gauge", counted)
+    reduction.reduce_variational_tower(hh_system, 3, hh_p1)
+    assert sizes == [4, 4, 14, 34]
 
 
 # ---- subdiagonal reduction corner cases ------------------------------------------

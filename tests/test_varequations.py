@@ -98,6 +98,11 @@ def test_lve_sizes_and_dimension():
     assert lve_dimension(4, 1) == 4
     assert lve_dimension(4, 2) == 14
     assert lve_dimension(4, 3) == 34
+    for n_vars in range(1, 7):
+        for order in range(0, 9):
+            assert lve_dimension(n_vars, order) == sum(lve_block_sizes(n_vars, order))
+    k = 10**9  # the closed form does not loop over the orders
+    assert lve_dimension(4, k) == (k + 4) * (k + 3) * (k + 2) * (k + 1) // 24 - 1
     assert lve_block_sizes(2, 2) == [3, 2]
 
 
@@ -113,13 +118,16 @@ def cubic_oscillator():
 def test_lve_block_self_similarity():
     """Dropping the leading degree block of the order-m system leaves the
     order m-1 system; the leading diagonal block is the symmetric power of
-    the first-order matrix; the upper-right block is zero."""
+    the first-order matrix; the upper-right block is zero.  Each order is
+    built on its own here, and build_lve, which builds the top order only
+    and slices the others out of it, gives the same matrices."""
     system = cubic_oscillator()
-    systems = build_lve(system, 3)
-    a1 = systems[0].matrix
+    built = [variational_matrix(system.field, system.solution, m) for m in (1, 2, 3)]
+    assert [bs.matrix for bs in build_lve(system, 3)] == built
+    a1 = built[0]
     for m in (2, 3):
-        am = systems[m - 1].matrix
-        prev = systems[m - 2].matrix
+        am = built[m - 1]
+        prev = built[m - 2]
         n = am.rows
         top = lve_block_sizes(2, m)[0]
         assert am.submatrix(n - prev.rows, n, n - prev.rows, n) == prev
