@@ -124,30 +124,27 @@ def sym_power_algebra(a: RatMat, m: int) -> RatMat:
 class GaugeMatrix:
     """Invertible frame change P with its inverse carried along.
 
-    Unless check=False, the pair is verified once at construction; after
-    that every product trusts it.
+    The pair is trusted, not checked; from_p builds the inverse from p alone.
     """
 
     __slots__ = ("p", "p_inv")
 
-    def __init__(self, p: RatMat, p_inv: RatMat, check: bool = True):
-        if check and not (p * p_inv) == RatMat.identity(p.rows):
-            raise ValueError("p_inv is not the inverse of p")
+    def __init__(self, p: RatMat, p_inv: RatMat):
         self.p = p
         self.p_inv = p_inv
 
     @staticmethod
     def identity(n: int) -> "GaugeMatrix":
         eye = RatMat.identity(n)
-        return GaugeMatrix(eye, eye, check=False)
+        return GaugeMatrix(eye, eye)
 
     @staticmethod
     def from_p(p: RatMat) -> "GaugeMatrix":
-        return GaugeMatrix(p, p.inverse(), check=False)
+        return GaugeMatrix(p, p.inverse())
 
     def compose(self, then: "GaugeMatrix") -> "GaugeMatrix":
         """Frame change `self` followed by `then` (so P_total = P1 P2)."""
-        return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv, check=False)
+        return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv)
 
 
 def apply_gauge(a: RatMat, p: GaugeMatrix, deadline=None) -> RatMat:
@@ -178,7 +175,7 @@ def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:
             c = QQ(v, b.den)
             p.data[i][j] = p.data[i][j] + g.scale(c)
             p_inv.data[i][j] = p_inv.data[i][j] - g.scale(c)
-    return GaugeMatrix(p, p_inv, check=False)
+    return GaugeMatrix(p, p_inv)
 
 
 def assemble_block_diag(blocks) -> RatMat:
@@ -196,4 +193,4 @@ def block_diag_gauge(gauges) -> GaugeMatrix:
     """Block-diagonal gauge from per-block gauges (inverses assemble blockwise)."""
     p = assemble_block_diag([g.p for g in gauges])
     p_inv = assemble_block_diag([g.p_inv for g in gauges])
-    return GaugeMatrix(p, p_inv, check=False)
+    return GaugeMatrix(p, p_inv)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, poly_lcm
 from .ratfun import RatFun
-from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb, nullspace
+from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb
 from .errors import PreconditionFailure, check_deadline
 
 
@@ -250,15 +250,20 @@ def split_diag_sub(mats, d1: int):
         return [], []
     check_block_lower(mats, d1)
     n = mats[0].rows
-    projs = [diag_projection(m, d1) for m in mats]
-    span = SpanQQ(n * n)
-    diag_basis = [p for p in projs if span.add(p)]
-    # combinations whose diagonal projection vanishes stay strictly
-    # sub-diagonal: one equation per entry that some projection holds
-    held = sorted({(i, j) for p in projs for i, row in p.num.items() for j in row})
-    eqs = [[QQ(p.num.get(i, {}).get(j, 0), p.den) for p in projs] for i, j in held]
-    kernel = nullspace(eqs, len(mats))
-    return diag_basis, [lincomb(c, mats) for c in kernel]
+    span = SpanQQ(n * n, track=True)
+    diag_basis, accepted, sub_basis = [], [], []
+    for m in mats:
+        p = diag_projection(m, d1)
+        c = span.coords_in_added(p)
+        if c is None:
+            span.add(p)
+            diag_basis.append(p)
+            accepted.append(m)
+        else:
+            # p = sum c_k * (projection of accepted[k]), so this combination
+            # has no diagonal part and stays strictly sub-diagonal
+            sub_basis.append(lincomb([QQ1] + [-ck for ck in c], [m] + accepted))
+    return diag_basis, sub_basis
 
 
 class DualFrame:

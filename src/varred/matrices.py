@@ -6,11 +6,12 @@ one positive int denominator, in a canonical form so that equality is
 structural.  Its arithmetic (comm, lincomb, products) runs on those ints and
 touches only stored entries, which matters a lot here -- the Lie closure
 matrices hold a few dozen nonzeros in a thousand entries; entries reach
-callers as QQ only through the read-only `data` view.  SpanQQ eliminates on
-the same ints by cross-multiplication.  Row reduction keeps the
-leftmost-nonzero pivot rule so every result is deterministic.  Rational-
-function matrices (RatMat) are dense lists of RatFun, and products skip
-zero entries, since the block systems and their gauges are sparse.
+callers as QQ only through the read-only `data` view.  SpanQQ, the only
+Gauss elimination over Q in the package, runs on the same ints by
+cross-multiplication; nullspace reads its basis off one.  Row reduction
+keeps the leftmost-nonzero pivot rule so every result is deterministic.
+Rational-function matrices (RatMat) are dense lists of RatFun, and products
+skip zero entries, since the block systems and their gauges are sparse.
 """
 from __future__ import annotations
 
@@ -242,58 +243,6 @@ def lincomb(coeffs, mats) -> ConstMat:
 # ---- Gauss elimination over Q ---------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form of a list of QQ rows; returns (rows, pivots).
-
-    Pivot choice: leftmost nonzero column, first available row.
-    """
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, m):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = QQ1 / pr[col]
-        for j in range(col, n):
-            if pr[j]:
-                pr[j] = pr[j] * inv
-        for r in range(m):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                row = mat[r]
-                for j in range(col, n):
-                    if pr[j]:
-                        row[j] -= f * pr[j]
-        pivots.append(col)
-        rank += 1
-    return mat, pivots
-
-
-def nullspace(mat_rows, n):
-    """Canonical nullspace basis of the matrix given by rows of length n."""
-    red, pivots = rref(mat_rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [QQ0] * n
-        v[free] = QQ1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
-        basis.append(v)
-    return basis
-
-
 class SpanQQ:
     """Incremental echelon span of rational vectors with coordinate tracking.
 
@@ -435,20 +384,34 @@ def _axpy(v: dict, f, w: dict) -> None:
                 del v[i]
 
 
-def coordinates_in_span(target: ConstMat, basis) -> list | None:
-    """Coordinates of target in the span of basis matrices, or None.
+def nullspace(m: ConstMat):
+    """Canonical nullspace basis of m, as dense lists of QQ.
 
-    The basis must be linearly independent (ValueError otherwise).  The
-    pipeline reads coordinates off the spans it already builds; the tests
-    use this function as their independent reference.
+    The columns of m go into one tracked SpanQQ in order.  A column that
+    does not enlarge it is a combination of the accepted columns before it,
+    and gives the basis vector with 1 in its own slot and minus those
+    coordinates in the accepted slots: rref's basis, read off its free
+    columns.
     """
-    if not basis:
-        raise ValueError("empty basis")
-    span = SpanQQ(basis[0].rows * basis[0].cols, track=True)
-    for b in basis:
-        if not span.add(b):
-            raise ValueError("basis matrices are linearly dependent")
-    return span.coords_in_added(target)
+    cols = {}
+    for i, row in m.num.items():
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    span = SpanQQ(m.rows, track=True)
+    accepted, basis = [], []
+    for j in range(m.cols):
+        col = ConstMat.from_ints(1, m.rows, {0: cols.get(j, {})}, m.den)
+        c = span.coords_in_added(col)
+        if c is None:
+            span.add(col)
+            accepted.append(j)
+            continue
+        v = [QQ0] * m.cols
+        v[j] = QQ1
+        for k, ck in zip(accepted, c):
+            v[k] = -ck
+        basis.append(v)
+    return basis
 
 
 # ---- rational-function matrices ---------------------------------------------
@@ -552,37 +515,6 @@ class RatMat:
             for j in range(block.cols):
                 self.data[r0 + i][c0 + j] = block.data[i][j]
 
-    def det(self) -> RatFun:
-        """Determinant by fraction-free-ish Gauss elimination (plain pivots)."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        work = [row[:] for row in self.data]
-        sign = 1
-        out = RatFun.const(1)
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not work[r][col].is_zero:
-                    piv = r
-                    break
-            if piv is None:
-                return _RF_ZERO
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                sign = -sign
-            pr = work[col]
-            out = out * pr[col]
-            inv = RatFun.const(1) / pr[col]
-            for r in range(col + 1, n):
-                if not work[r][col].is_zero:
-                    f = work[r][col] * inv
-                    row = work[r]
-                    for j in range(col + 1, n):
-                        if not pr[j].is_zero:
-                            row[j] = row[j] - f * pr[j]
-        return out if sign > 0 else -out
-
     def inverse(self) -> "RatMat":
         """Gauss-Jordan inverse; raises ValueError if singular."""
         n = self.rows
@@ -652,7 +584,7 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     kernels = [[]]
     while len(kernels[-1]) < n:
         powers.append(powers[-1] * m)
-        kernels.append(nullspace(powers[-1].data, n))
+        kernels.append(nullspace(powers[-1]))
         if len(kernels[-1]) == len(kernels[-2]):
             break
     if len(kernels[-1]) != n:

@@ -200,8 +200,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # square only while bits remain
+                base = base * base
         return out
 
     def divmod(self, other):

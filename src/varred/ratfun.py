@@ -400,10 +400,12 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
     Completeness: a denominator bound is assembled from the poles of gamma
     and beta (with the usual residue refinement at simple poles of gamma),
     a degree bound from the behaviour at infinity, and the remaining linear
-    system over Q is solved exactly: `matrices.rref` reduces the augmented
-    rows [row | rhs], a pivot in the rhs column means no solution, and
-    otherwise every free unknown is 0 and each pivot unknown is the rhs
-    entry of its row.  Any returned solution is verified by substitution.
+    system over Q is solved exactly on one tracked `matrices.SpanQQ`: the
+    coefficient vectors of the unknowns go in in order, those that enlarge
+    it are the pivot unknowns and every other unknown is 0; the pivot
+    unknowns are the coordinates of the rhs over them, and an rhs outside
+    the span means no solution.  Any returned solution is verified by
+    substitution.
     """
     if gamma.is_zero:
         split = hermite_split(beta)
@@ -470,25 +472,17 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
         xip = xi.derivative()
         row = (xip * w - xi * wp) * gd * bd - gn * xi * w * bd
         lhs_rows.append(row)
-    ncols = 0
-    for p in lhs_rows + [rhs_const]:
-        if p.degree is not None:
-            ncols = max(ncols, p.degree + 1)
     # solve sum u_i * lhs_rows[i] = rhs_const coefficientwise
-    from .matrices import rref  # imported here: matrices imports this module
+    from .matrices import SpanQQ  # imported here: matrices imports this module
 
-    aug = [[QQ0] * (udeg + 2) for _ in range(ncols)]
-    for i, p in enumerate(lhs_rows):
-        for k, ck in enumerate(p.coeffs):
-            aug[k][i] = ck
-    for k, ck in enumerate(rhs_const.coeffs):
-        aug[k][-1] = ck
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == udeg + 1:
-        return None  # a pivot in the rhs column: inconsistent
+    span = SpanQQ(max(p.degree or 0 for p in lhs_rows + [rhs_const]) + 1, track=True)
+    pivots = [i for i, p in enumerate(lhs_rows) if span.add(p.coeffs)]
+    coords = span.coords_in_added(rhs_const.coeffs)
+    if coords is None:
+        return None  # rhs_const is outside the span of the rows: inconsistent
     sol = [QQ0] * (udeg + 1)  # free unknowns stay 0
-    for r, col in enumerate(pivots):
-        sol[col] = red[r][-1]
+    for i, c in zip(pivots, coords):
+        sol[i] = c
     u = Poly(sol)
     g = RatFun(u, w)
     if g.derivative() != gamma * g + beta:

@@ -53,7 +53,6 @@ from .matrices import (
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
-    rref,
 )
 from .poly import factor_irreducible
 from .rationals import QQ0
@@ -241,9 +240,7 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, deadline=None):
         )
     else:
         first, prev = lower[0], lower[-1]
-        top = GaugeMatrix(
-            sym_power_group(p1.p, m), sym_power_group(p1.p_inv, m), check=False
-        )
+        top = GaugeMatrix(sym_power_group(p1.p, m), sym_power_group(p1.p_inv, m))
         q = block_diag_gauge([top, prev.total_gauge])
     if q.p.rows != system.matrix.rows:
         raise PreconditionFailure(
@@ -363,7 +360,7 @@ def _eigen_chains(psi: ConstMat):
         power = shifted
         for _ in range(mult - 1):
             power = power * shifted
-        vecs = nullspace(power.data, n)
+        vecs = nullspace(power)
         span = SpanQQ(n, track=True)
         for v in vecs:
             span.add(v)
@@ -522,7 +519,7 @@ def reduce_subdiagonal(
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
-        total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv, check=False)
+        total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv)
 
     wn_final = wei_norman(a, deadline)
     lie_final = lie_closure(wn_final.matrices(), deadline)
@@ -591,13 +588,15 @@ def _letters_independent(tower) -> bool:
     """True when the depth-1 integrands of the tower are Q-linearly independent.
 
     They are Hermite l parts, with simple poles only, so by Ostrowski-Kolchin
-    their primitives are algebraically independent over Q(x) exactly then.
-    The rank is read with rref on their numerators over one denominator.
+    their primitives are algebraically independent over Q(x) exactly then:
+    when each of their numerators over one denominator enlarges a SpanQQ.
     """
     letters = [el.integrand_coeff for el in tower if el.depth == 1]
     if not letters:
         return True
-    return len(rref(numerator_vectors(letters)[1])[1]) == len(letters)
+    vectors = numerator_vectors(letters)[1]
+    span = SpanQQ(len(vectors[0]))
+    return all(span.add(v) for v in vectors)
 
 
 def _verdict(report: ReductionReport) -> str:

@@ -141,8 +141,9 @@ class MPoly:
         while n:
             if n & 1:
                 r = r * b
-            b = b * b
             n >>= 1
+            if n:  # square only while bits remain
+                b = b * b
         return r
 
     def __truediv__(self, other):

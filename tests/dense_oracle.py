@@ -1,0 +1,117 @@
+"""Dense reference linear algebra for the tests.
+
+Plain Gauss-Jordan elimination on dense lists of Fraction (and of RatFun
+for the determinant), written for clarity, not speed.  The package runs
+every elimination over Q through the sparse, fraction-free SpanQQ; these
+functions compute the same things independently of it, so the tests can
+compare the two.
+"""
+
+from varred.matrices import ConstMat, RatMat
+from varred.rationals import QQ0, QQ1
+from varred.ratfun import RatFun
+
+_RF_ZERO = RatFun.const(0)
+
+
+def rref(rows):
+    """Reduced row echelon form of a list of QQ rows; returns (rows, pivots).
+
+    Pivot choice: leftmost nonzero column, first available row.
+    """
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = None
+        for r in range(rank, m):
+            if mat[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pr = mat[rank]
+        inv = QQ1 / pr[col]
+        for j in range(col, n):
+            if pr[j]:
+                pr[j] = pr[j] * inv
+        for r in range(m):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                row = mat[r]
+                for j in range(col, n):
+                    if pr[j]:
+                        row[j] -= f * pr[j]
+        pivots.append(col)
+        rank += 1
+    return mat, pivots
+
+
+def dense_nullspace(mat_rows, n):
+    """Canonical nullspace basis of the matrix given by rows of length n:
+    one vector per free column of the rref, 1 in that column."""
+    red, pivots = rref(mat_rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [QQ0] * n
+        v[free] = QQ1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
+
+
+def coordinates_in_span(target: ConstMat, basis) -> list | None:
+    """Coordinates of target in the span of basis matrices, or None.
+
+    The basis must be linearly independent (ValueError otherwise).  Solved
+    by rref of the flattened matrices as columns, target last.
+    """
+    if not basis:
+        raise ValueError("empty basis")
+    k = len(basis)
+    columns = [b.flatten() for b in basis] + [target.flatten()]
+    red, pivots = rref([list(row) for row in zip(*columns)])
+    if [p for p in pivots if p < k] != list(range(k)):
+        raise ValueError("basis matrices are linearly dependent")
+    if pivots[-1] == k:
+        return None
+    return [red[r][k] for r in range(k)]
+
+
+def det(m: RatMat) -> RatFun:
+    """Determinant of a square RatMat by Gauss elimination (plain pivots)."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    work = [row[:] for row in m.data]
+    sign = 1
+    out = RatFun.const(1)
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if not work[r][col].is_zero:
+                piv = r
+                break
+        if piv is None:
+            return _RF_ZERO
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            sign = -sign
+        pr = work[col]
+        out = out * pr[col]
+        inv = RatFun.const(1) / pr[col]
+        for r in range(col + 1, n):
+            if not work[r][col].is_zero:
+                f = work[r][col] * inv
+                row = work[r]
+                for j in range(col + 1, n):
+                    if not pr[j].is_zero:
+                        row[j] = row[j] - f * pr[j]
+    return out if sign > 0 else -out

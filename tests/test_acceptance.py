@@ -13,11 +13,12 @@ from varred import fixtures
 from varred.expr import poly_to_text
 from varred.gauge import apply_gauge
 from varred.liealgebra import lie_closure, wei_norman
-from varred.matrices import comm, coordinates_in_span
+from varred.matrices import comm
 from varred.ratfun import parse_ratfun
 from varred.reduction import certify_monogenous_reduced
 from varred.varequations import build_lve
 
+from dense_oracle import coordinates_in_span
 import test_gauge
 import test_liealg
 import test_ratfun

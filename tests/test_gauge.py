@@ -137,7 +137,7 @@ def test_gauge_inverse_round_trip():
         n = rng.randint(1, 3)
         a = rand_ratmat(rng, n, 2)
         p = rand_gauge(rng, n)
-        back = GaugeMatrix(p.p_inv, p.p, check=False)
+        back = GaugeMatrix(p.p_inv, p.p)
         assert apply_gauge(apply_gauge(a, p), back) == a
 
 
@@ -199,11 +199,3 @@ def test_block_diag_gauge_acts_blockwise():
         combined = apply_gauge(big, block_diag_gauge([p1, p2]))
         want = assemble_block_diag([apply_gauge(a1, p1), apply_gauge(a2, p2)])
         assert combined == want
-
-
-def test_gauge_matrix_checks_inverse():
-    good = RatMat.identity(2)
-    bad = RatMat.identity(2).scale(parse_ratfun("2"))
-    with pytest.raises(ValueError):
-        GaugeMatrix(good, bad)
-    GaugeMatrix(good, bad, check=False)  # explicit opt-out skips the check

@@ -14,9 +14,11 @@ from varred.liealgebra import (
     split_diag_sub,
     wei_norman,
 )
-from varred.matrices import ConstMat, RatMat, SpanQQ, comm, rref
+from varred.matrices import ConstMat, RatMat, SpanQQ, comm
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
+
+from dense_oracle import dense_nullspace, rref
 
 
 def rand_const(rng, n, m=None, lo=-3, hi=3):
@@ -273,6 +275,61 @@ def test_split_diag_sub_dimension_identity():
                 proj[i][d1:] = m.data[i][d1:]
             proj = ConstMat(proj)
             assert not check.add(proj.flatten()) or proj.is_zero
+
+
+def dense_split_diag_sub(mats, d1):
+    """The dense-kernel construction split_diag_sub replaced.
+
+    diag_basis holds the diagonal projections that raise the rref rank, in
+    input order; sub_basis holds one combination of the inputs per vector
+    of the rref kernel of the projections, one equation per entry.
+    """
+    n = mats[0].rows
+    projs = [[m.data[i][j] if (i < d1) == (j < d1) else Fraction(0)
+              for i in range(n) for j in range(n)] for m in mats]
+    diag_basis, rank = [], 0
+    for k, p in enumerate(projs):
+        if len(rref(projs[:k + 1])[1]) > rank:
+            diag_basis.append(ConstMat([p[i * n:(i + 1) * n] for i in range(n)]))
+            rank += 1
+    kernel = dense_nullspace([list(entry) for entry in zip(*projs)], len(mats))
+    sub_basis = [ConstMat([[sum(c * m.data[i][j] for c, m in zip(v, mats))
+                            for j in range(n)] for i in range(n)]) for v in kernel]
+    return diag_basis, sub_basis
+
+
+def rand_block_part(rng, n, d1, diagonal):
+    """Random entries with mixed denominators on the two diagonal blocks
+    (diagonal=True) or on the strictly sub-diagonal block, zero elsewhere."""
+    def inside(i, j):
+        return (i < d1) == (j < d1) if diagonal else i >= d1 > j
+
+    return ConstMat([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if inside(i, j)
+                      else Fraction(0) for j in range(n)] for i in range(n)])
+
+
+def test_split_diag_sub_matches_dense_kernel():
+    """Block lower-triangular inputs built from fewer diagonal parts than
+    inputs, so their diagonal projections are dependent: split_diag_sub
+    gives the dense construction's bases, matrix for matrix."""
+    rng = random.Random(306)
+    n_sub = 0
+    for _ in range(40):
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        n = d1 + d2
+        diag_parts = [rand_block_part(rng, n, d1, True) for _ in range(rng.randint(1, 3))]
+        mats, rank = [], 0
+        for _ in range(rng.randint(2, 6)):
+            m = rand_block_part(rng, n, d1, False)
+            for d in diag_parts:
+                m = m + d.scale(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+            if len(rref([x.flatten() for x in mats + [m]])[1]) > rank:
+                mats.append(m)  # the inputs stay independent
+                rank += 1
+        got = split_diag_sub(mats, d1)
+        assert got == dense_split_diag_sub(mats, d1)
+        n_sub += len(got[1])
+    assert n_sub > 20
 
 
 def test_split_diag_sub_rejects_upper_entries():

@@ -12,15 +12,15 @@ from varred.matrices import (
     SpanQQ,
     charpoly,
     comm,
-    coordinates_in_span,
     lincomb,
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
-    rref,
 )
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
+
+from dense_oracle import coordinates_in_span, dense_nullspace, det, rref
 
 
 def rand_const(rng, n, m=None, lo=-5, hi=5):
@@ -371,12 +371,40 @@ def test_coordinates_in_span_outside():
     assert coordinates_in_span(e22, [e11]) is None
 
 
-def test_nullspace_vectors_annihilate():
-    rng = random.Random(205)
+def nullspace_cases(rng):
+    """Random integer matrices, then the zero matrix, 0-row matrices,
+    full-rank, rank-deficient and mixed-denominator ones."""
     for _ in range(60):
         n = rng.randint(2, 5)
-        m = rand_const(rng, rng.randint(1, 5), n)
-        basis = nullspace([list(r) for r in m.data], n)
+        yield rand_const(rng, rng.randint(1, 5), n)
+    for n in (1, 3, 6):
+        yield ConstMat.zeros(rng.randint(1, 4), n)
+        yield ConstMat.zeros(0, n)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        while True:
+            m = rand_const(rng, n)
+            if not dense_nullspace(m.data, n):
+                break
+        yield m  # full rank: trivial kernel
+        rows = [list(r) for r in rand_const(rng, rng.randint(0, n - 1), n).data]
+        for _ in range(rng.randint(1, 3)):
+            c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+            rows.insert(rng.randrange(len(rows) + 1),
+                        [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(n)])
+        yield ConstMat(rows)  # rank < n, and some rows are combinations of others
+        yield ConstMat([[rand_sparse_entry(rng) if rng.random() < 0.6 else Fraction(0)
+                         for _ in range(n)] for _ in range(rng.randint(1, 6))])
+
+
+def test_nullspace_vectors_annihilate():
+    """nullspace(m) is the dense rref's canonical kernel basis, vector for
+    vector, and a basis of the kernel."""
+    rng = random.Random(205)
+    for m in nullspace_cases(rng):
+        n = m.cols
+        basis = nullspace(m)
+        assert basis == dense_nullspace([list(r) for r in m.data], n)
         span = SpanQQ(n)
         for v in basis:
             assert all(sum(row[j] * v[j] for j in range(n)) == 0
@@ -397,13 +425,13 @@ def test_ratmat_inverse_and_det():
         try:
             inv = a.inverse()
         except ValueError:
-            assert a.det().is_zero
+            assert det(a).is_zero
             continue
         n = a.rows
         ident = RatMat.identity(n)
         assert a * inv == ident
         assert inv * a == ident
-        assert not a.det().is_zero
+        assert not det(a).is_zero
         done += 1
 
 
@@ -461,7 +489,7 @@ def test_nilpotent_jordan_chains_random_block_shapes():
             g = ConstMat(g)
             lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
                              for row in g.data])
-            if not lifted.det().is_zero:
+            if not det(lifted).is_zero:
                 break
         ginv = lifted.inverse().to_const()
         hidden = g * m * ginv

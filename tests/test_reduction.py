@@ -22,7 +22,7 @@ from varred.expr import poly_to_text
 from varred.fileformats import parse_report, parse_system, render_report
 from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge, sym_power_algebra
 from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
-from varred.matrices import ConstMat, RatMat, comm, coordinates_in_span
+from varred.matrices import ConstMat, RatMat, comm
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
@@ -38,6 +38,8 @@ from varred.reduction import (
     remove_generator,
 )
 from varred.varequations import BlockSystem
+
+from dense_oracle import coordinates_in_span
 
 
 def rf(text):
@@ -208,6 +210,7 @@ def two_block_system(rng, solvable):
             den = Poly([Fraction(rng.randint(1, 3)), Fraction(1)])
             h.data[i][j] = RatFun(num, den)
     eye = RatMat.identity(n)
+    assert (eye + h) * (eye - h) == eye  # h*h = 0: h is strictly subdiagonal
     return apply_gauge(a, GaugeMatrix(eye + h, eye - h)), d1
 
 
@@ -255,7 +258,7 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
         # a block-diagonal gauge q in front, as the diagonal assembly puts it
         q = block_diag_gauge([unit_lower_gauge(rng, d1),
                               unit_lower_gauge(rng, a0.rows - d1)])
-        initial = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p, check=False))
+        initial = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p))
         report = reduce_subdiagonal(
             BlockSystem(1, a0, [d1, a0.rows - d1]),
             pre_steps=[ReductionStep(kind="diagonal-assembly", gauge=q)],
@@ -330,7 +333,7 @@ def test_assembly_matches_the_whole_matrix_gauge_on_block_systems():
         p1 = unit_lower_gauge(rng, 2)
         b = rand_ratfun(rng, deg=2).scale(Fraction(rng.randint(1, 3)))
         hidden = RatMat([[b, rf("0")], [rand_ratfun(rng) + rf("x"), b]])
-        a1 = apply_gauge(hidden, GaugeMatrix(p1.p_inv, p1.p, check=False))
+        a1 = apply_gauge(hidden, GaugeMatrix(p1.p_inv, p1.p))
         lower = reduce_block_systems([BlockSystem(1, a1, [1, 1])], p1)
         assert lower[0].assembled_matrix == hidden != lower[0].final_matrix
         a = RatMat.zeros(5, 5)

@@ -1,6 +1,7 @@
 """Hamiltonian fields, particular curves, and variational system assembly."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,33 @@ def test_mpoly_ring_identities():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert (a - a).is_zero
+
+
+def test_powers_equal_repeated_multiplication():
+    """base**k == base * ... * base (k factors) for k = 0..9, for Poly and
+    MPoly bases, the zero polynomial among them."""
+    rng = random.Random(509)
+    cases = [(Poly([]), Poly([1]))]
+    for _ in range(4):
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 4))]
+        cases.append((Poly(coeffs), Poly([1])))
+        cases.append((rand_mpoly(rng, 4), MPoly.const(4, Fraction(1))))
+    for base, one in cases:
+        acc = one
+        for k in range(10):
+            assert base**k == acc
+            acc = acc * base
+
+
+def test_mpoly_power_squares_only_while_bits_remain():
+    """An 8th power of a 5-term linear form takes three squarings, not a
+    fourth whose result is thrown away: the parse ends within 0.5 s (over
+    2 s when the 16th power was also formed)."""
+    t0 = time.perf_counter()
+    p = parse_mpoly("(q1 + 2*q2 + 3*p1 + p2 + 1)^8", canonical_names(2))
+    assert time.perf_counter() - t0 < 0.5
+    assert len(p.terms) == 495  # every monomial of degree <= 8 in 4 variables
 
 
 def test_hamiltonian_vector_field_canonical_shape():
