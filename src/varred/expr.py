@@ -2,8 +2,10 @@
 
 The accepted grammar is deliberately small: integer literals, symbol names,
 binary + - * /, unary -, ^ with a nonnegative integer literal exponent, and
-parentheses.  Literals have at most MAX_DIGITS digits and exponents are at
-most MAX_EXPONENT, so that a short input cannot make a huge power.  The
+parentheses.  Literals have at most MAX_DIGITS digits, exponents are at
+most MAX_EXPONENT, and a power is refused before it is expanded when its
+value's `power_size` bound is above MAX_POWER_TERMS, so that a short input
+cannot make a huge power.  The
 parser evaluates on the fly through a resolver callback, so the same grammar
 serves rational functions in one variable and multivariate Hamiltonian
 polynomials.
@@ -18,6 +20,11 @@ from typing import Callable, NamedTuple
 MAX_DIGITS = 1000
 # Largest exponent literal; the bundled files use at most 12.
 MAX_EXPONENT = 100
+# Most terms a power may have once expanded, by the bound that the base's
+# power_size gives (for a rational function: the coefficients of its
+# numerator or denominator).  The bundled and benchmark inputs stay below 20;
+# (q1 + 2*q2 + 3*p1 + p2 + 1)^20 would have 10626.
+MAX_POWER_TERMS = 2000
 
 
 class ExprError(ValueError):
@@ -130,6 +137,11 @@ class _Parser:
             k = int(e.text)
             if k > MAX_EXPONENT:
                 raise ExprError(f"exponent {k} is above the limit of {MAX_EXPONENT}", e.pos)
+            size = v.power_size(k)
+            if size > MAX_POWER_TERMS:
+                raise ExprError(
+                    f"power with up to {size} terms is above the limit of "
+                    f"{MAX_POWER_TERMS} terms", e.pos)
             v = v ** k
         return v
 

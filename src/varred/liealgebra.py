@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import QQ, QQ0, QQ1
-from .poly import Poly, poly_lcm
-from .ratfun import RatFun
+from .poly import Poly
+from .ratfun import RatFun, common_denominator
 from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb
 from .errors import PreconditionFailure, check_deadline
 
@@ -55,7 +55,7 @@ def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
     out = RatMat.zeros(rows, cols)
     if not by_entry:
         return out
-    den, nums = _common_denominator([f for f, _ in terms])
+    den, nums = common_denominator([f for f, _ in terms])
     for (i, j), parts in by_entry.items():
         if len(parts) == 1:
             k, c = parts[0]
@@ -68,19 +68,10 @@ def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
     return out
 
 
-def _common_denominator(funcs):
-    """(den, nums): the monic lcm of the denominators of nonzero funcs and
-    their numerators over it."""
-    den = Poly.const(QQ1)
-    for f in funcs:
-        den = poly_lcm(den, f.den)
-    return den, [f.num * den.exact_div(f.den) for f in funcs]
-
-
 def numerator_vectors(funcs):
     """(den, vectors): the monic lcm of the denominators of nonzero funcs and
     the coefficient vectors, all of one length, of their numerators over it."""
-    den, nums = _common_denominator(funcs)
+    den, nums = common_denominator(funcs)
     length = max(p.degree for p in nums) + 1
     return den, [list(p.coeffs) + [QQ0] * (length - len(p.coeffs)) for p in nums]
 

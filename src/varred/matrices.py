@@ -11,7 +11,10 @@ Gauss elimination over Q in the package, runs on the same ints by
 cross-multiplication; nullspace reads its basis off one.  Row reduction
 keeps the leftmost-nonzero pivot rule so every result is deterministic.
 Rational-function matrices (RatMat) are dense lists of RatFun, and products
-skip zero entries, since the block systems and their gauges are sparse.
+skip zero entries, since the block systems and their gauges are sparse.  A
+product normalizes once per nonzero output entry, not once per term: an
+entry with one term is a RatFun product, and one with more is summed as
+polynomials over the lcms of the denominators of its row and its column.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from math import gcd as _igcd, lcm as _ilcm
 
 from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, factor_irreducible
-from .ratfun import RatFun
+from .ratfun import RatFun, common_denominator
 from .errors import UnsupportedRegime
 
 
@@ -487,18 +490,43 @@ class RatMat:
         return RatMat([[a * f if not a.is_zero else _RF_ZERO for a in row] for row in self.data])
 
     def __mul__(self, other):
+        """The product, normalized once per nonzero output entry.
+
+        An entry with one term a_ik * b_kj is that RatFun product.  An entry
+        with more is summed as polynomials over d_i * e_j, where d_i is the
+        lcm of the denominators of the a_ik in such entries of row i and e_j
+        that of column j of other, and normalized once.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        bcols = [[j for j, b in enumerate(brow) if b] for brow in other.data]
+        columns = {}  # j -> (e_j, {k: b_kj over e_j}), built on first use
         out = [[_RF_ZERO] * other.cols for _ in range(self.rows)]
         for i, arow in enumerate(self.data):
+            meet = {}  # j -> the k with a_ik * b_kj != 0
+            for k, a in enumerate(arow):
+                if a:
+                    for j in bcols[k]:
+                        meet.setdefault(j, []).append(k)
             orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik.is_zero:
+            shared = sorted({k for ks in meet.values() if len(ks) > 1 for k in ks})
+            if shared:
+                d, anums = common_denominator([arow[k] for k in shared])
+                anums = dict(zip(shared, anums))
+            for j, ks in meet.items():
+                if len(ks) == 1:
+                    orow[j] = arow[ks[0]] * other.data[ks[0]][j]
                     continue
-                brow = other.data[k]
-                for j, bkj in enumerate(brow):
-                    if not bkj.is_zero:
-                        orow[j] = orow[j] + aik * bkj
+                if j not in columns:
+                    col = [(k, brow[j]) for k, brow in enumerate(other.data) if brow[j]]
+                    e, nums = common_denominator([b for _, b in col])
+                    columns[j] = e, {k: num for (k, _), num in zip(col, nums)}
+                e, bnums = columns[j]
+                s = Poly()
+                for k in ks:
+                    s = s + anums[k] * bnums[k]
+                if s:
+                    orow[j] = RatFun(s, e if d.is_one else d if e.is_one else d * e)
         m = object.__new__(RatMat)
         m.rows, m.cols = self.rows, other.cols
         m.data = out

@@ -473,7 +473,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
         return _ZERO
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    return (a * b.exact_div(poly_gcd(a, b))).monic()
 
 
 def poly_xgcd(a: Poly, b: Poly):

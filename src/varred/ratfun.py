@@ -16,6 +16,7 @@ from .poly import (
     Poly,
     factor_irreducible,
     poly_gcd,
+    poly_lcm,
     poly_xgcd,
     squarefree_decomposition,
 )
@@ -190,6 +191,10 @@ class RatFun:
             return _ZERO
         return RatFun._raw(self.num**n, self.den**n)
 
+    def power_size(self, n: int) -> int:
+        """The most coefficients the numerator or denominator of self**n has."""
+        return n * max(self.num.degree or 0, self.den.degree) + 1
+
     def derivative(self) -> "RatFun":
         n, d = self.num, self.den
         if d.is_one:
@@ -228,6 +233,23 @@ class RatFun:
 
 
 _ZERO = RatFun._raw(Poly(), _ONE)
+
+
+def common_denominator(funcs):
+    """(den, nums): the monic lcm of the denominators of funcs and their
+    numerators over it.
+
+    Each distinct denominator is visited once, highest degree first, and
+    one that already divides the running lcm costs a division, not an lcm.
+    """
+    quots = dict.fromkeys(f.den for f in funcs)
+    den = _ONE
+    for d in sorted(quots, key=lambda d: -d.degree):
+        if den.degree < d.degree or not (den % d).is_zero:
+            den = poly_lcm(den, d)
+    for d in quots:
+        quots[d] = _ONE if d == den else den.exact_div(d)
+    return den, [f.num if quots[f.den].is_one else f.num * quots[f.den] for f in funcs]
 
 
 def parse_ratfun(text: str, var: str = "x") -> RatFun:

@@ -584,6 +584,18 @@ def _check_monogenous(mats, d1: int, deadline=None) -> None:
             )
 
 
+def _check_known_diagonal(m: int, lower, deadline=None) -> None:
+    """_check_monogenous on the diagonal of the order-m assembled matrix.
+
+    That diagonal is diag(sym^m(p1[A1]), final_(m-1)) (see reduce_diagonal),
+    known from the reports of the lower orders, so a wide diagonal algebra
+    is refused before any product of the order-m assembly.
+    """
+    diag = [sym_power_algebra(lower[0].assembled_matrix, m), lower[-1].final_matrix]
+    wn = wei_norman(assemble_block_diag(diag), deadline)
+    _check_monogenous(wn.matrices(), diag[0].rows, deadline)
+
+
 def _letters_independent(tower) -> bool:
     """True when the depth-1 integrands of the tower are Q-linearly independent.
 
@@ -814,7 +826,8 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     """Reduce a nested family of block systems, given lowest order first.
 
     p1 reduces the first-order system; higher orders are assembled from it
-    and from the reports of the lower orders.  Returns one ReductionReport
+    and from the reports of the lower orders, once the diagonal that those
+    reports give has passed the monogenous check.  Returns one ReductionReport
     per order, lowest first.  Regime and timeout errors are raised again
     with "order m: " in front; a NaN max_seconds raises PreconditionFailure.
     """
@@ -828,6 +841,8 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     for bs in systems:
         try:
             check_deadline(deadline)
+            if reports:
+                _check_known_diagonal(bs.order, reports, deadline)
             partial, step = reduce_diagonal(bs, p1, reports, deadline)
             report = reduce_subdiagonal(
                 partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline

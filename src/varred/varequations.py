@@ -146,6 +146,15 @@ class MPoly:
                 b = b * b
         return r
 
+    def power_size(self, n: int) -> int:
+        """A bound on the number of terms of self**n: the monomials of degree
+        n in the terms of self, and those of its degree in the variables."""
+        if not self.terms:
+            return 1
+        degree = max(sum(e) for e in self.terms)
+        return min(math.comb(len(self.terms) + n - 1, n),
+                   math.comb(self.n_vars + n * degree, self.n_vars))
+
     def __truediv__(self, other):
         if isinstance(other, MPoly):
             if not other.is_constant():

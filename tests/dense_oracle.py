@@ -4,7 +4,9 @@ Plain Gauss-Jordan elimination on dense lists of Fraction (and of RatFun
 for the determinant), written for clarity, not speed.  The package runs
 every elimination over Q through the sparse, fraction-free SpanQQ; these
 functions compute the same things independently of it, so the tests can
-compare the two.
+compare the two.  Likewise entrywise_mul multiplies rational matrices term
+by term in RatFun arithmetic, where the package works over row and column
+common denominators.
 """
 
 from varred.matrices import ConstMat, RatMat
@@ -115,3 +117,25 @@ def det(m: RatMat) -> RatFun:
                     if not pr[j].is_zero:
                         row[j] = row[j] - f * pr[j]
     return out if sign > 0 else -out
+
+
+def entrywise_mul(a: RatMat, b: RatMat) -> RatMat:
+    """a * b summed term by term: one RatFun product and one RatFun sum,
+    each normalized on its own, per pair of nonzero entries."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    out = [[_RF_ZERO] * b.cols for _ in range(a.rows)]
+    for i, arow in enumerate(a.data):
+        orow = out[i]
+        for k, aik in enumerate(arow):
+            if aik.is_zero:
+                continue
+            for j, bkj in enumerate(b.data[k]):
+                if not bkj.is_zero:
+                    orow[j] = orow[j] + aik * bkj
+    return RatMat(out)
+
+
+def entrywise_gauge(a: RatMat, p) -> RatMat:
+    """P[a] = P^(-1) (a P - P') with entrywise_mul for both products."""
+    return entrywise_mul(p.p_inv, entrywise_mul(a, p.p) - p.p.derivative())

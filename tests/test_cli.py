@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from varred import fixtures
+from varred import fixtures, reduction
 from varred.cli import main
 from varred.errors import FileFormatError
-from varred.expr import MAX_DIGITS, MAX_EXPONENT
+from varred.expr import MAX_DIGITS, MAX_EXPONENT, MAX_POWER_TERMS
 from varred.fileformats import (
     SystemFile,
     parse_hamiltonian,
@@ -23,7 +23,7 @@ from varred.liealgebra import lie_closure, wei_norman
 from varred.matrices import RatMat
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
-from varred.varequations import MAX_SYSTEM_SIZE
+from varred.varequations import MAX_SYSTEM_SIZE, parse_mpoly
 
 
 def rf(text):
@@ -216,6 +216,27 @@ def test_huge_exponents_are_refused_quickly(tmp_path, capsys):
         assert "is above the limit of %d" % MAX_EXPONENT in capsys.readouterr().err
 
 
+def test_huge_powers_are_refused_before_expansion(tmp_path, capsys):
+    # both pass the exponent limit; the first would build 10626 terms (4.7 s
+    # on a 2-CPU Xeon), the second a degree-4000 numerator and denominator
+    text = fixtures.fixture_text("henon-heiles").replace(
+        "hamiltonian = ", "hamiltonian = (q1 + 2*q2 + 3*p1 + p2 + 1)^20 + ")
+    ham = write(tmp_path / "power.ham", text)
+    sys1 = write(tmp_path / "power.sys", "format = system v1\nvariable = x\n"
+                 "size = 1\nentry 1 1 = ((x^2 + 1)^50)^40\n")
+    for args, size in ((["build-lve", ham, "--order", "1", "--out", str(tmp_path / "o")], 10626),
+                       (["lie", sys1], 4001)):
+        t0 = time.monotonic()
+        assert main(args) == 2
+        assert time.monotonic() - t0 < 0.5
+        err = capsys.readouterr().err
+        assert "power with up to %d terms is above the limit of %d terms" % (
+            size, MAX_POWER_TERMS) in err
+    # a smaller power of the same base is expanded as before
+    names = ["q1", "q2", "p1", "p2"]
+    assert len(parse_mpoly("(q1 + 2*q2 + 3*p1 + p2 + 1)^4", names).terms) == 70
+
+
 def test_oversized_systems_are_refused_before_allocation(tmp_path, capsys):
     # a declared size and a build-lve order above MAX_SYSTEM_SIZE are refused
     # before any matrix is made: within 2 seconds and 5 MB of traced
@@ -269,14 +290,31 @@ def test_exit_code_for_unsupported_regime(tmp_path, capsys):
     assert "not monogenous" in err
 
 
-def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys):
+def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys, monkeypatch):
     # the diagonal algebra of LVE^4 has dimension 5, so order 4 is outside
-    # the monogenous regime; as a command the refusal took 5.1 to 5.5
+    # the monogenous regime; as a command the refusal took 2.0 to 2.4
     # seconds on a 2-CPU Xeon with Python 3.11, and the bound leaves room
-    # for a loaded machine
+    # for a loaded machine.  The diagonal is known before the order-4
+    # products, so the refusal comes before any: every rational matrix
+    # product is counted against the number of orders finished so far.
     ham = write(tmp_path / "hh.ham", fixtures.fixture_text("henon-heiles"))
     out_dir = tmp_path / "lve"
     assert main(["build-lve", ham, "--order", "4", "--out", str(out_dir)]) == 0
+    finished, products = [], []
+    reduce_subdiagonal = reduction.reduce_subdiagonal
+    mul = RatMat.__mul__
+
+    def counted_reduce(*args, **kwargs):
+        report = reduce_subdiagonal(*args, **kwargs)
+        finished.append(report.order)
+        return report
+
+    def counted_mul(a, b):
+        products.append(len(finished))
+        return mul(a, b)
+
+    monkeypatch.setattr(reduction, "reduce_subdiagonal", counted_reduce)
+    monkeypatch.setattr(RatMat, "__mul__", counted_mul)
     t0 = time.monotonic()
     rc = main(["reduce", str(out_dir / "lve_order_4.sys"), "--p1-fixture", "henon-heiles"])
     elapsed = time.monotonic() - t0
@@ -285,6 +323,8 @@ def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys):
     assert "order 4" in err
     assert "not monogenous (dimension 5)" in err
     assert elapsed < 60.0
+    assert finished == [1, 2, 3]
+    assert products and products.count(3) == 0
 
 
 def test_exit_code_for_timeout(tmp_path, capsys):

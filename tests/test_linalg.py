@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from varred.gauge import GaugeMatrix, apply_gauge
 from varred.matrices import (
     ConstMat,
     RatMat,
@@ -20,7 +21,14 @@ from varred.matrices import (
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
 
-from dense_oracle import coordinates_in_span, dense_nullspace, det, rref
+from dense_oracle import (
+    coordinates_in_span,
+    dense_nullspace,
+    det,
+    entrywise_gauge,
+    entrywise_mul,
+    rref,
+)
 
 
 def rand_const(rng, n, m=None, lo=-5, hi=5):
@@ -432,6 +440,88 @@ def test_ratmat_inverse_and_det():
         assert a * inv == ident
         assert inv * a == ident
         assert not det(a).is_zero
+        done += 1
+
+
+# pole factors of the product tests: x and x^2 + 1 as in Henon-Heiles,
+# x - 3 and 2x + 5 as in the synth-chains systems
+POLE_FACTORS = [Poly([0, 1]), Poly([1, 0, 1]), Poly([-3, 1]), Poly([5, 2])]
+
+
+def pole_entry(rng, constant=False):
+    """A random entry: zero, a constant, or (unless constant) a polynomial
+    or a quotient with a product of powers of the pole factors below."""
+    kind = rng.choice(("zero", "zero", "const") if constant
+                      else ("zero", "zero", "const", "poly", "pole", "pole", "pole"))
+    if kind == "zero":
+        return RatFun.const(0)
+    if kind == "const":
+        return RatFun.const(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)))
+    num = Poly([Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))] + [Fraction(rng.randint(1, 5))])
+    if kind == "poly":
+        return RatFun(num)
+    den = Poly([1])
+    for q in rng.sample(POLE_FACTORS, rng.randint(1, 3)):
+        den = den * q ** rng.randint(1, 3)
+    return RatFun(num, den)
+
+
+def pole_matrix(rng, rows, cols, constant=False):
+    return RatMat([[pole_entry(rng, constant) for _ in range(cols)] for _ in range(rows)])
+
+
+def product_cases(rng, count):
+    """(a, b) pairs: mixed shapes down to 1x1, zero rows of a and zero
+    columns of b, constant-only operands and all-zero ones."""
+    for case in range(count):
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        if case % 10 == 0:
+            r = k = c = 1
+        constant = case % 7 == 3
+        a = pole_matrix(rng, r, k, constant)
+        b = pole_matrix(rng, k, c, constant and case % 2 == 1)
+        if case % 3 == 0:
+            a.data[rng.randrange(r)] = [RatFun.const(0)] * k
+        if case % 4 == 0:
+            j = rng.randrange(c)
+            for row in b.data:
+                row[j] = RatFun.const(0)
+        if case % 25 == 24:
+            b = RatMat.zeros(k, c)
+        yield a, b
+
+
+def test_ratmat_product_matches_entrywise_oracle():
+    rng = random.Random(1301)
+    for a, b in product_cases(rng, 300):
+        out = a * b
+        assert (out.rows, out.cols) == (a.rows, b.cols)
+        assert out == entrywise_mul(a, b)
+    # a zero row of a stays zero even where b is dense, and back
+    a = pole_matrix(rng, 3, 3)
+    a.data[1] = [RatFun.const(0)] * 3
+    b = RatMat([[RatFun(Poly([1, 1]), POLE_FACTORS[k]) for k in range(3)]] * 3)
+    assert all(e.is_zero for e in (a * b).data[1])
+    assert a * b == entrywise_mul(a, b)
+    for shape_a, shape_b in (((2, 3), (2, 3)), ((1, 2), (1, 2)), ((3, 1), (2, 1))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            pole_matrix(rng, *shape_a) * pole_matrix(rng, *shape_b)
+
+
+def test_apply_gauge_matches_entrywise_oracle():
+    rng = random.Random(1302)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 3)
+        p = pole_matrix(rng, n, n)
+        try:
+            gauge = GaugeMatrix.from_p(p)
+        except ValueError:
+            continue  # singular: draw again
+        assert entrywise_mul(p, gauge.p_inv) == RatMat.identity(n)
+        a = pole_matrix(rng, n, n)
+        assert apply_gauge(a, gauge) == entrywise_gauge(a, gauge)
         done += 1
 
 
