@@ -3,9 +3,9 @@
 The accepted grammar is deliberately small: integer literals, symbol names,
 binary + - * /, unary -, ^ with a nonnegative integer literal exponent, and
 parentheses.  Literals have at most MAX_DIGITS digits, exponents are at
-most MAX_EXPONENT, and a power is refused before it is expanded when its
-value's `power_size` bound is above MAX_POWER_TERMS, so that a short input
-cannot make a huge power.  The
+most MAX_EXPONENT, and a power or a product is refused before it is
+expanded when the `power_size` or `product_size` bound of its operands is
+above MAX_POWER_TERMS, so that a short input cannot make a huge value.  The
 parser evaluates on the fly through a resolver callback, so the same grammar
 serves rational functions in one variable and multivariate Hamiltonian
 polynomials.
@@ -20,10 +20,11 @@ from typing import Callable, NamedTuple
 MAX_DIGITS = 1000
 # Largest exponent literal; the bundled files use at most 12.
 MAX_EXPONENT = 100
-# Most terms a power may have once expanded, by the bound that the base's
-# power_size gives (for a rational function: the coefficients of its
-# numerator or denominator).  The bundled and benchmark inputs stay below 20;
-# (q1 + 2*q2 + 3*p1 + p2 + 1)^20 would have 10626.
+# Most terms a power or a product may have once expanded, by the bound that
+# power_size or product_size gives (for a rational function: the coefficients
+# of its numerator or denominator).  The bundled and benchmark inputs stay
+# below 20; (q1 + 2*q2 + 3*p1 + p2 + 1)^20 would have 10626 terms, and so
+# would the product of 20 such factors.
 MAX_POWER_TERMS = 2000
 
 
@@ -33,6 +34,12 @@ class ExprError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+def _check_size(what: str, size: int, pos: int) -> None:
+    if size > MAX_POWER_TERMS:
+        raise ExprError(f"{what} with up to {size} terms is above the limit of "
+                        f"{MAX_POWER_TERMS} terms", pos)
 
 
 class Token(NamedTuple):
@@ -112,6 +119,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next()
             rhs = self.factor()
+            _check_size("product", v.product_size(rhs), op.pos)
             if op.text == "*":
                 v = v * rhs
             else:
@@ -137,11 +145,7 @@ class _Parser:
             k = int(e.text)
             if k > MAX_EXPONENT:
                 raise ExprError(f"exponent {k} is above the limit of {MAX_EXPONENT}", e.pos)
-            size = v.power_size(k)
-            if size > MAX_POWER_TERMS:
-                raise ExprError(
-                    f"power with up to {size} terms is above the limit of "
-                    f"{MAX_POWER_TERMS} terms", e.pos)
+            _check_size("power", v.power_size(k), e.pos)
             v = v ** k
         return v
 

@@ -10,6 +10,13 @@ The gcd runs on the primitive integer numerators, modular with a
 subresultant polynomial remainder sequence as fallback, which keeps
 intermediate coefficients from exploding; everything user-facing is monic
 over Q.
+
+factor_irreducible splits squarefree parts by Yun's algorithm and leaves
+their irreducible split to sympy.  A FactorBase answers the same question
+by trial division over the irreducible factors it has met (the idea of
+factor refinement, Bach, Driscoll and Shallit, J. Algorithms 15, 1993),
+and factors in full only the cofactor that is left; a computation whose
+denominators share a few poles, such as one reduction, keeps one base.
 """
 from __future__ import annotations
 
@@ -550,3 +557,41 @@ def factor_irreducible(p: Poly):
             factors[f] = factors.get(f, 0) + mult
     ordered = sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return p.lc, ordered
+
+
+class FactorBase:
+    """The monic irreducible factors met so far, to factor by trial division.
+
+    factor(p) returns what factor_irreducible(p) returns.  p.monic() is
+    divided by each factor held, as often as it goes exactly, and only a
+    nonconstant cofactor that is left goes to factor_irreducible; its factors
+    join the base.  Factorization over Q is unique, so the result does not
+    depend on what the base holds.  One base serves one computation whose
+    denominators share their poles, such as one reduction.
+    """
+
+    def __init__(self):
+        self._factors = []  # ascending degree
+
+    def factor(self, p: Poly):
+        if p.is_zero:
+            raise ValueError("cannot factor the zero polynomial")
+        rest = p.monic()
+        found = []
+        for q in self._factors:
+            if q.degree > rest.degree:
+                break
+            k = 0
+            quo, r = rest.divmod(q)
+            while r.is_zero:
+                rest, k = quo, k + 1
+                quo, r = rest.divmod(q)
+            if k:
+                found.append((q, k))
+        if not rest.is_constant:
+            new = factor_irreducible(rest)[1]
+            found.extend(new)
+            self._factors.extend(q for q, _ in new)
+            self._factors.sort(key=lambda q: q.degree)
+        found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        return p.lc, found

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .rationals import QQ, QQ0, QQ1, is_integer
 from .poly import (
+    FactorBase,
     Poly,
     factor_irreducible,
     poly_gcd,
@@ -194,6 +195,12 @@ class RatFun:
     def power_size(self, n: int) -> int:
         """The most coefficients the numerator or denominator of self**n has."""
         return n * max(self.num.degree or 0, self.den.degree) + 1
+
+    def product_size(self, other) -> int:
+        """The most coefficients the numerator or denominator of self*other
+        or self/other has."""
+        return (max(self.num.degree or 0, self.den.degree)
+                + max(other.num.degree or 0, other.den.degree) + 1)
 
     def derivative(self) -> "RatFun":
         n, d = self.num, self.den
@@ -416,7 +423,7 @@ def _pole_order(den_factors, q):
     return 0
 
 
-def solve_first_order_rational(gamma: RatFun, beta: RatFun):
+def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | None = None):
     """A rational solution g of g' = gamma*g + beta, or None if none exists.
 
     Completeness: a denominator bound is assembled from the poles of gamma
@@ -427,15 +434,19 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
     it are the pivot unknowns and every other unknown is 0; the pivot
     unknowns are the coordinates of the rhs over them, and an rhs outside
     the span means no solution.  Any returned solution is verified by
-    substitution.
+    substitution.  The denominators are factored over poles, a
+    `poly.FactorBase` that the caller shares across the equations of one
+    computation; without one a fresh base is used.
     """
     if gamma.is_zero:
         split = hermite_split(beta)
         if split.l.is_zero:
             return split.r
         return None
-    _, gden_factors = factor_irreducible(gamma.den)
-    _, bden_factors = factor_irreducible(beta.den)
+    if poles is None:
+        poles = FactorBase()
+    _, gden_factors = poles.factor(gamma.den)
+    _, bden_factors = poles.factor(beta.den)
     qs = {q: m for q, m in bden_factors}
     for q, m in gden_factors:
         qs.setdefault(q, 0)

@@ -11,6 +11,12 @@ matrix exactly, which is checked once at the end of every reduction.
 What cannot be removed is kept honestly: Hermite residues with simple poles
 stay as coefficients of their generators, and they are what a later
 obstruction certificate points at.
+
+Every denominator one reduction factors (in the rational solves of the
+sweep, for the new poles of its residues and for the report's residual
+pole factors) is factored over one poly.FactorBase that the reduction
+creates and drops: its poles are a few factors met early, so trial
+division replaces a full factorization.
 """
 
 import math
@@ -54,7 +60,7 @@ from .matrices import (
     nullspace,
     rational_eigenvalues,
 )
-from .poly import factor_irreducible
+from .poly import FactorBase
 from .rationals import QQ0
 from .ratfun import (
     RatFun,
@@ -195,23 +201,23 @@ def _const_sub_projection(m: ConstMat, d1: int) -> ConstMat:
     return ConstMat.from_ints(m.rows, m.cols, num, m.den)
 
 
-def _new_pole_factors(l: RatFun, beta0: RatFun):
+def _new_pole_factors(l: RatFun, beta0: RatFun, poles: FactorBase):
     """Irreducible factors of den(l) that den(beta0) does not already carry."""
     if l is None or l.is_zero:
         return []
     base = beta0.den
     out = []
-    for q, _ in factor_irreducible(l.den)[1]:
+    for q, _ in poles.factor(l.den)[1]:
         if not (base % q).is_zero:
             out.append(q)
     return out
 
 
-def _pole_factor_set(funcs):
+def _pole_factor_set(funcs, poles: FactorBase):
     """Sorted irreducible denominator factors across a list of functions."""
     seen = []
     for f in funcs:
-        for q, _ in factor_irreducible(f.den)[1]:
+        for q, _ in poles.factor(f.den)[1]:
             if q not in seen:
                 seen.append(q)
     seen.sort(key=lambda p: (p.degree, p.coeffs))
@@ -287,6 +293,7 @@ def remove_generator(
     """
     if coords is None:
         coords = subframe.coords(wei_norman(_sub_projection(a, d1)))
+    poles = FactorBase()
     gen = subframe.basis[index]
     coeff = coords[index]
     if coeff.is_zero:
@@ -294,7 +301,7 @@ def remove_generator(
 
     if lam != QQ0:
         rate = beta0.scale(lam)
-        g = solve_first_order_rational(rate, coeff)
+        g = solve_first_order_rational(rate, coeff, poles)
         if g is None:
             step = ReductionStep(kind="unresolved", generator=gen, unsolved=(rate, coeff))
             return a, step, coords
@@ -313,7 +320,7 @@ def remove_generator(
                 kind=kind,
                 generator=gen,
                 residual_l=residual,
-                new_poles=_new_pole_factors(residual, beta0),
+                new_poles=_new_pole_factors(residual, beta0, poles),
             )
             return a, step, coords
 
@@ -333,7 +340,7 @@ def remove_generator(
         generator=gen,
         solved_g=g,
         residual_l=residual,
-        new_poles=_new_pole_factors(residual, beta0),
+        new_poles=_new_pole_factors(residual, beta0, poles),
     )
     return a2, step, coords2
 
@@ -413,7 +420,7 @@ def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int, deadline=Non
 # ---- the chain sweep -----------------------------------------------------------
 
 
-def _sweep_chains(chains, coords, beta0: RatFun, deadline):
+def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase, deadline):
     """Solve the elimination of every chain coefficient in one pass.
 
     chains holds (lam, matrices) pairs, kernel element first, with
@@ -422,7 +429,8 @@ def _sweep_chains(chains, coords, beta0: RatFun, deadline):
     the lower-left block, so Id + S with S = sum g_k C_k moves the
     coefficient of C_s to c_s + lam*beta0*g_s - g_s' with
     c_s = coords_s + beta0*g_(s+1), and nothing else.  Going down each
-    chain makes that one scalar equation per position.
+    chain makes that one scalar equation per position; their denominators
+    are factored over poles.
 
     Returns (g, left, steps): the gauge coefficients, the coefficients that
     stay, and the recorded steps in chain order.
@@ -443,7 +451,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, deadline):
                 continue
             if lam != QQ0:
                 rate = beta0.scale(lam)
-                sol = solve_first_order_rational(rate, c)
+                sol = solve_first_order_rational(rate, c, poles)
                 if sol is None:
                     step = ReductionStep(kind="unresolved", generator=mats[s], unsolved=(rate, c))
                 else:
@@ -458,7 +466,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, deadline):
                     generator=mats[s],
                     solved_g=None if split.r.is_zero else split.r,
                     residual_l=residual,
-                    new_poles=_new_pole_factors(residual, beta0),
+                    new_poles=_new_pole_factors(residual, beta0, poles),
                 )
             steps.append(step)
             above = g[k]
@@ -504,6 +512,7 @@ def reduce_subdiagonal(
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
+    poles = FactorBase()
     steps = list(pre_steps)
     gauges = [st.gauge for st in steps if st.gauge is not None]
     q = reduce(GaugeMatrix.compose, gauges or [GaugeMatrix.identity(n)])
@@ -515,7 +524,7 @@ def reduce_subdiagonal(
         coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
-        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, deadline)
+        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, poles, deadline)
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
@@ -553,7 +562,7 @@ def reduce_subdiagonal(
         diag_dim=len(diag_basis),
         sub_dim=len(sub_basis),
         jordan_block_sizes=jordan_sizes,
-        residual_pole_factors=_pole_factor_set(wn_final.functions()),
+        residual_pole_factors=_pole_factor_set(wn_final.functions(), poles),
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
@@ -829,7 +838,9 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     and from the reports of the lower orders, once the diagonal that those
     reports give has passed the monogenous check.  Returns one ReductionReport
     per order, lowest first.  Regime and timeout errors are raised again
-    with "order m: " in front; a NaN max_seconds raises PreconditionFailure.
+    with the order and the phase in front, "order m, diagonal check: ",
+    "order m, diagonal assembly: " or "order m, subdiagonal reduction: ";
+    a NaN max_seconds raises PreconditionFailure.
     """
     deadline = None
     if max_seconds is not None:
@@ -839,16 +850,19 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
         deadline = time.monotonic() + max_seconds
     reports = []
     for bs in systems:
+        phase = "diagonal check"
         try:
-            check_deadline(deadline)
             if reports:
+                check_deadline(deadline)
                 _check_known_diagonal(bs.order, reports, deadline)
+            phase = "diagonal assembly"
             partial, step = reduce_diagonal(bs, p1, reports, deadline)
+            phase = "subdiagonal reduction"
             report = reduce_subdiagonal(
                 partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
             )
         except (UnsupportedRegime, ReductionTimeout) as e:
-            raise type(e)("order %d: %s" % (bs.order, e)) from e
+            raise type(e)("order %d, %s: %s" % (bs.order, phase, e)) from e
         reports.append(report)
     return reports
 

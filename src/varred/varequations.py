@@ -155,6 +155,16 @@ class MPoly:
         return min(math.comb(len(self.terms) + n - 1, n),
                    math.comb(self.n_vars + n * degree, self.n_vars))
 
+    def product_size(self, other) -> int:
+        """A bound on the number of terms of self*other: the products of
+        their terms, and the monomials of their summed degree in the
+        variables."""
+        if not (self.terms and other.terms):
+            return 0
+        degree = max(sum(e) for e in self.terms) + max(sum(e) for e in other.terms)
+        return min(len(self.terms) * len(other.terms),
+                   math.comb(self.n_vars + degree, self.n_vars))
+
     def __truediv__(self, other):
         if isinstance(other, MPoly):
             if not other.is_constant():

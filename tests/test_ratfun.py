@@ -6,8 +6,10 @@ from math import gcd
 
 import pytest
 
+from varred import poly as poly_module
 from varred.poly import (
     _GCD_PRIMES,
+    FactorBase,
     Poly,
     factor_irreducible,
     poly_gcd,
@@ -248,6 +250,42 @@ def test_factor_irreducible_recombines_and_factors_are_prime():
         (1, 1), (1, 1), (2, 2)]
 
 
+def test_factor_base_matches_factor_irreducible(monkeypatch):
+    """One shared base against a fresh factorization of every input: seeded
+    products of x, x^2+1, x-3, 2x+5 and x^3-2 to powers 1-3, whose pool
+    grows so that some inputs are served by trial division alone and others
+    leave a new cofactor that refines the base."""
+    x = Poly.variable()
+    one = Poly([1])
+    pool = [x, x ** 2 + one, x - Poly([3]), x.scale(2) + Poly([5]), x ** 3 - Poly([2])]
+    refinements = []
+
+    def counted(p):
+        refinements.append(p)
+        return factor_irreducible(p)
+
+    monkeypatch.setattr(poly_module, "factor_irreducible", counted)
+    base = FactorBase()
+    rng = random.Random(1401)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        base.factor(Poly())
+    for c in (Fraction(-3, 4), Fraction(7)):
+        assert base.factor(Poly([c])) == factor_irreducible(Poly([c])) == (c, [])
+    for k in range(120):
+        avail = pool[: 2 + k // 30]
+        p = Poly([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))])
+        for q in rng.sample(avail, rng.randint(1, len(avail))):
+            p = p * q ** rng.randint(1, 3)
+        assert base.factor(p) == factor_irreducible(p)
+    # a held factor itself, then a new cofactor beside held factors
+    assert base.factor(x ** 2 + one) == factor_irreducible(x ** 2 + one)
+    p = (x + one) ** 2 * x * (x - Poly([3]))
+    n = len(refinements)
+    assert base.factor(p) == factor_irreducible(p)
+    assert refinements[n:] == [(x + one) ** 2]
+    assert 0 < len(refinements) < 30  # a quarter of the 120 products
+
+
 def test_ratfun_field_axioms_random():
     rng = random.Random(106)
     for _ in range(200):
@@ -374,6 +412,29 @@ def test_solve_first_order_rational_round_trip():
         assert diff.is_zero
         solved += 1
     assert solved >= 50
+
+
+def test_solve_first_order_rational_with_a_shared_pole_base():
+    """A base shared across equations gives what a fresh base gives, on
+    equations with a known rational solution and on random ones."""
+    rng = random.Random(1403)
+    x = Poly.variable()
+    one = Poly([1])
+    dens = [x, x ** 2 + one, x - Poly([3]), x.scale(2) + Poly([5])]
+    poles = FactorBase()
+    solved = 0
+    for _ in range(60):
+        beta0 = RatFun(Poly([rng.randint(1, 5)]), rng.choice(dens))
+        gamma = beta0.scale(rng.choice([1, 2, -1, 3]))
+        den = one
+        for q in rng.sample(dens, rng.randint(1, 3)):
+            den = den * q ** rng.randint(1, 3)
+        f = RatFun(rand_poly(rng, rng.randint(0, 4)), den)
+        beta = f.derivative() - gamma * f if rng.random() < 0.5 else f
+        got = solve_first_order_rational(gamma, beta, poles)
+        assert got == solve_first_order_rational(gamma, beta)
+        solved += got is not None
+    assert 0 < solved < 60
 
 
 def test_solve_first_order_rational_sets_free_unknowns_to_zero():
