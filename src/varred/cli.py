@@ -1,9 +1,9 @@
 """Command-line front end: build variational systems, reduce them, report.
 
 Exit codes: 0 on completion (whatever the mathematical verdict), 2 for
-malformed input files, 3 for violated preconditions, 4 for structurally
-valid input outside the implemented regime, 5 when the --max-minutes
-guard fires.
+malformed input files or an output file that cannot be written, 3 for
+violated preconditions, 4 for structurally valid input outside the
+implemented regime, 5 when the --max-minutes guard fires.
 """
 
 import argparse
@@ -38,8 +38,11 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise FileFormatError("cannot write %s: %s" % (path, e)) from None
 
 
 def cmd_build_lve(args) -> int:

@@ -56,9 +56,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts; not "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ExprError(f"integer literal longer than {MAX_DIGITS} digits", i)

@@ -177,14 +177,6 @@ class ConstMat:
                         orow[j] = orow.get(j, 0) + aik * bkj
         return ConstMat.from_ints(self.rows, other.cols, out, self.den * other.den)
 
-    def submatrix(self, r0, r1, c0, c1) -> "ConstMat":
-        num = {
-            i - r0: {j - c0: v for j, v in row.items() if c0 <= j < c1}
-            for i, row in self.num.items()
-            if r0 <= i < r1
-        }
-        return ConstMat.from_ints(r1 - r0, c1 - c0, num, self.den)
-
     def apply(self, vec):
         """Matrix times coordinate vector (list of QQ)."""
         w, den = _int_entries(enumerate(vec))
@@ -482,9 +474,6 @@ class RatMat:
         return RatMat(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
         )
-
-    def __neg__(self):
-        return RatMat([[-a for a in row] for row in self.data])
 
     def scale(self, f: RatFun) -> "RatMat":
         return RatMat([[a * f if not a.is_zero else _RF_ZERO for a in row] for row in self.data])

@@ -6,10 +6,11 @@ polynomial has no numerators and its degree is the ``None`` sentinel --
 code that needs a degree must handle the zero case explicitly instead of
 inheriting a -1 from somewhere.
 
-The gcd runs on the primitive integer numerators, modular with a
-subresultant polynomial remainder sequence as fallback, which keeps
-intermediate coefficients from exploding; everything user-facing is monic
-over Q.
+The gcd runs on the primitive integer numerators, modular over word-size
+primes (the table of the six largest below 2^30 first, then smaller ones
+found by Miller-Rabin) with CRT lifting until a candidate divides both
+inputs exactly (Brown, J. ACM 18, 1971), which keeps intermediate
+coefficients from exploding; everything user-facing is monic over Q.
 
 factor_irreducible splits squarefree parts by Yun's algorithm and leaves
 their irreducible split to sympy.  A FactorBase answers the same question
@@ -256,9 +257,6 @@ class Poly:
         den = s * da
         return _canon([v * db for v in q], den), _canon(r[:nb], den)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -307,30 +305,6 @@ _ONE = Poly._new((1,), 1)
 # ---- gcd machinery ------------------------------------------------------
 
 
-def _int_lc(a):
-    return a[-1]
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder lc(b)^(da-db+1)*a mod b on int lists (ascending).
-
-    Callers guarantee deg(a) >= deg(b) >= 1.
-    """
-    da, db = len(a) - 1, len(b) - 1
-    r = list(a)
-    lb = b[-1]
-    for k in range(da - db, -1, -1):
-        c = r[db + k]
-        for i in range(len(r)):
-            r[i] *= lb
-        for j in range(db + 1):
-            r[k + j] -= c * b[j]
-    n = len(r)
-    while n and r[n - 1] == 0:
-        n -= 1
-    return r[:n]
-
-
 def _int_primitive(a):
     g = _igcd(*a)
     if not g:
@@ -338,25 +312,6 @@ def _int_primitive(a):
     if a[-1] < 0:
         g = -g
     return [v // g for v in a]
-
-
-def _int_gcd_prs(a, b):
-    """Primitive gcd of primitive int lists via subresultant PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    g = h = 1
-    while True:
-        d = len(a) - len(b)
-        r = _int_prem(a, b)
-        if not r:
-            return _int_primitive(b)
-        if len(r) == 1:
-            return [1]
-        a, b = b, [v // (g * h**d) for v in r]
-        g = _int_lc(a)
-        h = g**d // h ** (d - 1) if d >= 1 else h
-        if len(b) == 1:
-            return [1]
 
 
 # Primes for the modular gcd: the six largest below 2^30, so every residue
@@ -372,14 +327,40 @@ _GCD_PRIMES = (
 )
 
 
+def _is_prime(n):
+    """Miller-Rabin for odd n > 2 with bases 2, 3, 5 and 7: exact below 3.2e9."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        if a == n:
+            return True
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _gcd_primes():
+    """The primes below 2^30 in descending order: the table, then the rest."""
+    yield from _GCD_PRIMES
+    for n in range(_GCD_PRIMES[-1] - 2, 2, -2):
+        if _is_prime(n):
+            yield n
+
+
 def _modp_gcd_monic(a, b, p):
-    """Monic gcd of two int lists in F_p[x] (both nonzero mod p)."""
+    """Monic gcd of two int lists in F_p[x]; p divides neither leading
+    coefficient."""
     fa = [v % p for v in a]
     fb = [v % p for v in b]
-    while fa and fa[-1] == 0:
-        fa.pop()
-    while fb and fb[-1] == 0:
-        fb.pop()
     while fb:
         # fa mod fb by synthetic division
         inv = pow(fb[-1], -1, p)
@@ -399,39 +380,40 @@ def _modp_gcd_monic(a, b, p):
 
 
 def _int_divides(h, a):
-    """Exact quotient a / h over Z[x] (both primitive), or None."""
+    """Whether h divides a over Z[x] (both primitive, deg h <= deg a)."""
     dh = len(h) - 1
-    da = len(a) - 1
-    if da < dh:
-        return None
     lead = h[-1]
     r = list(a)
-    q = [0] * (da - dh + 1)
-    for k in range(da - dh, -1, -1):
+    for k in range(len(a) - 1 - dh, -1, -1):
         c = r[dh + k]
         if c % lead:
-            return None
+            return False
         c //= lead
-        q[k] = c
         if c:
             for j in range(dh + 1):
                 r[k + j] -= c * h[j]
-    return q if not any(r) else None
+    return not any(r)
 
 
 def _int_gcd(a, b):
-    """Primitive gcd of primitive int lists, modular with PRS fallback.
+    """Primitive gcd of primitive int lists, modular over primes below 2^30.
 
-    One good prime settles coprimality for sure (the gcd cannot drop degree
-    mod p unless p divides a leading coefficient); nontrivial candidates are
-    lifted with balanced residues, CRT-combined across primes until stable,
-    and verified by exact division before being believed.
+    The primes come from `_gcd_primes`, the table first.  A prime that
+    divides a leading coefficient is skipped.  One image of degree 0
+    settles coprimality for sure (the gcd cannot drop degree mod p unless p
+    divides a leading coefficient).  Otherwise the images of least degree
+    (an image of larger degree comes from one of the finitely many unlucky
+    primes) are lifted with balanced residues and CRT-combined, and each
+    candidate is believed only once it divides both inputs exactly.  After
+    finitely many lucky primes the modulus exceeds twice lc_pair times the
+    coefficient bound and the lift is the gcd, so the loop returns long
+    before the 5.4e7 primes below 2^30 run out.
     """
     lc_pair = _igcd(a[-1], b[-1])
     best_deg = None
     residues = None  # balanced lift of lc_pair * monic gcd
     modulus = None
-    for p in _GCD_PRIMES:
+    for p in _gcd_primes():
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
         gp = _modp_gcd_monic(a, b, p)
@@ -457,12 +439,10 @@ def _int_gcd(a, b):
                 v = (r0 + (rp - r0) * inv % p * m) % mp
                 combined.append(v - mp if 2 * v > mp else v)
             residues, modulus = combined, mp
-        h = _int_primitive(residues)
-        if h and len(h) - 1 == best_deg:
-            qa = _int_divides(h, a)
-            if qa is not None and _int_divides(h, b) is not None:
-                return h
-    return _int_gcd_prs(a, b)
+        h = _int_primitive(residues)  # p divides no lc: degree best_deg
+        if _int_divides(h, a) and _int_divides(h, b):
+            return h
+    raise ArithmeticError("gcd needs more primes than lie below 2^30")
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -492,8 +492,6 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | 
     delta = max(candidates)
     w = den_bound
     udeg = delta + (w.degree or 0)
-    if udeg < 0:
-        return None
     # (u'w - u w') * Gd * Bd = Gn * u * w * Bd + Bn * Gd * w^2, linear in u
     gn, gd = gamma.num, gamma.den
     bn, bd = beta.num, beta.den

@@ -84,6 +84,9 @@ def test_system_file_rejections():
          "exponent %d is above the limit of %d" % (MAX_EXPONENT + 1, MAX_EXPONENT)),
         (good + "entry 1 1 = %s\n" % ("7" * (MAX_DIGITS + 1)),
          "longer than %d digits" % MAX_DIGITS),
+        # superscripts pass str.isdigit() but not int()
+        (good + "entry 1 1 = 2\u00b2\n", "unexpected character '\u00b2'"),
+        (good + "entry 1 1 = x^\u00b2\n", "unexpected character '\u00b2'"),
     ]
     for text, snippet in cases:
         with pytest.raises(FileFormatError, match=snippet):
@@ -193,6 +196,44 @@ def test_structured_report_checks_out(tmp_path, capsys):
     assert lie.dim == int(meta["final-lie-dim"])
     assert "tower" in parsed["sections"]
     assert "steps" in parsed["sections"]
+
+
+def _poly_text(rng, deg, digits):
+    low = 10 ** (digits - 1)
+    return " + ".join("(%d)*x^%d" % (rng.choice((1, -1)) * rng.randrange(low, 10 * low), k)
+                      for k in range(deg + 1))
+
+
+def test_big_coefficient_quotient_parses_quickly():
+    """A common factor of degree 16 with 300-digit coefficients cancels in
+    well under a second: its gcd needs many more primes than the table."""
+    rng = random.Random(1502)
+    a, b, c = (_poly_text(rng, 16, 300) for _ in range(3))
+    text = ("format = system v1\nvariable = x\nsize = 1\n"
+            "entry 1 1 = ((%s)*(%s))/((%s)*(%s))\n" % (a, b, a, c))
+    assert len(text) > 20000
+    start = time.process_time()
+    entry = parse_system(text).matrix.data[0][0]
+    assert time.process_time() - start < 1.0
+    assert entry == rf(b) / rf(c) and entry.den.degree == 16
+
+
+@pytest.mark.parametrize("command", ["build-lve", "reduce"])
+def test_unwritable_out_is_a_file_error(tmp_path, capsys, command):
+    """An --out that is a regular file exits 2 with a message, and the
+    file is left as it was."""
+    taken = write(tmp_path / "taken", "a file, not a directory\n")
+    if command == "build-lve":
+        args = ["build-lve", write(tmp_path / "hh.ham", fixtures.fixture_text("henon-heiles"))]
+        name = "lve_order_1.sys"
+    else:
+        args = ["reduce", write(tmp_path / "a1.sys", fixtures.fixture_text("first-order")),
+                "--p1-fixture", "henon-heiles"]
+        name = "report_order_1.txt"
+    assert main(args + ["--out", taken]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot write %s: " % (tmp_path / "taken" / name))
+    assert (tmp_path / "taken").read_text() == "a file, not a directory\n"
 
 
 def test_exit_code_for_malformed_input(tmp_path, capsys):

@@ -77,7 +77,8 @@ def mutate(rng, text):
 
 
 def fixed_cases():
-    """Inputs that once ran out of memory or time, each to be refused."""
+    """Inputs that once ran out of memory or time, or raised a bare
+    ValueError (superscript digits), each to be refused."""
     ham = fixtures.fixture_text("henon-heiles")
     linear = "(q1 + 2*q2 + 3*p1 + p2 + 1)"
     sys_head = "format = system v1\nvariable = x\nsize = 1\nentry 1 1 = %s\n"
@@ -88,6 +89,9 @@ def fixed_cases():
         ("ham", ham.replace("hamiltonian = ", "hamiltonian = %s^20 + " % linear)),
         ("ham", ham.replace("hamiltonian = ", "hamiltonian = %s + " % "*".join([linear] * 20))),
         ("sys", sys_head % "*".join(["(x^2 + 1)^50"] * 21)),
+        ("sys", sys_head % "2\u00b2"),
+        ("sys", sys_head % "x^\u00b2"),
+        ("ham", ham.replace("hamiltonian = ", "hamiltonian = 2\u00b2*q1 + ")),
     ]
 
 

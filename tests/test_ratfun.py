@@ -1,10 +1,12 @@
 """Polynomial and rational-function arithmetic, splitting, and recognition."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from varred import poly as poly_module
 from varred.poly import (
@@ -180,6 +182,85 @@ def test_gcd_primes_are_the_six_largest_below_2_to_the_30():
     assert all(_is_prime(p) for p in primes)
     assert sorted(primes, reverse=True) == [
         n for n in range(2**30 - 1, min(primes) - 1, -1) if n % 2 and _is_prime(n)]
+
+
+def test_gcd_primes_continue_below_the_table():
+    """After the table come the next primes below it, by trial division;
+    the Miller-Rabin test behind them is exact on small odd numbers too."""
+    first = list(itertools.islice(poly_module._gcd_primes(), 20))
+    below = (n for n in range(2**30 - 1, 1, -1) if _is_prime(n))
+    assert first[:6] == list(_GCD_PRIMES)
+    assert first == list(itertools.islice(below, 20))
+    assert all(poly_module._is_prime(n) == _is_prime(n) for n in range(3, 20000, 2))
+
+
+def _recorded_gcd(monkeypatch, a, b):
+    """poly_gcd(a, b) and the (prime, image degree) of each modular image."""
+    calls = []
+    inner = poly_module._modp_gcd_monic
+
+    def recording(fa, fb, p):
+        gp = inner(fa, fb, p)
+        calls.append((p, len(gp) - 1))
+        assert len(calls) < 100, "no candidate verified after 100 primes"
+        return gp
+
+    monkeypatch.setattr(poly_module, "_modp_gcd_monic", recording)
+    got = poly_gcd(a, b)
+    monkeypatch.undo()
+    return got, calls
+
+
+def _sympy_gcd(a, b):
+    x = sympy.Symbol("x")
+    g = sympy.Poly(list(reversed(a.coeffs)), x).gcd(sympy.Poly(list(reversed(b.coeffs)), x))
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())])
+
+
+def test_poly_gcd_matches_sympy_on_every_branch(monkeypatch):
+    """poly_gcd against sympy on inputs built for each branch of the
+    modular gcd; the recorded images show the branch was taken."""
+    rng = random.Random(1501)
+    x = Poly.variable()
+    p0, p1 = _GCD_PRIMES[:2]
+
+    def ints(deg, bits, lead=None):
+        cs = [rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(deg)]
+        return Poly(cs + [lead if lead is not None else rng.randint(1, 2**bits)])
+
+    def check(a, b):
+        got, calls = _recorded_gcd(monkeypatch, a, b)
+        assert got == _sympy_gcd(a, b)
+        return got, calls
+
+    for _ in range(5):
+        # coprime: one image of degree 0 settles it
+        got, calls = check(ints(rng.randint(2, 8), 20), ints(rng.randint(2, 8), 20))
+        assert got == Poly([1]) and calls == [(p0, 0)]
+
+        g = ints(2, 8)
+        u, v = ints(3, 8), ints(3, 8)
+        # p0 unlucky first: x + 1 and x + 1 + p0 agree mod p0
+        got, calls = check(g * (x + Poly([1])) * u, g * (x + Poly([1 + p0])) * v)
+        assert got == g.monic() and calls == [(p0, 3), (p1, 2)]
+
+        # a table prime divides a leading coefficient: it is never imaged
+        got, calls = check(g * ints(3, 8, lead=p0 * rng.randint(1, 9)), g * v)
+        assert got == g.monic() and calls[0] == (p1, 2)
+
+        # coefficients beyond p0/2: the first candidate fails the division
+        # check, and p1, unlucky after a lucky p0, is skipped
+        big = ints(2, 45)
+        got, calls = check(big * (x + Poly([1])) * u, big * (x + Poly([1 + p1])) * v)
+        assert got == big.monic() and [d for _, d in calls] == [2, 3, 2]
+
+        # 400-bit gcd coefficients need more primes than the table holds
+        huge = ints(rng.randint(2, 6), 400)
+        got, calls = check(huge * u, huge * v)
+        assert got == huge.monic() and len(calls) > len(_GCD_PRIMES)
+        primes = [p for p, _ in calls]
+        assert primes == sorted(set(primes), reverse=True)
+        assert primes[len(_GCD_PRIMES)] < _GCD_PRIMES[-1]
 
 
 def test_poly_gcd_divides_both_and_is_monic():
@@ -444,6 +525,21 @@ def test_solve_first_order_rational_sets_free_unknowns_to_zero():
                               ("2/x", "1/x", "-1/2")]:
         got = solve_first_order_rational(parse_ratfun(gamma), parse_ratfun(beta))
         assert got == parse_ratfun(want)
+
+
+def test_solve_first_order_rational_branches():
+    """gamma = 0 (a Hermite split), a pole of order 2 in gamma and gamma of
+    nonnegative degree at infinity; each solution is checked by substitution."""
+    for gamma, beta, want in [("0", "2*x", "x^2"), ("0", "1/x", None),
+                              ("1/x^2", "-1/x^2 - 1/x^3", "1/x"),
+                              ("x", "-x^3 + x", "x^2 + 1"), ("x^2 + 1", "1", None)]:
+        gamma, beta = parse_ratfun(gamma), parse_ratfun(beta)
+        got = solve_first_order_rational(gamma, beta)
+        if want is None:
+            assert got is None
+        else:
+            assert got == parse_ratfun(want)
+            assert got.derivative() == gamma * got + beta
 
 
 def test_solve_first_order_rational_unsolvable():
