@@ -7,7 +7,7 @@ can remove from A, so everything downstream starts from this decomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rationals import QQ, QQ0, QQ1
 from .poly import Poly
@@ -128,83 +128,81 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
 
 @dataclass
 class LieBasis:
-    """Basis of a matrix Lie algebra over Q with its structure table.
+    """Basis of a matrix Lie algebra over Q.
 
     mats[0:n_generators] are the independent generators in input order; the
-    rest are brackets in the order they were discovered.  structure maps a
-    pair (i, j) with i < j to the coordinates of [mats[i], mats[j]] in mats.
+    rest are brackets in the order they were discovered.  span is the
+    tracked SpanQQ of mats, so the coordinates of a bracket along mats are
+    read off it.  No structure table is kept: each query takes its brackets.
     """
 
     mats: list
-    structure: dict
     n_generators: int
+    span: SpanQQ = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.mats)
 
     def is_abelian(self) -> bool:
-        return all(not any(c) for c in self.structure.values())
+        """The generators commute pairwise, so they span the algebra."""
+        gens = self.mats[: self.n_generators]
+        return all(comm(a, b).is_zero for j, b in enumerate(gens) for a in gens[:j])
 
-    def adjoint(self, i):
+    def adjoint(self, i, deadline=None):
         """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
 
         others lists the other indices in order, and column c of ad holds
-        the coordinates of [mats[i], mats[others[c]]] along them; for
-        k < i, [mats[i], mats[k]] is the negated (k, i) entry.  None when
-        some bracket has a component along mats[i].
+        the coordinates of [mats[i], mats[others[c]]] along them.  None when
+        some bracket has a component along mats[i].  The deadline is checked
+        between brackets.
         """
         others = [k for k in range(self.dim) if k != i]
-        cols = [
-            self.structure[(i, k)] if i < k else [-c for c in self.structure[(k, i)]]
-            for k in others
-        ]
-        if any(c[i] for c in cols):
-            return None
+        cols = []
+        for k in others:
+            check_deadline(deadline)
+            cols.append(self.span.coords_in_added(comm(self.mats[i], self.mats[k])))
+            if cols[-1][i]:
+                return None
         return others, ConstMat([[c[o] for c in cols] for o in others])
+
+    def noncommuting_pairs(self):
+        """Pairs (i, j), i < j, with [mats[i], mats[j]] != 0, lazily in order."""
+        m, n = self.mats, self.dim
+        return ((i, j) for i in range(n) for j in range(i + 1, n) if not comm(m[i], m[j]).is_zero)
 
     def first_noncommuting_pair(self):
         """Smallest (i, j) with [mats[i], mats[j]] != 0, or None."""
-        for key in sorted(self.structure):
-            if any(self.structure[key]):
-                return key
-        return None
+        return next(self.noncommuting_pairs(), None)
 
 
 def lie_closure(generators, deadline=None) -> LieBasis:
     """Smallest Lie algebra over Q containing the given constant matrices.
 
-    Brackets are taken breadth-first in a fixed order -- pair (i, j) before
-    (i', j') when (j, i) < (j', i') -- so the basis that comes out is
-    reproducible.  Terminates because everything lives inside gl_n.  The
-    deadline (a time.monotonic() value) is checked before each round of
-    brackets with a new element; ReductionTimeout once it has passed.
+    The algebra generated by S is spanned by the right-normed brackets
+    [s1, [s2, ..., sk]] with every si in S (Reutenauer, Free Lie Algebras,
+    1993, ch. 0), so a span holding S and closed under each ad(s) is all of
+    it.  Basis element j is bracketed, in order, with the generators
+    i < min(j, n_generators) only, and a bracket that enlarges the span is
+    appended, so the basis is reproducible.  Terminates inside gl_n.  The
+    deadline (a time.monotonic() value) is checked before each element's
+    brackets; ReductionTimeout once it has passed.
     """
     gens = list(generators)
     if not gens:
-        return LieBasis([], {}, 0)
+        return LieBasis([], 0, SpanQQ(0, track=True))
     span = SpanQQ(gens[0].rows * gens[0].cols, track=True)
     basis = [g for g in gens if span.add(g)]
     n_gen = len(basis)
-    structure = {}
     j = 1
     while j < len(basis):
         check_deadline(deadline)
-        for i in range(j):
+        for i in range(min(j, n_gen)):
             b = comm(basis[i], basis[j])
-            coords = span.coords_in_added(b)
-            if coords is None:
-                span.add(b)
+            if span.add(b):
                 basis.append(b)
-                coords = [QQ0] * len(basis)
-                coords[-1] = QQ1
-            structure[(i, j)] = coords
         j += 1
-    dim = len(basis)
-    for key, coords in structure.items():
-        if len(coords) < dim:
-            structure[key] = coords + [QQ0] * (dim - len(coords))
-    return LieBasis(basis, structure, n_gen)
+    return LieBasis(basis, n_gen, span)
 
 
 # ---- block structure ------------------------------------------------------------

@@ -394,14 +394,14 @@ def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int, deadline=Non
     closure_mats, which can be more (the pure diagonal generator need not
     be an algebra element), and closed under ad(d0).  Strictly subdiagonal
     matrices commute, so it is their closure with d0, without d0, and
-    ad(d0) is read off its structure table; the closure checks the deadline.
+    ad(d0) is read off its brackets with d0; closure and adjoint check the deadline.
 
     Longest chains first, each kernel element first, so that
     [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
     """
     seeds = [_const_sub_projection(b, d1) for b in closure_mats]
     work = lie_closure([d0] + list(sub_basis) + seeds, deadline)
-    _, psi = work.adjoint(0)
+    _, psi = work.adjoint(0, deadline)
     work_basis = work.mats[1:]
     chains = [
         (lam, [lincomb(v, work_basis) for v in ch]) for lam, ch in _eigen_chains(psi)
@@ -761,13 +761,13 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     basis = lie.mats
     nb = lie.dim
 
-    noncommuting = [key for key, c in lie.structure.items() if any(c)]
+    noncommuting = list(lie.noncommuting_pairs())
     chosen = None
     for cand in range(nb):
         # the other basis elements must commute with each other
         if not all(cand in key for key in noncommuting):
             continue
-        adjoint = lie.adjoint(cand)
+        adjoint = lie.adjoint(cand, deadline)
         if adjoint is None:
             continue
         others, ad = adjoint

@@ -6,11 +6,13 @@ every elimination over Q through the sparse, fraction-free SpanQQ; these
 functions compute the same things independently of it, so the tests can
 compare the two.  Likewise entrywise_mul multiplies rational matrices term
 by term in RatFun arithmetic, where the package works over row and column
-common denominators.
+common denominators, and breadth_first_basis brackets every pair of
+basis elements, where the package's Lie closure brackets each element
+with the generators only.
 """
 
 from varred.matrices import ConstMat, RatMat
-from varred.rationals import QQ0, QQ1
+from varred.rationals import QQ, QQ0, QQ1
 from varred.ratfun import RatFun
 
 _RF_ZERO = RatFun.const(0)
@@ -85,6 +87,77 @@ def coordinates_in_span(target: ConstMat, basis) -> list | None:
     if pivots[-1] == k:
         return None
     return [red[r][k] for r in range(k)]
+
+
+def _bracket(a, b):
+    return a * b - b * a
+
+
+def breadth_first_basis(generators):
+    """Basis of the Lie closure that brackets every pair of basis elements.
+
+    The nonzero generators that enlarge the span come first, in input
+    order.  Then pair (i, j), i < j, is bracketed before (i', j') when
+    (j, i) < (j', i'), and a bracket outside the span so far is appended.
+    Brackets are the dense products a*b - b*a, and the span is a reduced
+    row echelon form of the flattened basis in sparse Fraction rows.
+    """
+    rows = {}  # pivot -> {index: Fraction}, 1 at the pivot, 0 at the other pivots
+    basis = []
+
+    def sub_scaled(w, c, row):
+        for k, v in row.items():
+            x = w.get(k, QQ0) - c * v
+            if x:
+                w[k] = x
+            else:
+                del w[k]
+
+    def append_if_new(m):
+        w = {i * m.cols + j: QQ(v, m.den) for i, row in m.num.items() for j, v in row.items()}
+        for p, row in rows.items():
+            if p in w:
+                sub_scaled(w, w[p], row)
+        if w:
+            p = min(w)
+            new = {k: v / w[p] for k, v in w.items()}
+            for row in rows.values():
+                if p in row:
+                    sub_scaled(row, row[p], new)
+            rows[p] = new
+            basis.append(m)
+
+    for g in generators:
+        append_if_new(g)
+    j = 1
+    while j < len(basis):
+        for i in range(j):
+            append_if_new(_bracket(basis[i], basis[j]))
+        j += 1
+    return basis
+
+
+def structure_table(basis):
+    """{(i, j): coordinates of [basis[i], basis[j]] along basis} for i < j.
+
+    Solved at once, by the rref of the flattened basis matrices as columns
+    with the brackets after them; ValueError if the basis is dependent or
+    a bracket lies outside its span.
+    """
+    k = len(basis)
+    pairs = [(i, j) for j in range(k) for i in range(j)]
+    columns = [b.flatten() for b in basis]
+    columns += [_bracket(basis[i], basis[j]).flatten() for i, j in pairs]
+    red, pivots = rref([list(row) for row in zip(*columns)])
+    if pivots != list(range(k)):
+        raise ValueError("dependent basis, or a bracket outside its span")
+    return {key: [red[r][k + c] for r in range(k)] for c, key in enumerate(pairs)}
+
+
+def breadth_first_closure(generators):
+    """(basis, table): breadth_first_basis and its full structure table."""
+    basis = breadth_first_basis(generators)
+    return basis, structure_table(basis)
 
 
 def det(m: RatMat) -> RatFun:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from varred import fixtures, reduction
+from varred import cli, fixtures, liealgebra, reduction
 from varred.cli import main
 from varred.errors import FileFormatError
 from varred.expr import MAX_DIGITS, MAX_EXPONENT, MAX_POWER_TERMS
@@ -391,6 +391,55 @@ def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys, monkeypatch):
     assert elapsed < 60.0
     assert finished == [1, 2, 3]
     assert products and products.count(3) == 0
+
+
+@pytest.fixture(scope="module")
+def lve_dir(tmp_path_factory):
+    """LVE^1 to LVE^4 of the bundled Hamiltonian, as build-lve writes them."""
+    tmp = tmp_path_factory.mktemp("lve")
+    ham = write(tmp / "hh.ham", fixtures.fixture_text("henon-heiles"))
+    assert main(["build-lve", ham, "--order", "4", "--out", str(tmp / "lve")]) == 0
+    return tmp / "lve"
+
+
+def lie_output(dim):
+    return ("wei-norman terms: 2\nlie dimension: %d\nabelian: no\n"
+            "witness: basis elements 1 and 2 do not commute\n" % dim)
+
+
+def test_lie_brackets_each_element_with_the_generators_only(lve_dir, capsys, monkeypatch):
+    # LVE^3 has 2 generators and a closure of dimension 35: one bracket of
+    # the two generators, then one with each generator for the 33 other
+    # elements, 67 in all, where bracketing every pair took 595
+    inside, calls = [], []
+    comm, closure = liealgebra.comm, cli.lie_closure
+
+    def counted_comm(a, b):
+        calls.append(bool(inside))
+        return comm(a, b)
+
+    def flagged_closure(*args):
+        inside.append(True)
+        try:
+            return closure(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(liealgebra, "comm", counted_comm)
+    monkeypatch.setattr(cli, "lie_closure", flagged_closure)
+    capsys.readouterr()
+    assert main(["lie", str(lve_dir / "lve_order_3.sys")]) == 0
+    assert capsys.readouterr().out == lie_output(35)
+    assert calls.count(True) == 67
+
+
+def test_lie_of_the_fourth_order(lve_dir, capsys):
+    # 2 generators and dimension 63, 123 brackets: 0.37 to 0.50 s as a
+    # command on a 2-CPU Xeon with Python 3.11, where bracketing all 1953
+    # pairs of the basis took 2.3 to 3.2 s
+    capsys.readouterr()
+    assert main(["lie", str(lve_dir / "lve_order_4.sys")]) == 0
+    assert capsys.readouterr().out == lie_output(63)
 
 
 def test_exit_code_for_timeout(tmp_path, capsys):

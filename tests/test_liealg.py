@@ -18,7 +18,7 @@ from varred.matrices import ConstMat, RatMat, SpanQQ, comm
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
 
-from dense_oracle import dense_nullspace, rref
+from dense_oracle import breadth_first_basis, breadth_first_closure, dense_nullspace, rref
 
 
 def rand_const(rng, n, m=None, lo=-3, hi=3):
@@ -123,21 +123,81 @@ def test_lie_closure_matches_brute_force():
                                              if not g.is_zero])
 
 
-def test_lie_closure_structure_table():
-    rng = random.Random(304)
-    for _ in range(30):
+def oracle_generator_sets(rng):
+    """Seeded generator sets: pairs of random 2x2 and 3x3 matrices, three or
+    four random ones of size 2 or 3, and sets whose first two generators
+    commute (a random g and g*g + c*g, or two diagonal matrices) followed
+    by up to two random matrices.  The last set's smallest noncommuting
+    pair in (i, j) order, (0, 3), is not the smallest in (j, i) order."""
+    sets = []
+    for _ in range(20):
         n = rng.randint(2, 3)
-        gens = [rand_const(rng, n, lo=-2, hi=2) for _ in range(2)]
-        if all(g.is_zero for g in gens):
-            continue
+        sets.append([rand_const(rng, n, lo=-2, hi=2) for _ in range(2)])
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        sets.append([rand_const(rng, n, lo=-1, hi=1) for _ in range(rng.randint(3, 4))])
+    for k in range(14):
+        n = rng.randint(2, 3)
+        if k % 2:
+            g = rand_const(rng, n, lo=-2, hi=2)
+            pair = [g, g * g + g.scale(rng.randint(-2, 2))]
+        else:
+            pair = [ConstMat([[Fraction(rng.randint(-2, 2)) if i == j else Fraction(0)
+                               for j in range(n)] for i in range(n)]) for _ in range(2)]
+        assert comm(*pair).is_zero
+        sets.append(pair + [rand_const(rng, n, lo=-1, hi=1) for _ in range(rng.randint(0, 2))])
+    sets.append([unit(4, 3, 3), unit(4, 0, 1), unit(4, 1, 0), unit(4, 0, 3)])
+    return [gens for gens in sets if not all(g.is_zero for g in gens)]
+
+
+def test_lie_closure_matches_the_all_pairs_oracle():
+    """The closure that brackets with the generators only spans what the
+    all-pairs, breadth-first oracle spans; adjoint(i) equals the oracle's
+    table on the closure's own basis, and the first noncommuting pair is
+    the smallest nonzero entry of that table, None exactly when it is
+    abelian."""
+    for gens in oracle_generator_sets(random.Random(304)):
         lie = lie_closure(gens)
-        for (i, j), coords in lie.structure.items():
-            want = comm(lie.mats[i], lie.mats[j])
-            got = ConstMat.zeros(n, n)
-            for c, m in zip(coords, lie.mats):
-                if c:
-                    got = got + m.scale(c)
-            assert got == want
+        basis = breadth_first_basis(gens)
+        assert lie.dim == len(basis)
+        assert len(rref([m.flatten() for m in basis + lie.mats])[1]) == len(basis)
+        same, table = breadth_first_closure(lie.mats)
+        assert same == lie.mats
+        for i in range(lie.dim):
+            others = [k for k in range(lie.dim) if k != i]
+            cols = [table[(i, k)] if i < k else [-c for c in table[(k, i)]] for k in others]
+            want = None
+            if not any(c[i] for c in cols):
+                want = (others, ConstMat([[c[o] for c in cols] for o in others]))
+            assert lie.adjoint(i) == want
+        nonzero = sorted(key for key, c in table.items() if any(c))
+        pair = lie.first_noncommuting_pair()
+        assert pair == (nonzero[0] if nonzero else None)
+        assert lie.is_abelian() == (not nonzero)
+        if pair is not None:
+            assert not comm(lie.mats[pair[0]], lie.mats[pair[1]]).is_zero
+
+
+def test_monogenous_two_block_closures_keep_the_all_pairs_order():
+    """On block lower-triangular generators whose diagonal parts are
+    multiples of one d0, brackets of two non-generators vanish, so the
+    closure gives the oracle's basis in the oracle's order."""
+    rng = random.Random(305)
+    for _ in range(40):
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        n = d1 + d2
+        d0 = rand_const(rng, n, lo=-2, hi=2)
+        d0 = ConstMat([[d0.data[i][j] if (i < d1) == (j < d1) else Fraction(0)
+                        for j in range(n)] for i in range(n)])
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            low = rand_const(rng, n, lo=-2, hi=2)
+            low = ConstMat([[low.data[i][j] if i >= d1 > j else Fraction(0)
+                             for j in range(n)] for i in range(n)])
+            gens.append(low + d0.scale(rng.choice([0, 1, 2, -1])))
+        rng.shuffle(gens)
+        lie = lie_closure(gens)
+        assert lie.mats == breadth_first_basis(gens)
 
 
 def test_lie_closure_abelian_detection():
@@ -157,6 +217,12 @@ def test_lie_closure_respects_deadline():
     gens = wei_norman(fixtures.load_system("nilpotent-pair").matrix).matrices()
     with pytest.raises(ReductionTimeout):
         lie_closure(gens, deadline=time.monotonic() - 1.0)
+
+
+def test_adjoint_respects_deadline():
+    lie = lie_closure(wei_norman(fixtures.load_system("nilpotent-pair").matrix).matrices())
+    with pytest.raises(ReductionTimeout):
+        lie.adjoint(0, deadline=time.monotonic() - 1.0)
 
 
 def test_wei_norman_respects_deadline():
@@ -232,7 +298,7 @@ def test_adjoint_is_none_when_a_bracket_leaves_a_component_along_the_element():
     # [a, b] = b: ad(b) sends a to -b, a component along b itself
     a, b = unit(2, 0, 0), unit(2, 0, 1)
     lie = lie_closure([a, b])
-    assert lie.dim == 2 and lie.structure[(0, 1)] == [0, 1]
+    assert lie.dim == 2 and breadth_first_closure([a, b])[1] == {(0, 1): [0, 1]}
     assert lie.adjoint(1) is None
     assert lie.adjoint(0)[1] == ConstMat([[1]])
 

@@ -39,7 +39,7 @@ from varred.reduction import (
 )
 from varred.varequations import BlockSystem
 
-from dense_oracle import coordinates_in_span
+from dense_oracle import breadth_first_basis, coordinates_in_span
 
 
 def rf(text):
@@ -392,6 +392,28 @@ def test_non_monogenous_diagonal_is_refused():
     ])
     with pytest.raises(UnsupportedRegime, match="not monogenous"):
         reduce_subdiagonal(BlockSystem(1, mat, [2, 1]))
+
+
+def test_henon_heiles_closures_keep_the_all_pairs_order(lve3_run, monkeypatch):
+    # every closure of the order 1-3 reductions (initial, working space,
+    # final) has the all-pairs oracle's basis in the oracle's order: the
+    # brackets the closure skips are those of two non-generators, which
+    # lie in the lower-left block and commute, so the reports stay those of
+    # the all-pairs closure
+    closed = []
+    inner = reduction.lie_closure
+
+    def recording(gens, deadline=None):
+        closed.append(list(gens))
+        return inner(gens, deadline)
+
+    monkeypatch.setattr(reduction, "lie_closure", recording)
+    for rep in lve3_run[0]:
+        system = BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
+        assert reduce_subdiagonal(system).final_lie.mats == rep.final_lie.mats
+    bases = [inner(gens).mats for gens in closed]
+    assert [len(mats) for mats in bases] == [1, 1, 1, 11, 11, 1, 38, 39, 5]
+    assert bases == [breadth_first_basis(gens) for gens in closed]
 
 
 def test_wide_diagonal_is_refused_before_the_full_closure(monkeypatch):
