@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ, QQ0, QQ1
+from .rationals import QQ, QQ1
 from .poly import Poly
 from .ratfun import RatFun, common_denominator
 from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb
@@ -68,20 +68,12 @@ def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
     return out
 
 
-def numerator_vectors(funcs):
-    """(den, vectors): the monic lcm of the denominators of nonzero funcs and
-    the coefficient vectors, all of one length, of their numerators over it."""
-    den, nums = common_denominator(funcs)
-    length = max(p.degree for p in nums) + 1
-    return den, [list(p.coeffs) + [QQ0] * (length - len(p.coeffs)) for p in nums]
-
-
 def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
     """Decompose a rational matrix as sum a_k(x) * M_k, constant M_k.
 
     The construction is deterministic: all nonzero entries are brought over
-    their common denominator (the monic lcm), and their numerator coefficient
-    vectors are added in row-major order to a SpanQQ.  Each vector that
+    their common denominator (the monic lcm), and their numerators go, as
+    coefficient vectors, in row-major order into a SpanQQ.  Each vector that
     enlarges the span leaves a nonzero residual, which, divided back by the
     common denominator, becomes a coefficient function; the terms come in
     order of acceptance, and the multipliers of an entry's vector over the
@@ -99,11 +91,10 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
                 entries.append((i, j, f))
     if not entries:
         return WeiNormanDecomp([], [], a.rows, a.cols)
-    den, vectors = numerator_vectors([f for _, _, f in entries])
-    length = len(vectors[0])
-    span = SpanQQ(length)
+    den, nums = common_denominator([f for _, _, f in entries])
+    span = SpanQQ(max(p.degree for p in nums) + 1)
     accepted = {}  # pivot -> index of acceptance
-    for v in vectors:
+    for v in nums:
         check_deadline(deadline)
         if span.add(v):
             # the new row is the one whose pivot has no index yet
@@ -112,9 +103,9 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
     term = [accepted[p] for p, _, _ in span.rows]  # span.rows are sorted by pivot
     funcs = [None] * len(term)
     for k, (_, ints, scale) in zip(term, span.rows):
-        funcs[k] = RatFun(Poly([ints.get(idx, 0) for idx in range(length)]).scale(scale), den)
+        funcs[k] = RatFun(Poly([ints.get(i, 0) for i in range(max(ints) + 1)]).scale(scale), den)
     entries_of = [{} for _ in term]  # per term: {i: {j: coefficient}}
-    for (i, j, _), v in zip(entries, vectors):
+    for (i, j, _), v in zip(entries, nums):
         check_deadline(deadline)
         for k, f in zip(term, span.coords_in_rows(v)):
             if f:

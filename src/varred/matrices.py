@@ -7,8 +7,8 @@ structural.  Its arithmetic (comm, lincomb, products) runs on those ints and
 touches only stored entries, which matters a lot here -- the Lie closure
 matrices hold a few dozen nonzeros in a thousand entries; entries reach
 callers as QQ only through the read-only `data` view.  SpanQQ, the only
-Gauss elimination over Q in the package, runs on the same ints by
-cross-multiplication; nullspace reads its basis off one.  Row reduction
+Gauss elimination over Q in the package, runs on these ints, or a Poly's,
+by cross-multiplication; nullspace reads its basis off one.  Row reduction
 keeps the leftmost-nonzero pivot rule so every result is deterministic.
 Rational-function matrices (RatMat) are dense lists of RatFun, and products
 skip zero entries, since the block systems and their gauges are sparse.  A
@@ -159,7 +159,7 @@ class ConstMat:
 
     def scale(self, c) -> "ConstMat":
         c = QQ(c)
-        p, q = int(c.numerator), int(c.denominator)
+        p, q = c.numerator, c.denominator
         num = {i: {j: p * v for j, v in row.items()} for i, row in self.num.items()}
         return ConstMat.from_ints(self.rows, self.cols, num, q * self.den)
 
@@ -193,8 +193,8 @@ def _int_entries(items):
     """({index: int}, den) for the nonzero rationals of (index, value) pairs:
     value = int / den for each of them."""
     nz = [(i, v) for i, v in items if v]
-    den = _ilcm(*[int(v.denominator) for _, v in nz])
-    return {i: int(v.numerator) * (den // int(v.denominator)) for i, v in nz}, den
+    den = _ilcm(*[v.denominator for _, v in nz])
+    return {i: v.numerator * (den // v.denominator) for i, v in nz}, den
 
 
 def comm(a: ConstMat, b: ConstMat) -> ConstMat:
@@ -224,10 +224,10 @@ def comm(a: ConstMat, b: ConstMat) -> ConstMat:
 def lincomb(coeffs, mats) -> ConstMat:
     """sum c_k * mats[k] over nonzero coefficients, on ints over one denominator."""
     terms = [(c, m) for c, m in zip(coeffs, mats) if c]
-    den = _ilcm(*[int(c.denominator) * m.den for c, m in terms])
+    den = _ilcm(*[c.denominator * m.den for c, m in terms])
     out = {}
     for c, m in terms:
-        f = int(c.numerator) * (den // (int(c.denominator) * m.den))
+        f = c.numerator * (den // (c.denominator * m.den))
         for i, row in m.num.items():
             orow = out.setdefault(i, {})
             for j, v in row.items():
@@ -241,9 +241,9 @@ def lincomb(coeffs, mats) -> ConstMat:
 class SpanQQ:
     """Incremental echelon span of rational vectors with coordinate tracking.
 
-    A vector comes in dense (a sequence of `length` rationals) or as a
-    ConstMat, read row-major; both become ints over one denominator at
-    _int_vector, and elimination is fraction-free, by integer
+    A vector is a ConstMat, read row-major, a Poly, read as its coefficient
+    vector, or a dense sequence of rationals; each becomes ints over one
+    denominator at _int_vector, and elimination is fraction-free, by integer
     cross-multiplication.  Row k is stored as (pivot, ints, scale), the
     rational vector scale * ints, with ints a primitive {index: int} whose
     pivot entry is positive.  Rows are kept sorted by pivot (their smallest
@@ -325,7 +325,7 @@ class SpanQQ:
         out = [QQ0] * len(self.rows)
         for k, tk in t.items():
             scale = self.rows[k][2]
-            out[k] = QQ(sn * tk * int(scale.denominator), sd * int(scale.numerator))
+            out[k] = QQ(sn * tk * scale.denominator, sd * scale.numerator)
         return out
 
     def coords_in_added(self, vec):
@@ -349,8 +349,12 @@ class SpanQQ:
 def _int_vector(vec):
     """(w, sn, sd): vec = sn/sd * w with w a primitive {index: int}, sn > 0.
 
-    vec is a ConstMat, read row-major, or a dense sequence of rationals.
+    vec is a ConstMat (row-major), a Poly (by degree) or a dense sequence.
     """
+    if isinstance(vec, Poly):
+        c, ints = vec.primitive_int()  # the zero Poly gives (0, []), so ({}, 1, 1)
+        s = -1 if c < 0 else 1
+        return {i: s * v for i, v in enumerate(ints) if v}, abs(c.numerator) or 1, c.denominator
     if isinstance(vec, ConstMat):
         cols = vec.cols
         w = {i * cols + j: v for i, row in vec.num.items() for j, v in row.items()}

@@ -59,9 +59,9 @@ class Poly:
 
     def __new__(cls, coeffs=()):
         cs = [c if type(c) is int else QQ(c) for c in coeffs]
-        den = _ilcm(*[int(c.denominator) for c in cs if type(c) is not int])
+        den = _ilcm(*[c.denominator for c in cs if type(c) is not int])
         nums = [c * den if type(c) is int
-                else int(c.numerator) * (den // int(c.denominator)) for c in cs]
+                else c.numerator * (den // c.denominator) for c in cs]
         return _canon(nums, den)
 
     # ---- constructors -------------------------------------------------
@@ -80,7 +80,7 @@ class Poly:
         c = QQ(c)
         if not c:
             return _ZERO
-        return Poly._new((int(c.numerator),), int(c.denominator))
+        return Poly._new((c.numerator,), c.denominator)
 
     @staticmethod
     def variable() -> "Poly":
@@ -182,7 +182,7 @@ class Poly:
         c = QQ(c)
         if not c:
             return _ZERO
-        return self._scale(int(c.numerator), int(c.denominator))
+        return self._scale(c.numerator, c.denominator)
 
     def _scale(self, p, q) -> "Poly":
         """self * p/q for coprime ints p != 0 and q > 0."""

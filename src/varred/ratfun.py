@@ -80,11 +80,6 @@ class RatFun:
     def is_constant(self) -> bool:
         return self.num.is_constant and self.den.is_one
 
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        return self.num.lc
-
     def __bool__(self):
         return not self.num.is_zero
 
@@ -394,7 +389,7 @@ def as_log_derivative(f: RatFun):
 
     den_lcm = 1
     for lam in lambdas:
-        d = int(lam.denominator)
+        d = lam.denominator
         den_lcm = den_lcm * d // igcd(den_lcm, d)
     ints = [int(lam * den_lcm) for lam in lambdas]
     g = 0
@@ -507,8 +502,8 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | 
     from .matrices import SpanQQ  # imported here: matrices imports this module
 
     span = SpanQQ(max(p.degree or 0 for p in lhs_rows + [rhs_const]) + 1, track=True)
-    pivots = [i for i, p in enumerate(lhs_rows) if span.add(p.coeffs)]
-    coords = span.coords_in_added(rhs_const.coeffs)
+    pivots = [i for i, p in enumerate(lhs_rows) if span.add(p)]
+    coords = span.coords_in_added(rhs_const)
     if coords is None:
         return None  # rhs_const is outside the span of the rows: inconsistent
     sol = [QQ0] * (udeg + 1)  # free unknowns stay 0

@@ -1,16 +1,13 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in this package happens over the rationals.
-gmpy2's mpq is used when it is installed (GMP-backed, considerably faster
-once numerators grow); the stdlib Fraction is a drop-in fallback so the
-package stays importable without it.
+All coefficient arithmetic in this package happens over the rationals, and
+the stdlib Fraction is the one rational type: Poly and ConstMat compute on
+Python ints over one denominator and hand out Fractions, so the scalar
+layer adds no dependency.
 """
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 QQ0 = QQ(0)
 QQ1 = QQ(1)

@@ -46,7 +46,6 @@ from .liealgebra import (
     check_block_lower,
     diag_projection,
     lie_closure,
-    numerator_vectors,
     split_diag_sub,
     wei_norman,
 )
@@ -65,6 +64,7 @@ from .rationals import QQ0
 from .ratfun import (
     RatFun,
     as_log_derivative,
+    common_denominator,
     hermite_split,
     solve_first_order_rational,
 )
@@ -615,9 +615,9 @@ def _letters_independent(tower) -> bool:
     letters = [el.integrand_coeff for el in tower if el.depth == 1]
     if not letters:
         return True
-    vectors = numerator_vectors(letters)[1]
-    span = SpanQQ(len(vectors[0]))
-    return all(span.add(v) for v in vectors)
+    nums = common_denominator(letters)[1]
+    span = SpanQQ(max(p.degree for p in nums) + 1)
+    return all(span.add(p) for p in nums)
 
 
 def _verdict(report: ReductionReport) -> str:

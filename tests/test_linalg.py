@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from varred import matrices
 from varred.gauge import GaugeMatrix, apply_gauge
+from varred.liealgebra import wei_norman
 from varred.matrices import (
     ConstMat,
     RatMat,
@@ -19,7 +21,8 @@ from varred.matrices import (
     rational_eigenvalues,
 )
 from varred.poly import Poly
-from varred.ratfun import RatFun, parse_ratfun
+from varred.ratfun import RatFun, parse_ratfun, solve_first_order_rational
+from varred.reduction import _letters_independent
 
 from dense_oracle import (
     coordinates_in_span,
@@ -318,8 +321,8 @@ def spans_agree(span, ref):
 def test_spanqq_matches_dense_reference():
     """add, coords_in_rows and coords_in_added against RefSpan on seeded
     vectors: primes up to 13 in the denominators, combinations of earlier
-    vectors, vectors that cancel to zero and the zero vector; a dense list
-    and the matrix of the same entries give the same span."""
+    vectors, vectors that cancel to zero and the zero vector; a dense list,
+    the matrix and the polynomial of the same entries give the same span."""
     rng = random.Random(212)
     for case in range(40):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
@@ -334,26 +337,65 @@ def test_spanqq_matches_dense_reference():
         rng.shuffle(vecs)
         mats = [ConstMat([v[i * c:(i + 1) * c] for i in range(r)]) for v in vecs]
         ref = RefSpan()
-        dense, matrix = SpanQQ(n, track=True), SpanQQ(n, track=True)
+        dense, matrix, poly = (SpanQQ(n, track=True) for _ in range(3))
         for v, m in zip(vecs, mats):
             grew = ref.add(v)
+            if not any(v):
+                assert Poly(v) == Poly() and not grew
             assert dense.add(list(v)) == grew
             assert matrix.add(m) == grew
-            spans_agree(dense, ref)
-            spans_agree(matrix, ref)
-            assert dense.combos == matrix.combos
+            assert poly.add(Poly(v)) == grew
+            for span in (dense, matrix, poly):
+                spans_agree(span, ref)
+            assert dense.combos == matrix.combos == poly.combos
         probes = vecs + [[ref_entry(rng) for _ in range(n)] for _ in range(3)]
         for v in probes:
             m = ConstMat([v[i * c:(i + 1) * c] for i in range(r)])
-            for span in (dense, matrix):
-                assert span.coords_in_rows(list(v)) == ref.coords_in_rows(v)
-                assert span.coords_in_rows(m) == ref.coords_in_rows(v)
-                assert span.coords_in_added(list(v)) == ref.coords_in_added(v)
-                assert span.coords_in_added(m) == ref.coords_in_added(v)
-    # 0x0 matrices and empty vectors span nothing
+            for span in (dense, matrix, poly):
+                for vec in (list(v), m, Poly(v)):
+                    assert span.coords_in_rows(vec) == ref.coords_in_rows(v)
+                    assert span.coords_in_added(vec) == ref.coords_in_added(v)
+    # 0x0 matrices, empty vectors and the zero polynomial span nothing
     span = SpanQQ(0, track=True)
-    assert not span.add(ConstMat([])) and not span.add([])
+    assert not span.add(ConstMat([])) and not span.add([]) and not span.add(Poly())
     assert span.coords_in_added(ConstMat([])) == []
+    assert span.coords_in_added(Poly()) == []
+
+
+def test_spanqq_callers_pass_polys(monkeypatch, lve3_run):
+    """wei_norman, solve_first_order_rational and the letter rank hand
+    SpanQQ the numerator Polys themselves, not dense Fraction lists built
+    from their ints: every vector that reaches _int_vector during them is a
+    Poly or a ConstMat."""
+    seen = []
+    int_vector = matrices._int_vector
+
+    def spy(vec):
+        seen.append(type(vec))
+        return int_vector(vec)
+
+    monkeypatch.setattr(matrices, "_int_vector", spy)
+
+    def kinds(run):
+        start = len(seen)
+        run()
+        return set(seen[start:])
+
+    rng = random.Random(217)
+    for _ in range(20):
+        a = rand_ratmat(rng, rng.randint(1, 4))
+        got = kinds(lambda: wei_norman(a))
+        assert got and got <= {Poly, ConstMat}
+    # the cases of test_solve_first_order_rational_branches; gamma = 0 takes
+    # the Hermite split and no span
+    for gamma, beta in [("0", "2*x"), ("0", "1/x"), ("1/x^2", "-1/x^2 - 1/x^3"),
+                        ("x", "-x^3 + x"), ("x^2 + 1", "1")]:
+        gamma, beta = parse_ratfun(gamma), parse_ratfun(beta)
+        got = kinds(lambda: solve_first_order_rational(gamma, beta))
+        assert got <= {Poly, ConstMat} and (got or gamma.is_zero)
+    tower = lve3_run[0][2].tower
+    got = kinds(lambda: _letters_independent(tower))
+    assert got and got <= {Poly, ConstMat}
 
 
 def test_coordinates_in_span_matches_recombination():
