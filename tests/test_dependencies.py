@@ -13,7 +13,8 @@ ALLOWED = set(sys.stdlib_module_names) | {"varred", "sympy"}
 
 def test_imports_are_stdlib_sympy_or_varred():
     """Every absolute import in src/varred, those inside functions too, has
-    its root in the standard library, sympy or varred."""
+    its root in the standard library, sympy or varred, and the rationals
+    are the stdlib Fraction."""
     outside = []
     for path in sorted(pathlib.Path(varred.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -25,7 +26,4 @@ def test_imports_are_stdlib_sympy_or_varred():
                 continue
             outside += [(path.name, node.lineno, r) for r in roots if r not in ALLOWED]
     assert outside == []
-
-
-def test_fraction_is_the_rational_type():
     assert rationals.QQ is fractions.Fraction
