@@ -117,6 +117,11 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
 # ---- Lie closure ---------------------------------------------------------------
 
 
+def commute_pairwise(mats) -> bool:
+    """True when every two of the constant matrices commute."""
+    return all(comm(a, b).is_zero for j, b in enumerate(mats) for a in mats[:j])
+
+
 @dataclass
 class LieBasis:
     """Basis of a matrix Lie algebra over Q.
@@ -124,7 +129,8 @@ class LieBasis:
     mats[0:n_generators] are the independent generators in input order; the
     rest are brackets in the order they were discovered.  span is the
     tracked SpanQQ of mats, so the coordinates of a bracket along mats are
-    read off it.  No structure table is kept: each query takes its brackets.
+    read off it.  No structure table is kept: each query takes the brackets
+    it reads, and no query lists every pair.
     """
 
     mats: list
@@ -137,8 +143,7 @@ class LieBasis:
 
     def is_abelian(self) -> bool:
         """The generators commute pairwise, so they span the algebra."""
-        gens = self.mats[: self.n_generators]
-        return all(comm(a, b).is_zero for j, b in enumerate(gens) for a in gens[:j])
+        return commute_pairwise(self.mats[: self.n_generators])
 
     def adjoint(self, i, deadline=None):
         """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
@@ -157,14 +162,12 @@ class LieBasis:
                 return None
         return others, ConstMat([[c[o] for c in cols] for o in others])
 
-    def noncommuting_pairs(self):
-        """Pairs (i, j), i < j, with [mats[i], mats[j]] != 0, lazily in order."""
-        m, n = self.mats, self.dim
-        return ((i, j) for i in range(n) for j in range(i + 1, n) if not comm(m[i], m[j]).is_zero)
-
     def first_noncommuting_pair(self):
-        """Smallest (i, j) with [mats[i], mats[j]] != 0, or None."""
-        return next(self.noncommuting_pairs(), None)
+        """Smallest (i, j), i < j, with [mats[i], mats[j]] != 0, or None.
+        The brackets are taken in that order, up to the first nonzero one."""
+        m, n = self.mats, self.dim
+        return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if not comm(m[i], m[j]).is_zero), None)
 
 
 def lie_closure(generators, deadline=None) -> LieBasis:

@@ -22,7 +22,6 @@ division replaces a full factorization.
 import math
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import (
     PreconditionFailure,
@@ -44,6 +43,7 @@ from .liealgebra import (
     LieBasis,
     WeiNormanDecomp,
     check_block_lower,
+    commute_pairwise,
     diag_projection,
     lie_closure,
     split_diag_sub,
@@ -194,11 +194,6 @@ def _sub_projection(a: RatMat, d1: int) -> RatMat:
     out = RatMat.zeros(a.rows, a.cols)
     out.set_block(d1, 0, a.submatrix(d1, a.rows, 0, d1))
     return out
-
-
-def _const_sub_projection(m: ConstMat, d1: int) -> ConstMat:
-    num = {i: {j: v for j, v in row.items() if j < d1} for i, row in m.num.items() if i >= d1}
-    return ConstMat.from_ints(m.rows, m.cols, num, m.den)
 
 
 def _new_pole_factors(l: RatFun, beta0: RatFun, poles: FactorBase):
@@ -386,21 +381,21 @@ def _eigen_chains(psi: ConstMat):
     return out
 
 
-def _adjoint_chains(d0: ConstMat, closure_mats, sub_basis, d1: int, deadline=None):
+def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis, deadline=None):
     """(lam, matrices) chains of ad(d0) on the working subdiagonal space.
 
-    That space is spanned by sub_basis (first, so those stay the leading
-    basis elements when they span everything) and the sub projections of
-    closure_mats, which can be more (the pure diagonal generator need not
-    be an algebra element), and closed under ad(d0).  Strictly subdiagonal
-    matrices commute, so it is their closure with d0, without d0, and
-    ad(d0) is read off its brackets with d0; closure and adjoint check the deadline.
+    Each element of the initial algebra has diagonal part c*d0, lead =
+    d0 + seed among them, so the subdiagonal part of each lies in
+    span(sub_basis) + Q*seed; ad(d0) keeps span(sub_basis), as [d0, x] =
+    [lead, x] there (two strictly subdiagonal matrices multiply to zero).
+    So the working space is the closure of [d0] + sub_basis + [seed]
+    without d0, sub_basis leading; ad(d0) is read off its brackets with d0,
+    and closure and adjoint check the deadline.
 
     Longest chains first, each kernel element first, so that
     [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
     """
-    seeds = [_const_sub_projection(b, d1) for b in closure_mats]
-    work = lie_closure([d0] + list(sub_basis) + seeds, deadline)
+    work = lie_closure([d0] + list(sub_basis) + [seed], deadline)
     _, psi = work.adjoint(0, deadline)
     work_basis = work.mats[1:]
     chains = [
@@ -479,7 +474,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase, deadline):
 
 def reduce_subdiagonal(
     system: BlockSystem,
-    pre_steps=(),
+    assembly: ReductionStep | None = None,
     initial_matrix: RatMat | None = None,
     deadline=None,
 ) -> ReductionReport:
@@ -490,9 +485,9 @@ def reduce_subdiagonal(
     raises UnsupportedRegime).  Its adjoint organizes the subdiagonal
     generators into chains, and one sweep down the chains solves for the
     whole elimination gauge Id + S; without a diagonal generator every
-    subdiagonal generator is a chain of its own.  When pre_steps are given
-    (the diagonal assembly), initial_matrix must be the matrix those steps
-    start from.  The total gauge is checked once: applied to the initial
+    subdiagonal generator is a chain of its own.  When assembly, the
+    diagonal-assembly step, is given, initial_matrix must be the matrix it
+    starts from.  The total gauge is checked once: applied to the initial
     matrix it must give the final matrix exactly.
     """
     a0 = system.matrix
@@ -506,16 +501,16 @@ def reduce_subdiagonal(
     diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
 
     if diag_basis:
-        chains = _adjoint_chains(diag_basis[0], lie0.mats, sub_basis, d1, deadline)
+        # split_diag_sub took d0 from the first element with a diagonal part
+        lead = next(m for m in lie0.mats if not diag_projection(m, d1).is_zero)
+        chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis, deadline)
     else:
         # zero diagonal: every generator is its own chain, pure antidifferentiation
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
     poles = FactorBase()
-    steps = list(pre_steps)
-    gauges = [st.gauge for st in steps if st.gauge is not None]
-    q = reduce(GaugeMatrix.compose, gauges or [GaugeMatrix.identity(n)])
+    steps, q = ([assembly], assembly.gauge) if assembly else ([], GaugeMatrix.identity(n))
     a = a0
     total = q
     if chains:
@@ -750,23 +745,20 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     wn is the Wei-Norman decomposition of the reduced matrix, lie the closure
     of its matrices.  Requires a leading generator whose adjoint acts
     nilpotently on the remaining basis of the Lie algebra, all of whose
-    elements commute with each other.  Eliminating the non-leading
-    coefficients top-down along the adjoint chains then only ever needs
-    antiderivatives, and each one that is not rational becomes a named tower
-    symbol.  Raises UnsupportedRegime when the structure does not have this
-    shape.  The deadline is checked at every chain position.
+    elements commute with each other; such a leader lies in every
+    noncommuting pair, so only the first pair is tried.  Eliminating the
+    non-leading coefficients top-down along the adjoint chains then only
+    ever needs antiderivatives, and each one that is not rational becomes a
+    named tower symbol.  Raises UnsupportedRegime when the structure does
+    not have this shape.  The deadline is checked at every chain position.
     """
     if wn.dim == 0:
         return []
     basis = lie.mats
-    nb = lie.dim
 
-    noncommuting = list(lie.noncommuting_pairs())
+    pair = lie.first_noncommuting_pair()
     chosen = None
-    for cand in range(nb):
-        # the other basis elements must commute with each other
-        if not all(cand in key for key in noncommuting):
-            continue
+    for cand in range(lie.dim) if pair is None else pair:
         adjoint = lie.adjoint(cand, deadline)
         if adjoint is None:
             continue
@@ -774,6 +766,9 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
         try:
             chains = nilpotent_jordan_chains(ad).chains
         except UnsupportedRegime:
+            continue
+        # the other basis elements must commute with each other
+        if pair is not None and not commute_pairwise([basis[o] for o in others]):
             continue
         chosen = (cand, others, chains)
         break
@@ -859,7 +854,7 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
             partial, step = reduce_diagonal(bs, p1, reports, deadline)
             phase = "subdiagonal reduction"
             report = reduce_subdiagonal(
-                partial, pre_steps=[step], initial_matrix=bs.matrix, deadline=deadline
+                partial, assembly=step, initial_matrix=bs.matrix, deadline=deadline
             )
         except (UnsupportedRegime, ReductionTimeout) as e:
             raise type(e)("order %d, %s: %s" % (bs.order, phase, e)) from e

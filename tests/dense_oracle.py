@@ -8,7 +8,9 @@ compare the two.  Likewise entrywise_mul multiplies rational matrices term
 by term in RatFun arithmetic, where the package works over row and column
 common denominators, and breadth_first_basis brackets every pair of
 basis elements, where the package's Lie closure brackets each element
-with the generators only.
+with the generators only, and all_seed_working_basis seeds the working
+subdiagonal space with the lower-left block of every element of the
+initial algebra, where the package takes one seed.
 """
 
 from varred.matrices import ConstMat, RatMat
@@ -93,6 +95,45 @@ def _bracket(a, b):
     return a * b - b * a
 
 
+class _SparseSpan:
+    """A reduced row echelon form of flattened matrices, in sparse Fraction
+    rows: pivot -> {index: Fraction}, 1 at the pivot, 0 at the other pivots."""
+
+    def __init__(self):
+        self.rows = {}
+
+    @staticmethod
+    def _sub_scaled(w, c, row):
+        for k, v in row.items():
+            x = w.get(k, QQ0) - c * v
+            if x:
+                w[k] = x
+            else:
+                del w[k]
+
+    def add(self, m) -> bool:
+        """Add m; True when it was outside the span so far."""
+        w = {i * m.cols + j: QQ(v, m.den) for i, row in m.num.items() for j, v in row.items()}
+        for p, row in self.rows.items():
+            if p in w:
+                self._sub_scaled(w, w[p], row)
+        if not w:
+            return False
+        p = min(w)
+        new = {k: v / w[p] for k, v in w.items()}
+        for row in self.rows.values():
+            if p in row:
+                self._sub_scaled(row, row[p], new)
+        self.rows[p] = new
+        return True
+
+
+def span_dim(mats):
+    """Dimension of the Q-span of constant matrices."""
+    span = _SparseSpan()
+    return sum(span.add(m) for m in mats)
+
+
 def breadth_first_basis(generators):
     """Basis of the Lie closure that brackets every pair of basis elements.
 
@@ -102,39 +143,31 @@ def breadth_first_basis(generators):
     Brackets are the dense products a*b - b*a, and the span is a reduced
     row echelon form of the flattened basis in sparse Fraction rows.
     """
-    rows = {}  # pivot -> {index: Fraction}, 1 at the pivot, 0 at the other pivots
-    basis = []
-
-    def sub_scaled(w, c, row):
-        for k, v in row.items():
-            x = w.get(k, QQ0) - c * v
-            if x:
-                w[k] = x
-            else:
-                del w[k]
-
-    def append_if_new(m):
-        w = {i * m.cols + j: QQ(v, m.den) for i, row in m.num.items() for j, v in row.items()}
-        for p, row in rows.items():
-            if p in w:
-                sub_scaled(w, w[p], row)
-        if w:
-            p = min(w)
-            new = {k: v / w[p] for k, v in w.items()}
-            for row in rows.values():
-                if p in row:
-                    sub_scaled(row, row[p], new)
-            rows[p] = new
-            basis.append(m)
-
-    for g in generators:
-        append_if_new(g)
+    span = _SparseSpan()
+    basis = [g for g in generators if span.add(g)]
     j = 1
     while j < len(basis):
         for i in range(j):
-            append_if_new(_bracket(basis[i], basis[j]))
+            b = _bracket(basis[i], basis[j])
+            if span.add(b):
+                basis.append(b)
         j += 1
     return basis
+
+
+def lower_left(m: ConstMat, d1: int) -> ConstMat:
+    """m with every entry outside its lower-left block, rows >= d1 and
+    columns < d1, set to zero."""
+    return ConstMat([[v if i >= d1 > j else QQ0 for j, v in enumerate(row)]
+                     for i, row in enumerate(m.data)])
+
+
+def all_seed_working_basis(d0, sub_basis, algebra, d1):
+    """The working subdiagonal space by the all-seed rule: the all-pairs
+    closure of d0, sub_basis and the lower-left block of every element of
+    the initial algebra, in that order."""
+    seeds = [lower_left(m, d1) for m in algebra]
+    return breadth_first_basis([d0] + list(sub_basis) + seeds)
 
 
 def structure_table(basis):

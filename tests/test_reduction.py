@@ -21,8 +21,14 @@ from varred.errors import (
 from varred.expr import poly_to_text
 from varred.fileformats import parse_report, parse_system, render_report
 from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge, sym_power_algebra
-from varred.liealgebra import DualFrame, lie_closure, split_diag_sub, wei_norman
-from varred.matrices import ConstMat, RatMat, comm
+from varred.liealgebra import (
+    DualFrame,
+    diag_projection,
+    lie_closure,
+    split_diag_sub,
+    wei_norman,
+)
+from varred.matrices import ConstMat, RatMat, comm, nilpotent_jordan_chains
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
@@ -39,7 +45,13 @@ from varred.reduction import (
 )
 from varred.varequations import BlockSystem
 
-from dense_oracle import breadth_first_basis, coordinates_in_span
+from dense_oracle import (
+    all_seed_working_basis,
+    breadth_first_basis,
+    coordinates_in_span,
+    lower_left,
+    span_dim,
+)
 
 
 def rf(text):
@@ -223,6 +235,13 @@ def unit_lower_gauge(rng, n):
     return GaugeMatrix.from_p(p)
 
 
+def working_seed(algebra, d0, d1):
+    """lead - d0, with lead the first element of the initial algebra that
+    has a diagonal part: the seed reduce_subdiagonal gives _adjoint_chains."""
+    lead = next(m for m in algebra if not diag_projection(m, d1).is_zero)
+    return lead - d0
+
+
 def one_gauge_at_a_time(a0, d1, q):
     """Reference elimination: remove_generator position by position, top
     down along each chain of the frame the sweep uses, composing every
@@ -230,7 +249,7 @@ def one_gauge_at_a_time(a0, d1, q):
     eigenvalue, total gauge, chain shapes)."""
     lie = lie_closure(wei_norman(a0).matrices())
     diag, sub = split_diag_sub(lie.mats, d1)
-    chains = _adjoint_chains(diag[0], lie.mats, sub, d1)
+    chains = _adjoint_chains(diag[0], working_seed(lie.mats, diag[0], d1), sub)
     beta0 = DualFrame(diag).coords(wei_norman(_diag_projection(a0, d1)))[0]
     frame = DualFrame([m for _, mats in chains for m in mats])
     a, coords, steps = a0, None, []
@@ -261,7 +280,7 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
         initial = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p))
         report = reduce_subdiagonal(
             BlockSystem(1, a0, [d1, a0.rows - d1]),
-            pre_steps=[ReductionStep(kind="diagonal-assembly", gauge=q)],
+            assembly=ReductionStep(kind="diagonal-assembly", gauge=q),
             initial_matrix=initial,
         )
         final, steps, total, shapes = one_gauge_at_a_time(a0, d1, q)
@@ -549,6 +568,44 @@ def test_tower_reads_negated_brackets_when_the_lead_is_not_first():
     ]
 
 
+def test_tower_tries_only_the_first_noncommuting_pair(monkeypatch):
+    # sl2 = <h, e, f> on the first two coordinates beside three commuting
+    # diagonal units, dimension 6.  A leader would lie in every noncommuting
+    # pair, so only the first one, (h, e), is tried: ad(h) is not
+    # nilpotent, and [e, h] = -2e has a component along e.  That takes
+    # 1 + 5 + 1 brackets; listing every pair would take 15 > 2 * 6.
+    def unit(*entries):
+        rows = [[0] * 5 for _ in range(5)]
+        for i, j, v in entries:
+            rows[i][j] = v
+        return ConstMat(rows)
+
+    mats = [unit((0, 0, 1), (1, 1, -1)), unit((0, 1, 1)), unit((1, 0, 1)),
+            unit((2, 2, 1)), unit((3, 3, 1)), unit((4, 4, 1))]
+    lie = lie_closure(mats)
+    assert lie.mats == mats and lie.first_noncommuting_pair() == (0, 1)
+    with pytest.raises(UnsupportedRegime):
+        nilpotent_jordan_chains(lie.adjoint(0)[1])
+    wn = wei_norman(liealgebra.rat_lincomb(
+        [rf("1/(x - %d)" % k) for k in range(6)], mats, 5, 5))
+    brackets = []
+
+    def count(module):
+        inner = module.comm
+
+        def counted(a, b):
+            brackets.append(1)
+            return inner(a, b)
+
+        monkeypatch.setattr(module, "comm", counted)
+
+    count(reduction)
+    count(liealgebra)
+    with pytest.raises(UnsupportedRegime, match="adjoint-chain structure"):
+        picard_vessiot_tower(wn, lie)
+    assert len(brackets) <= 2 * lie.dim
+
+
 def test_dependent_depth_one_letters_are_not_certified():
     # blocks (2, 1): the diagonal generator E21 with beta0 = 1/x - 1/x^2 and
     # the subdiagonal E32 with 1/x.  The tower has the right length, but its
@@ -616,10 +673,11 @@ def test_working_space_closure_respects_deadline():
     ])
     lie = lie_closure(wei_norman(a).matrices())
     diag, sub = split_diag_sub(lie.mats, 2)
-    chains = _adjoint_chains(diag[0], lie.mats, sub, 2)
+    seed = working_seed(lie.mats, diag[0], 2)
+    chains = _adjoint_chains(diag[0], seed, sub)
     assert sum(len(mats) for _, mats in chains) >= 2
     with pytest.raises(ReductionTimeout):
-        _adjoint_chains(diag[0], lie.mats, sub, 2, time.monotonic() - 1.0)
+        _adjoint_chains(diag[0], seed, sub, time.monotonic() - 1.0)
 
 
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
@@ -802,6 +860,86 @@ def test_synth_reports_match_the_reference_hashes(synth_seed0):
         assert apply_gauge(sf.matrix, rep.total_gauge) == rep.final_matrix, k
         out = render_report(rep, "structured", sf.variable)
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, k
+
+
+SEED_HASHES = Path(__file__).resolve().parent / "data" / "synth_seeds_1_5.sha256"
+
+
+def test_synth_seeds_one_to_five_match_the_stored_hashes():
+    """Each line of the data file is a synth-chains seed and the sha256 of
+    the structured reports of its 12 systems, concatenated in order."""
+    stored = dict(line.split() for line in SEED_HASHES.read_text(encoding="utf-8").splitlines())
+    assert sorted(stored) == ["1", "2", "3", "4", "5"]
+    for seed, digest in stored.items():
+        h = hashlib.sha256()
+        for text in synth_texts(int(seed), 12):
+            sf, rep = reduce_system_text(text)
+            h.update(render_report(rep, "structured", sf.variable).encode("utf-8"))
+        assert h.hexdigest() == digest, seed
+
+
+def monogenous_two_block_systems(rng, count):
+    """Systems sum_k 1/(x - k) * M_k, M_k = c_k*d0 + a random lower-left
+    block, with blocks (d1, d2) of 1-3 rows and d0 block diagonal and lower
+    triangular, so ad(d0) has integer eigenvalues.  Last, the single
+    generator 1/x * (E11 + E31 + E42), blocks (2, 2): its lower-left part
+    s has [E11, s] = -E31 outside span(s)."""
+    out = []
+    for _ in range(count):
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        n = d1 + d2
+        d0 = ConstMat([[rng.randint(-2, 2) if j <= i and (i < d1) == (j < d1) else 0
+                        for j in range(n)] for i in range(n)])
+        mats = [lower_left(ConstMat([[rng.randint(-2, 2) for _ in range(n)]
+                                     for _ in range(n)]), d1)
+                + d0.scale(rng.choice([0, 1, 2, -1])) for _ in range(rng.randint(1, 4))]
+        funcs = [rf("1/(x - %d)" % k) for k in range(len(mats))]
+        out.append(BlockSystem(2, liealgebra.rat_lincomb(funcs, mats, n, n), [d1, d2]))
+    single = ConstMat([[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+    out.append(BlockSystem(2, liealgebra.rat_lincomb([rf("1/x")], [single], 4, 4), [2, 2]))
+    return out
+
+
+def test_working_space_closes_from_one_seed(lve3_run, synth_seed0, monkeypatch):
+    """The working subdiagonal space is the closure of d0, sub_basis and one
+    seed, lead - d0, and it has the basis of the all-seed rule: the
+    lower-left blocks of the initial algebra add at most one dimension to
+    span(sub_basis), and ad(d0) already keeps that span."""
+    systems = [BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
+               for rep in lve3_run[0]]
+    systems += [BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)) for sf, _ in synth_seed0]
+    systems += monogenous_two_block_systems(random.Random(1801), 12)
+    closed = []
+    inner = reduction.lie_closure
+
+    def recording(gens, deadline=None):
+        closed.append(list(gens))
+        return inner(gens, deadline)
+
+    monkeypatch.setattr(reduction, "lie_closure", recording)
+    enlarged, bracketed = [], []
+    for system in systems:
+        closed.clear()
+        reduce_subdiagonal(system)
+        algebra = inner(closed[0]).mats
+        d1 = system.block_sizes[0]
+        diag, sub = split_diag_sub(algebra, d1)
+        if not diag:
+            assert len(closed) == 2  # initial and final closures only
+            continue
+        d0, seed = diag[0], working_seed(algebra, diag[0], d1)
+        assert closed[1] == [d0] + sub + [seed]
+        work = inner(closed[1])
+        assert work.mats == all_seed_working_basis(d0, sub, algebra, d1)
+        assert span_dim(sub + [d0 * x - x * d0 for x in sub]) == len(sub)
+        grow = span_dim(sub + [lower_left(m, d1) for m in algebra]) - len(sub)
+        assert grow <= 1
+        enlarged.append(grow)
+        bracketed.append(work.dim > work.n_generators)
+    # both kinds occur; the single generator's closure takes a bracket
+    assert 0 in enlarged and 1 in enlarged
+    assert enlarged[-1] == 1 and bracketed[-1]
+    assert len(enlarged) >= 20
 
 
 # x standing alone, as a variable; "final-matrix" holds an x inside a word
