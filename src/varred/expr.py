@@ -14,6 +14,7 @@ Rendering produces text the parser maps back to the same object.
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import Callable, NamedTuple
 
 # Longest integer literal, below the 4300 digits that int() converts by default.
@@ -173,30 +174,33 @@ def parse_expression(text: str, resolve_name: Callable, make_const: Callable):
 # ---- rendering -----------------------------------------------------------
 
 
-def _coeff_text(c) -> str:
-    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_to_text(p, var: str) -> str:
-    """Canonical text for a Poly, terms in descending degree."""
-    if p.is_zero:
+    """Canonical text for a Poly, terms in descending degree.
+
+    Reads the int numerators over the common denominator and reduces each
+    coefficient by one gcd; c/1 prints as c.
+    """
+    nums, den = p._num, p._den
+    if not nums:
         return "0"
     parts = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if not c:
+    for k in range(len(nums) - 1, -1, -1):
+        v = nums[k]
+        if not v:
             continue
-        neg = c < 0
-        a = -c if neg else c
+        a = -v if v < 0 else v
+        g = gcd(a, den)
+        n, d = a // g, den // g
+        coeff = str(n) if d == 1 else f"{n}/{d}"
         if k == 0:
-            body = _coeff_text(a)
+            body = coeff
         else:
             xs = var if k == 1 else f"{var}^{k}"
-            body = xs if a == 1 else f"{_coeff_text(a)}*{xs}"
+            body = xs if a == den else f"{coeff}*{xs}"
         if not parts:
-            parts.append(f"-{body}" if neg else body)
+            parts.append(f"-{body}" if v < 0 else body)
         else:
-            parts.append(f" - {body}" if neg else f" + {body}")
+            parts.append(f" - {body}" if v < 0 else f" + {body}")
     return "".join(parts)
 
 

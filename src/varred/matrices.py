@@ -590,6 +590,20 @@ class JordanChains:
         return [len(c) for c in self.chains]
 
 
+def trace_shows_not_nilpotent(m: ConstMat) -> bool:
+    """True when tr(m) or tr(m^2) is nonzero, which proves m not nilpotent.
+
+    Both are read off the stored int entries in O(nnz): tr(m^2) is
+    sum m_ij * m_ji, and m^2 is never formed.  False proves nothing; a
+    caller that needs to know goes on to nilpotent_jordan_chains.
+    """
+    num = m.num
+    if sum(row.get(i, 0) for i, row in num.items()):
+        return True
+    return sum(v * num[j].get(i, 0) for i, row in num.items()
+               for j, v in row.items() if j in num) != 0
+
+
 def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     """Jordan chain decomposition of a nilpotent matrix over Q.
 

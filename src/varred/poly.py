@@ -546,17 +546,24 @@ class FactorBase:
     divided by each factor held, as often as it goes exactly, and only a
     nonconstant cofactor that is left goes to factor_irreducible; its factors
     join the base.  Factorization over Q is unique, so the result does not
-    depend on what the base holds.  One base serves one computation whose
-    denominators share their poles, such as one reduction.
+    depend on what the base holds.  The base also remembers the factor list
+    of every monic input it has factored and returns a fresh copy of it
+    when that input comes again.  One base serves one computation whose
+    denominators share their poles, such as one reduction, so nothing it
+    remembers outlives that computation.
     """
 
     def __init__(self):
         self._factors = []  # ascending degree
+        self._known = {}  # monic input -> its (factor, multiplicity) list
 
     def factor(self, p: Poly):
         if p.is_zero:
             raise ValueError("cannot factor the zero polynomial")
-        rest = p.monic()
+        monic = rest = p.monic()
+        known = self._known.get(monic)
+        if known is not None:
+            return p.lc, list(known)
         found = []
         for q in self._factors:
             if q.degree > rest.degree:
@@ -574,4 +581,5 @@ class FactorBase:
             self._factors.extend(q for q, _ in new)
             self._factors.sort(key=lambda q: q.degree)
         found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-        return p.lc, found
+        self._known[monic] = found
+        return p.lc, list(found)

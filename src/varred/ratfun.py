@@ -5,7 +5,11 @@ solutions of first order equations y' = gamma*y + beta.
 
 Canonical form: numerator and denominator coprime, denominator monic.  The
 add/mul routines follow the gcd-avoiding scheme of the stdlib Fraction type
-(Henrici), which keeps the polynomial gcds small.
+(Henrici), which keeps the polynomial gcds small.  The Hermite split keeps
+one numerator per squarefree factor of the denominator and normalizes each
+of its two parts once, over one denominator, instead of adding a
+normalized term per pole order; the rational solver builds its linear
+system from shifts of two polynomials.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from .poly import (
 from .expr import parse_expression, poly_to_text, _is_bare_atom
 
 _ONE = Poly((QQ1,))
+_ZERO_POLY = Poly()
 
 
 class RatFun:
@@ -218,11 +223,9 @@ class RatFun:
             return "0"
         cn, n_int = self.num.primitive_int()
         cd, d_int = self.den.primitive_int()
-        c = cn / cd  # rational scalar, denominator positive after this split
-        num = Poly(n_int).scale(c.numerator)
-        den = Poly(d_int).scale(c.denominator)
-        if den.lc < 0:
-            num, den = num.scale(-1), den.scale(-1)
+        c = cn / cd  # d_int has a positive lc, and so has c.denominator * d_int
+        num = Poly._new(tuple(v * c.numerator for v in n_int), 1)
+        den = Poly._new(tuple(v * c.denominator for v in d_int), 1)
         ns = poly_to_text(num, var)
         if den.is_one:
             return ns
@@ -328,11 +331,14 @@ def hermite_split(f: RatFun) -> HermiteSplit:
 
     Uses the squarefree decomposition of the denominator only -- no
     irreducible factorization.  L collects the residue parts; the polynomial
-    part of f integrates into R.
+    part of f integrates into R.  Each squarefree factor q of multiplicity
+    m leaves one numerator over q^(m-1) in R and one over q in L, and each
+    of R and L is normalized once, over the product of its denominators
+    (Bronstein, Symbolic Integration I, ch. 2).
     """
     polypart, rem = f.num.divmod(f.den)
-    r = RatFun.from_poly(polypart.antiderivative())
-    l = _ZERO
+    rpoly = polypart.antiderivative()
+    r_parts, l_parts = [], []  # (numerator, denominator) pairs
     if not rem.is_zero:
         for q, mult in squarefree_decomposition(f.den):
             qm = q**mult
@@ -344,17 +350,39 @@ def hermite_split(f: RatFun) -> HermiteSplit:
                 comp = (rem * s) % qm
             dq = q.derivative()
             _, s2, t2 = poly_xgcd(q, dq)  # s2*q + t2*q' = 1, q squarefree
+            num, qpow = _ZERO_POLY, _ONE  # num over q^(mult-1); qpow = q^(mult-j)
             for j in range(mult, 1, -1):
                 # comp/q^j = (-b/((j-1) q^(j-1)))' + (comp*s2 + h*q' + b'/(j-1)) / q^(j-1)
                 # where comp*t2 = h*q + b
                 h, b = (comp * t2).divmod(q)
-                r = r + RatFun(b.scale(QQ(-1, j - 1)), q ** (j - 1))
-                comp = comp * s2 + h * dq + b.derivative().scale(QQ(1, j - 1))
+                if not b.is_zero:
+                    num = num + b._scale(-1, j - 1) * qpow
+                comp = comp * s2 + h * dq + b.derivative()._scale(1, j - 1)
+                qpow = qpow * q
             hh, low = comp.divmod(q)
-            r = r + RatFun.from_poly(hh.antiderivative())
+            rpoly = rpoly + hh.antiderivative()
+            if not num.is_zero:
+                r_parts.append((num, qpow))
             if not low.is_zero:
-                l = l + RatFun(low, q)
-    return HermiteSplit(r, l)
+                l_parts.append((low, q))
+    return HermiteSplit(_over_product(rpoly, r_parts), _over_product(_ZERO_POLY, l_parts))
+
+
+def _over_product(poly: Poly, parts) -> RatFun:
+    """poly + sum of num/den over (num, den) parts with pairwise coprime
+    monic dens, normalized once over the product of the dens."""
+    if not parts:
+        return RatFun.from_poly(poly)
+    den = _ONE
+    for _, d in parts:
+        den = den * d
+    num = poly * den
+    for k, (n, _) in enumerate(parts):
+        for i, (_, d) in enumerate(parts):
+            if i != k:
+                n = n * d
+        num = num + n
+    return RatFun(num, den)
 
 
 # ---- logarithmic derivative recognition -------------------------------------
@@ -416,6 +444,28 @@ def _pole_order(den_factors, q):
         if fac == q:
             return mult
     return 0
+
+
+def _shift(p: Poly, k: int) -> Poly:
+    """p * x^k; prepending zeros keeps the pair canonical."""
+    return Poly._new((0,) * k + p._num, p._den) if p._num else p
+
+
+def _equation_rows(gamma: RatFun, beta: RatFun, w: Poly, udeg: int):
+    """The rows of g' = gamma*g + beta for g = u/w, one per coefficient of u.
+
+    Multiplied out, (u'w - u w') * Gd * Bd = Gn * u * w * Bd + Bn * Gd * w^2
+    is linear in u.  The row of u_i = x^i is i*x^(i-1)*P - x^i*Q with
+    P = w*Gd*Bd and Q = w'*Gd*Bd + Gn*w*Bd, so every row is a shift and a
+    scaling of the same two polynomials.
+    """
+    gd_bd = gamma.den * beta.den
+    p = w * gd_bd
+    q = w.derivative() * gd_bd + gamma.num * w * beta.den
+    rows = [-q]
+    for i in range(1, udeg + 1):
+        rows.append(_shift(p, i - 1)._scale(i, 1) - _shift(q, i))
+    return rows
 
 
 def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | None = None):
@@ -487,17 +537,8 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | 
     delta = max(candidates)
     w = den_bound
     udeg = delta + (w.degree or 0)
-    # (u'w - u w') * Gd * Bd = Gn * u * w * Bd + Bn * Gd * w^2, linear in u
-    gn, gd = gamma.num, gamma.den
-    bn, bd = beta.num, beta.den
-    rhs_const = bn * gd * w * w
-    lhs_rows = []
-    wp = w.derivative()
-    for i in range(udeg + 1):
-        xi = Poly((QQ0,) * i + (QQ1,))
-        xip = xi.derivative()
-        row = (xip * w - xi * wp) * gd * bd - gn * xi * w * bd
-        lhs_rows.append(row)
+    lhs_rows = _equation_rows(gamma, beta, w, udeg)
+    rhs_const = beta.num * gamma.den * w * w
     # solve sum u_i * lhs_rows[i] = rhs_const coefficientwise
     from .matrices import SpanQQ  # imported here: matrices imports this module
 

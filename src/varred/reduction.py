@@ -58,6 +58,7 @@ from .matrices import (
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
+    trace_shows_not_nilpotent,
 )
 from .poly import FactorBase
 from .rationals import QQ0
@@ -347,13 +348,15 @@ def _eigen_chains(psi: ConstMat):
     """Jordan chain vectors of psi, grouped as (eigenvalue, chain) pairs.
 
     Chains are coordinate vectors ordered kernel-first.  A nilpotent psi
-    takes the direct route; otherwise all eigenvalues must be rational and
-    each generalized eigenspace is split off separately.
+    takes the direct route, tried only when the trace test does not already
+    rule it out; otherwise all eigenvalues must be rational and each
+    generalized eigenspace is split off separately.
     """
-    try:
-        return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi).chains]
-    except UnsupportedRegime:
-        pass
+    if not trace_shows_not_nilpotent(psi):
+        try:
+            return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi).chains]
+        except UnsupportedRegime:
+            pass
     n = psi.rows
     out = []
     eye = ConstMat.identity(n)
@@ -763,6 +766,8 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
         if adjoint is None:
             continue
         others, ad = adjoint
+        if trace_shows_not_nilpotent(ad):
+            continue
         try:
             chains = nilpotent_jordan_chains(ad).chains
         except UnsupportedRegime:

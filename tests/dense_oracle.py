@@ -11,11 +11,21 @@ basis elements, where the package's Lie closure brackets each element
 with the generators only, and all_seed_working_basis seeds the working
 subdiagonal space with the lower-left block of every element of the
 initial algebra, where the package takes one seed.
+
+The scalar kernels have references too: hermite_split_by_sums adds one
+normalized RatFun per pole order, where the package normalizes once over
+the product of the denominators; equation_rows_by_products builds each
+row of the rational-solution system from its five products, where the
+package shifts two polynomials; and fraction_poly_to_text and
+fraction_render print through Fraction coefficients, where the package
+reads the int numerators.
 """
 
+from varred.expr import _is_bare_atom
 from varred.matrices import ConstMat, RatMat
+from varred.poly import Poly, poly_xgcd, squarefree_decomposition
 from varred.rationals import QQ, QQ0, QQ1
-from varred.ratfun import RatFun
+from varred.ratfun import HermiteSplit, RatFun
 
 _RF_ZERO = RatFun.const(0)
 
@@ -245,3 +255,96 @@ def entrywise_mul(a: RatMat, b: RatMat) -> RatMat:
 def entrywise_gauge(a: RatMat, p) -> RatMat:
     """P[a] = P^(-1) (a P - P') with entrywise_mul for both products."""
     return entrywise_mul(p.p_inv, entrywise_mul(a, p.p) - p.p.derivative())
+
+
+def hermite_split_by_sums(f: RatFun) -> HermiteSplit:
+    """f = R' + L with L having only simple poles, R and L summed one
+    normalized RatFun at a time: one term per squarefree factor q of the
+    denominator and per power of q above one."""
+    polypart, rem = f.num.divmod(f.den)
+    r = RatFun.from_poly(polypart.antiderivative())
+    l = _RF_ZERO
+    if not rem.is_zero:
+        for q, mult in squarefree_decomposition(f.den):
+            qm = q**mult
+            rest = f.den.exact_div(qm)
+            if rest.is_one:
+                comp = rem
+            else:
+                _, s, _ = poly_xgcd(rest, qm)
+                comp = (rem * s) % qm
+            dq = q.derivative()
+            _, s2, t2 = poly_xgcd(q, dq)
+            for j in range(mult, 1, -1):
+                h, b = (comp * t2).divmod(q)
+                r = r + RatFun(b.scale(QQ(-1, j - 1)), q ** (j - 1))
+                comp = comp * s2 + h * dq + b.derivative().scale(QQ(1, j - 1))
+            hh, low = comp.divmod(q)
+            r = r + RatFun.from_poly(hh.antiderivative())
+            if not low.is_zero:
+                l = l + RatFun(low, q)
+    return HermiteSplit(r, l)
+
+
+def equation_rows_by_products(gamma: RatFun, beta: RatFun, w: Poly, udeg: int):
+    """Row i of (u'w - u w') * Gd * Bd = Gn * u * w * Bd + ... for u = x^i,
+    multiplied out term by term."""
+    gn, gd = gamma.num, gamma.den
+    bd = beta.den
+    wp = w.derivative()
+    rows = []
+    for i in range(udeg + 1):
+        xi = Poly((QQ0,) * i + (QQ1,))
+        xip = xi.derivative()
+        rows.append((xip * w - xi * wp) * gd * bd - gn * xi * w * bd)
+    return rows
+
+
+def _fraction_text(c) -> str:
+    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def fraction_poly_to_text(p: Poly, var: str) -> str:
+    """Text of a Poly, descending degree, from its Fraction coefficients."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        neg = c < 0
+        a = -c if neg else c
+        if k == 0:
+            body = _fraction_text(a)
+        else:
+            xs = var if k == 1 else f"{var}^{k}"
+            body = xs if a == 1 else f"{_fraction_text(a)}*{xs}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f" - {body}" if neg else f" + {body}")
+    return "".join(parts)
+
+
+def fraction_render(f: RatFun, var: str = "x") -> str:
+    """Text of a RatFun over integer-primitive polynomials, built by
+    Fraction scaling and printed by fraction_poly_to_text."""
+    if f.is_zero:
+        return "0"
+    cn, n_int = f.num.primitive_int()
+    cd, d_int = f.den.primitive_int()
+    c = cn / cd
+    num = Poly(n_int).scale(c.numerator)
+    den = Poly(d_int).scale(c.denominator)
+    if den.lc < 0:
+        num, den = num.scale(-1), den.scale(-1)
+    ns = fraction_poly_to_text(num, var)
+    if den.is_one:
+        return ns
+    ds = fraction_poly_to_text(den, var)
+    if not _is_bare_atom(ns):
+        ns = f"({ns})"
+    if not _is_bare_atom(ds):
+        ds = f"({ds})"
+    return f"{ns}/{ds}"

@@ -19,6 +19,7 @@ from varred.matrices import (
     nilpotent_jordan_chains,
     nullspace,
     rational_eigenvalues,
+    trace_shows_not_nilpotent,
 )
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun, solve_first_order_rational
@@ -597,34 +598,42 @@ def test_rational_eigenvalues_on_triangular():
         assert sorted(got) == sorted(counts.items())
 
 
-def test_nilpotent_jordan_chains_random_block_shapes():
-    """Chains rebuilt as psi-orbits must match the declared lengths and span
-    everything; kernel elements close each chain."""
-    rng = random.Random(210)
-    for _ in range(40):
+def conjugated(rng, m):
+    """g * m * g^-1 for a random invertible integer matrix g."""
+    n = m.rows
+    while True:
+        g = [list(row) for row in rand_const(rng, n, lo=-2, hi=2).data]
+        for i in range(n):
+            g[i][i] = g[i][i] + Fraction(1 + (i % 2))
+        g = ConstMat(g)
+        lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
+                         for row in g.data])
+        if not det(lifted).is_zero:
+            break
+    return g * m * lifted.inverse().to_const()
+
+
+def hidden_nilpotent_shapes(rng, count):
+    """(sizes, m): shift blocks of the given sizes on the diagonal,
+    conjugated to hide the basis."""
+    for _ in range(count):
         sizes = sorted((rng.randint(1, 4)
                         for _ in range(rng.randint(1, 3))), reverse=True)
         n = sum(sizes)
         m = [[Fraction(0)] * n for _ in range(n)]
-        # shift blocks on the diagonal
         pos = 0
         for s in sizes:
             for k in range(s - 1):
                 m[pos + k + 1][pos + k] = Fraction(1)
             pos += s
-        m = ConstMat(m)
-        # conjugate by a random invertible integer matrix to hide the basis
-        while True:
-            g = [list(row) for row in rand_const(rng, n, lo=-2, hi=2).data]
-            for i in range(n):
-                g[i][i] = g[i][i] + Fraction(1 + (i % 2))
-            g = ConstMat(g)
-            lifted = RatMat([[RatFun(Poly([v]), Poly([1])) for v in row]
-                             for row in g.data])
-            if not det(lifted).is_zero:
-                break
-        ginv = lifted.inverse().to_const()
-        hidden = g * m * ginv
+        yield sizes, conjugated(rng, ConstMat(m))
+
+
+def test_nilpotent_jordan_chains_random_block_shapes():
+    """Chains rebuilt as psi-orbits must match the declared lengths and span
+    everything; kernel elements close each chain."""
+    for sizes, hidden in hidden_nilpotent_shapes(random.Random(210), 40):
+        n = hidden.rows
         chains = nilpotent_jordan_chains(hidden)
         assert sorted(chains.block_sizes, reverse=True) == sizes
         span = SpanQQ(n)
@@ -638,6 +647,33 @@ def test_nilpotent_jordan_chains_random_block_shapes():
             for v in chain:
                 assert span.add(list(v))
         assert span.dim == n
+
+
+def test_trace_test_reads_nilpotent_shapes_and_rational_eigenvalues():
+    """tr(m) and tr(m^2) both vanish on every hidden nilpotent shape, and
+    one of them does not on a hidden triangular matrix with a nonzero
+    rational eigenvalue, whose tr(m^2) is the sum of the squared
+    eigenvalues; in half of those the eigenvalues sum to 0, as those of an
+    adjoint often do, so only tr(m^2) shows it."""
+    for _, hidden in hidden_nilpotent_shapes(random.Random(210), 40):
+        assert not trace_shows_not_nilpotent(hidden)
+    rng = random.Random(1904)
+    traceless = 0
+    for k in range(40):
+        n = rng.randint(2, 6)
+        eig = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        if not eig[0]:
+            eig[0] = Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+        if k % 2:
+            eig[-1] = -sum(eig[:-1])
+        traceless += not sum(eig)
+        m = [[eig[i] if i == j else Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)
+              for j in range(n)] for i in range(n)]
+        hidden = conjugated(rng, ConstMat(m))
+        assert trace_shows_not_nilpotent(hidden)
+        with pytest.raises(ValueError, match="stabilizes at"):
+            nilpotent_jordan_chains(hidden)
+    assert traceless >= 20
 
 
 def test_nilpotent_jordan_chains_rejects_non_nilpotent():

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from varred import poly as poly_module
+from varred.expr import poly_to_text
 from varred.poly import (
     _GCD_PRIMES,
     FactorBase,
@@ -26,6 +27,14 @@ from varred.ratfun import (
     parse_ratfun,
     partial_fractions,
     solve_first_order_rational,
+    _equation_rows,
+)
+
+from dense_oracle import (
+    equation_rows_by_products,
+    fraction_poly_to_text,
+    fraction_render,
+    hermite_split_by_sums,
 )
 
 
@@ -367,6 +376,33 @@ def test_factor_base_matches_factor_irreducible(monkeypatch):
     assert 0 < len(refinements) < 30  # a quarter of the 120 products
 
 
+def test_factor_base_remembers_its_inputs(monkeypatch):
+    """A repeated input, up to a constant factor, is answered from the memo
+    without a single division, and a caller that mutates the list it got
+    does not change what the next call returns."""
+    x = Poly.variable()
+    p = ((x ** 2 + Poly([1])) ** 2 * (x - Poly([3]))).scale(Fraction(3, 4))
+    base = FactorBase()
+    first = base.factor(p)
+    want = (first[0], list(first[1]))
+    assert want == factor_irreducible(p)
+    first[1].clear()
+    divisions = []
+    inner = Poly.divmod
+
+    def counted(self, other):
+        divisions.append(other)
+        return inner(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", counted)
+    assert base.factor(p) == want
+    again = base.factor(p.scale(-2))
+    assert divisions == []
+    assert again == (p.lc * -2, want[1])
+    again[1].append((x, 5))
+    assert base.factor(p) == want
+
+
 def test_ratfun_field_axioms_random():
     rng = random.Random(106)
     for _ in range(200):
@@ -446,6 +482,114 @@ def test_hermite_split_pure_log_integrand_untouched():
     split = hermite_split(f)
     assert split.r.is_zero
     assert split.l == f
+
+
+# ---- the scalar kernels against their one-term-at-a-time references -------
+
+# monic irreducibles; the squarefree factors below are products of them
+_IRREDUCIBLES = [Poly([0, 1]), Poly([-1, 1]), Poly([3, 1]), Poly([1, 0, 1]),
+                 Poly([-2, 0, 1]), Poly([-2, 0, 0, 1]), Poly([Fraction(5, 2), 1])]
+
+
+def _scalar_coeff(rng):
+    """A small signed fraction, or one with a numerator and a denominator
+    of up to 40 bits."""
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+
+def _scalar_poly(rng, deg):
+    return Poly([_scalar_coeff(rng) for _ in range(deg + 1)])
+
+
+def _product(polys):
+    out = Poly([1])
+    for p in polys:
+        out = out * p
+    return out
+
+
+def _hermite_input(rng):
+    """(f, sqf): f = P + R' + L, with R over prod q^(m-1) and L over prod q,
+    where the squarefree factors q are products of one or two irreducibles
+    and m runs 1 to 4.  L has poles at a random nonempty subset of the
+    irreducibles only, so its share of the numerator over q vanishes at
+    the others; P, the polynomial part, is zero in half the inputs."""
+    pool = rng.sample(_IRREDUCIBLES, len(_IRREDUCIBLES))
+    sqf = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randint(1, 2)
+        sqf.append((pool[:k], rng.choice([1, 2, 3, 4])))
+        pool = pool[k:]
+    rden = _product(_product(parts) ** (m - 1) for parts, m in sqf)
+    r = RatFun(_scalar_poly(rng, rng.randint(0, max(rden.degree - 1, 0))), rden)
+    parts = [p for ps, _ in sqf for p in ps]
+    l = RatFun.const(0)
+    for p in rng.sample(parts, rng.randint(1, len(parts))):
+        l = l + RatFun(_scalar_poly(rng, p.degree - 1), p)
+    f = r.derivative() + l
+    if rng.random() < 0.5:
+        f = f + RatFun.from_poly(_scalar_poly(rng, rng.randint(0, 3)))
+    return f
+
+
+def test_hermite_split_matches_the_running_sum_reference():
+    """One normalization over the product of the denominators gives the
+    same canonical R and L as adding one term per pole order, on 260 seeded
+    inputs that cover poles of order 3 and more, several squarefree
+    factors, a zero polynomial part, large and negative coefficients and
+    residues that vanish at an irreducible factor of a squarefree q."""
+    rng = random.Random(1901)
+    seen = {"order3": 0, "several": 0, "no_poly_part": 0, "shared": 0}
+    for k in range(260):
+        f = _hermite_input(rng) if k % 5 else rand_ratfun(rng, 8)
+        got = hermite_split(f)
+        assert got == hermite_split_by_sums(f), k
+        sqf = squarefree_decomposition(f.den)
+        seen["order3"] += any(m >= 3 for _, m in sqf)
+        seen["several"] += len(sqf) >= 2
+        seen["no_poly_part"] += f.num.is_zero or f.num.degree < f.den.degree
+        seen["shared"] += not got.l.is_zero and any(
+            q.degree > poly_gcd(q, got.l.den).degree > 0 for q, m in sqf if m >= 2)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_equation_rows_match_the_product_reference():
+    """The rows built as shifts of two polynomials equal the rows built
+    from their five products each, on 200 seeded equations."""
+    rng = random.Random(1902)
+    for k in range(200):
+        gamma = RatFun(_scalar_poly(rng, rng.randint(0, 3)),
+                       _product(rng.sample(_IRREDUCIBLES, rng.randint(1, 3))))
+        if gamma.is_zero:
+            gamma = RatFun.const(Fraction(-7, 3))
+        beta = RatFun(_scalar_poly(rng, rng.randint(0, 4)),
+                      _product(q ** rng.randint(1, 3)
+                               for q in rng.sample(_IRREDUCIBLES, rng.randint(0, 3))))
+        w = _product(q ** rng.randint(1, 3)
+                     for q in rng.sample(_IRREDUCIBLES, rng.randint(0, 3)))
+        udeg = rng.randint(0, 7)
+        assert _equation_rows(gamma, beta, w, udeg) == \
+            equation_rows_by_products(gamma, beta, w, udeg), k
+
+
+def test_rendering_matches_the_fraction_reference():
+    """Text read off the int numerators equals text printed through
+    Fraction coefficients, for 300 seeded polynomials and rational
+    functions with large, negative and unit coefficients."""
+    rng = random.Random(1903)
+    for k in range(300):
+        var = rng.choice(["x", "t"])
+        p = _scalar_poly(rng, rng.randint(0, 6))
+        if rng.random() < 0.3:
+            p = p + Poly([0, 0, 1]) - Poly([0, 1])
+        assert poly_to_text(p, var) == fraction_poly_to_text(p, var), k
+        den = _scalar_poly(rng, rng.randint(0, 4))
+        if den.is_zero:
+            den = Poly([Fraction(-3, 7)])
+        f = RatFun(p, den)
+        assert f.render(var) == fraction_render(f, var), k
 
 
 def test_as_log_derivative_recognizes_scaled_logs():

@@ -413,24 +413,37 @@ def test_non_monogenous_diagonal_is_refused():
         reduce_subdiagonal(BlockSystem(1, mat, [2, 1]))
 
 
-def test_henon_heiles_closures_keep_the_all_pairs_order(lve3_run, monkeypatch):
+@pytest.fixture(scope="module")
+def hh_closures(lve3_run):
+    """(system, report, closures) for the Henon-Heiles assembled matrix of
+    each order 1-3, reduced again with reduction.lie_closure recorded:
+    closures lists the generators of each closure, in call order."""
+    inner = reduction.lie_closure
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for rep in lve3_run[0]:
+            closed = []
+
+            def recording(gens, deadline=None, closed=closed):
+                closed.append(list(gens))
+                return inner(gens, deadline)
+
+            mp.setattr(reduction, "lie_closure", recording)
+            system = BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
+            out.append((system, reduce_subdiagonal(system), closed))
+    return out
+
+
+def test_henon_heiles_closures_keep_the_all_pairs_order(lve3_run, hh_closures):
     # every closure of the order 1-3 reductions (initial, working space,
     # final) has the all-pairs oracle's basis in the oracle's order: the
     # brackets the closure skips are those of two non-generators, which
     # lie in the lower-left block and commute, so the reports stay those of
     # the all-pairs closure
-    closed = []
-    inner = reduction.lie_closure
-
-    def recording(gens, deadline=None):
-        closed.append(list(gens))
-        return inner(gens, deadline)
-
-    monkeypatch.setattr(reduction, "lie_closure", recording)
-    for rep in lve3_run[0]:
-        system = BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
-        assert reduce_subdiagonal(system).final_lie.mats == rep.final_lie.mats
-    bases = [inner(gens).mats for gens in closed]
+    for rep, (_, again, _) in zip(lve3_run[0], hh_closures):
+        assert again.final_lie.mats == rep.final_lie.mats
+    closed = [gens for _, _, calls in hh_closures for gens in calls]
+    bases = [reduction.lie_closure(gens).mats for gens in closed]
     assert [len(mats) for mats in bases] == [1, 1, 1, 11, 11, 1, 38, 39, 5]
     assert bases == [breadth_first_basis(gens) for gens in closed]
 
@@ -862,6 +875,28 @@ def test_synth_reports_match_the_reference_hashes(synth_seed0):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, k
 
 
+def test_no_jordan_chain_call_fails_on_a_synth_pass(monkeypatch):
+    """The trace test rules a non-nilpotent adjoint out before
+    nilpotent_jordan_chains sees it: over the 12 systems of synth-chains
+    seed 0, no call of it raises, where trying it on every candidate makes
+    24 calls that do."""
+    calls, raised = [], []
+    inner = reduction.nilpotent_jordan_chains
+
+    def recording(m):
+        calls.append(m)
+        try:
+            return inner(m)
+        except UnsupportedRegime:
+            raised.append(m)
+            raise
+
+    monkeypatch.setattr(reduction, "nilpotent_jordan_chains", recording)
+    for text in synth_texts(0, 12):
+        reduce_system_text(text)
+    assert calls and raised == []
+
+
 SEED_HASHES = Path(__file__).resolve().parent / "data" / "synth_seeds_1_5.sha256"
 
 
@@ -900,27 +935,26 @@ def monogenous_two_block_systems(rng, count):
     return out
 
 
-def test_working_space_closes_from_one_seed(lve3_run, synth_seed0, monkeypatch):
+def test_working_space_closes_from_one_seed(hh_closures, synth_seed0, monkeypatch):
     """The working subdiagonal space is the closure of d0, sub_basis and one
     seed, lead - d0, and it has the basis of the all-seed rule: the
     lower-left blocks of the initial algebra add at most one dimension to
     span(sub_basis), and ad(d0) already keeps that span."""
-    systems = [BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
-               for rep in lve3_run[0]]
-    systems += [BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)) for sf, _ in synth_seed0]
+    systems = [BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks)) for sf, _ in synth_seed0]
     systems += monogenous_two_block_systems(random.Random(1801), 12)
-    closed = []
+    recorded = [(system, calls) for system, _, calls in hh_closures]
     inner = reduction.lie_closure
 
     def recording(gens, deadline=None):
-        closed.append(list(gens))
+        recorded[-1][1].append(list(gens))
         return inner(gens, deadline)
 
     monkeypatch.setattr(reduction, "lie_closure", recording)
-    enlarged, bracketed = [], []
     for system in systems:
-        closed.clear()
+        recorded.append((system, []))
         reduce_subdiagonal(system)
+    enlarged, bracketed = [], []
+    for system, closed in recorded:
         algebra = inner(closed[0]).mats
         d1 = system.block_sizes[0]
         diag, sub = split_diag_sub(algebra, d1)
