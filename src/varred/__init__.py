@@ -13,6 +13,7 @@ from .errors import (
     PreconditionFailure,
     ReductionTimeout,
     UnsupportedRegime,
+    time_budget,
 )
 from .rationals import QQ
 from .poly import Poly
@@ -91,6 +92,7 @@ __all__ = [
     "PreconditionFailure",
     "UnsupportedRegime",
     "ReductionTimeout",
+    "time_budget",
     "comm",
     "nilpotent_jordan_chains",
     "hermite_split",

@@ -1,7 +1,11 @@
-"""Shared failure types, mapped to distinct exit codes by the CLI."""
+"""Shared failure types, mapped to distinct exit codes by the CLI, and the
+time budget behind --max-minutes: the one module that reads the clock."""
 from __future__ import annotations
 
+import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class FileFormatError(ValueError):
@@ -24,7 +28,30 @@ class ReductionTimeout(RuntimeError):
     """The cooperative --max-minutes guard fired."""
 
 
-def check_deadline(deadline) -> None:
-    """Raise ReductionTimeout once time.monotonic() has passed deadline."""
-    if deadline is not None and time.monotonic() > deadline:
+# the time.monotonic() value past which check_deadline raises; None: no budget
+_END = ContextVar("varred_time_budget_end", default=None)
+
+
+@contextmanager
+def time_budget(seconds):
+    """Make check_deadline() raise, inside the with-block, once seconds have
+    passed; None sets no budget, and an inner budget never outlasts an
+    enclosing one.  NaN, which no clock reading passes, is refused."""
+    end = _END.get()
+    if seconds is not None:
+        if math.isnan(seconds):
+            raise PreconditionFailure("the time budget is not a number")
+        mine = time.monotonic() + seconds
+        end = mine if end is None else min(end, mine)
+    token = _END.set(end)
+    try:
+        yield
+    finally:
+        _END.reset(token)
+
+
+def check_deadline() -> None:
+    """Raise ReductionTimeout once the enclosing time budget has passed."""
+    end = _END.get()
+    if end is not None and time.monotonic() > end:
         raise ReductionTimeout("time budget exhausted during reduction")

@@ -84,10 +84,15 @@ def parse_system(text: str) -> SystemFile:
     size = None
     blocks = None
     entries = []
+    once = set()
     for lineno, kind, key, value in items[1:]:
         if kind != "kv":
             raise FileFormatError("line %d: sections are not allowed in a "
                                   "system file" % lineno)
+        if key in ("variable", "size", "blocks"):
+            if key in once:
+                raise FileFormatError("line %d: duplicate key %r" % (lineno, key))
+            once.add(key)
         if key == "variable":
             variable = value
         elif key == "size":

@@ -65,7 +65,8 @@ def sym_power_group(p: RatMat, m: int) -> RatMat:
 
     Row alpha holds the expansion of prod_i (P w)_i^(alpha_i) in the degree-m
     monomials of w.  Functorial: Sym^m(PQ) = Sym^m(P) Sym^m(Q), so the
-    inverse of Sym^m(P) is Sym^m of the inverse.
+    inverse of Sym^m(P) is Sym^m of the inverse.  The time budget is
+    checked before each row.
     """
     if p.rows != p.cols:
         raise ValueError("frame change must be square")
@@ -78,6 +79,7 @@ def sym_power_group(p: RatMat, m: int) -> RatMat:
         forms.append({j: p.data[i][j] for j in range(n) if not p.data[i][j].is_zero})
     zero_exp = (0,) * n
     for r, alpha in enumerate(idx.exponents):
+        check_deadline()
         acc = {zero_exp: _RF_ONE}
         for i, ai in enumerate(alpha):
             for _ in range(ai):
@@ -147,15 +149,14 @@ class GaugeMatrix:
         return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv)
 
 
-def apply_gauge(a: RatMat, p: GaugeMatrix, deadline=None) -> RatMat:
+def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
     """P[a] = P^(-1) (a P - P').
 
-    The deadline is checked before each of the two products;
-    ReductionTimeout once it has passed.
+    The time budget is checked before each of the two products.
     """
-    check_deadline(deadline)
+    check_deadline()
     inner = a * p.p - p.p.derivative()
-    check_deadline(deadline)
+    check_deadline()
     return p.p_inv * inner
 
 

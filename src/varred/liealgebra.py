@@ -68,7 +68,7 @@ def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
     return out
 
 
-def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
+def wei_norman(a: RatMat) -> WeiNormanDecomp:
     """Decompose a rational matrix as sum a_k(x) * M_k, constant M_k.
 
     The construction is deterministic: all nonzero entries are brought over
@@ -80,8 +80,8 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
     residuals are its entries in the M_k.  The rows have distinct pivots, so
     residuals and multipliers do not depend on the elimination order.  The
     residuals are kept unnormalized, which makes the resulting functions
-    independent of the denominator representative.  The deadline is checked
-    between entries; ReductionTimeout once it has passed.
+    independent of the denominator representative.  The time budget is
+    checked between entries.
     """
     entries = []
     for i in range(a.rows):
@@ -95,7 +95,7 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
     span = SpanQQ(max(p.degree for p in nums) + 1)
     accepted = {}  # pivot -> index of acceptance
     for v in nums:
-        check_deadline(deadline)
+        check_deadline()
         if span.add(v):
             # the new row is the one whose pivot has no index yet
             pivot = next(p for p, _, _ in span.rows if p not in accepted)
@@ -106,7 +106,7 @@ def wei_norman(a: RatMat, deadline=None) -> WeiNormanDecomp:
         funcs[k] = RatFun(Poly([ints.get(i, 0) for i in range(max(ints) + 1)]).scale(scale), den)
     entries_of = [{} for _ in term]  # per term: {i: {j: coefficient}}
     for (i, j, _), v in zip(entries, nums):
-        check_deadline(deadline)
+        check_deadline()
         for k, f in zip(term, span.coords_in_rows(v)):
             if f:
                 entries_of[k].setdefault(i, {})[j] = f
@@ -145,18 +145,18 @@ class LieBasis:
         """The generators commute pairwise, so they span the algebra."""
         return commute_pairwise(self.mats[: self.n_generators])
 
-    def adjoint(self, i, deadline=None):
+    def adjoint(self, i):
         """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
 
         others lists the other indices in order, and column c of ad holds
         the coordinates of [mats[i], mats[others[c]]] along them.  None when
-        some bracket has a component along mats[i].  The deadline is checked
-        between brackets.
+        some bracket has a component along mats[i].  The time budget is
+        checked between brackets.
         """
         others = [k for k in range(self.dim) if k != i]
         cols = []
         for k in others:
-            check_deadline(deadline)
+            check_deadline()
             cols.append(self.span.coords_in_added(comm(self.mats[i], self.mats[k])))
             if cols[-1][i]:
                 return None
@@ -170,7 +170,7 @@ class LieBasis:
                      if not comm(m[i], m[j]).is_zero), None)
 
 
-def lie_closure(generators, deadline=None) -> LieBasis:
+def lie_closure(generators) -> LieBasis:
     """Smallest Lie algebra over Q containing the given constant matrices.
 
     The algebra generated by S is spanned by the right-normed brackets
@@ -179,8 +179,7 @@ def lie_closure(generators, deadline=None) -> LieBasis:
     it.  Basis element j is bracketed, in order, with the generators
     i < min(j, n_generators) only, and a bracket that enlarges the span is
     appended, so the basis is reproducible.  Terminates inside gl_n.  The
-    deadline (a time.monotonic() value) is checked before each element's
-    brackets; ReductionTimeout once it has passed.
+    time budget is checked before each element's brackets.
     """
     gens = list(generators)
     if not gens:
@@ -190,7 +189,7 @@ def lie_closure(generators, deadline=None) -> LieBasis:
     n_gen = len(basis)
     j = 1
     while j < len(basis):
-        check_deadline(deadline)
+        check_deadline()
         for i in range(min(j, n_gen)):
             b = comm(basis[i], basis[j])
             if span.add(b):

@@ -24,7 +24,7 @@ from math import gcd as _igcd, lcm as _ilcm
 from .rationals import QQ, QQ0, QQ1
 from .poly import Poly, factor_irreducible
 from .ratfun import RatFun, common_denominator
-from .errors import UnsupportedRegime
+from .errors import UnsupportedRegime, check_deadline
 
 
 class ConstMat:
@@ -608,7 +608,7 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     """Jordan chain decomposition of a nilpotent matrix over Q.
 
     Raises UnsupportedRegime (with the stabilized rank as evidence) if m is
-    not nilpotent.
+    not nilpotent.  The time budget is checked before each power.
     """
     n = m.rows
     if n != m.cols:
@@ -618,6 +618,7 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
     powers = [ConstMat.identity(n)]
     kernels = [[]]
     while len(kernels[-1]) < n:
+        check_deadline()
         powers.append(powers[-1] * m)
         kernels.append(nullspace(powers[-1]))
         if len(kernels[-1]) == len(kernels[-2]):
@@ -661,13 +662,15 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
 
 
 def charpoly(m: ConstMat) -> Poly:
-    """Characteristic polynomial det(xI - m) by the Faddeev-LeVerrier scheme."""
+    """Characteristic polynomial det(xI - m) by the Faddeev-LeVerrier scheme;
+    the time budget is checked before each product."""
     n = m.rows
     coeffs = [QQ0] * (n + 1)
     coeffs[n] = QQ1
     eye = ConstMat.identity(n)
     mk = eye
     for k in range(1, n + 1):
+        check_deadline()
         mk = m * mk
         c = -QQ(sum(row.get(i, 0) for i, row in mk.num.items()), k * mk.den)
         coeffs[n - k] = c

@@ -17,10 +17,12 @@ sweep, for the new poles of its residues and for the report's residual
 pole factors) is factored over one poly.FactorBase that the reduction
 creates and drops: its poles are a few factors met early, so trial
 division replaces a full factorization.
+
+The phases call errors.check_deadline(); reduce_block_systems runs under
+errors.time_budget(max_seconds), and a caller of any other entry point
+bounds it by entering a time_budget itself.
 """
 
-import math
-import time
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,6 +30,7 @@ from .errors import (
     ReductionTimeout,
     UnsupportedRegime,
     check_deadline,
+    time_budget,
 )
 from .gauge import (
     GaugeMatrix,
@@ -223,7 +226,7 @@ def _pole_factor_set(funcs, poles: FactorBase):
 # ---- diagonal assembly ---------------------------------------------------------
 
 
-def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, deadline=None):
+def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower):
     """Reduce the diagonal blocks of one order by recycling lower gauges.
 
     The gauge is p1 at order 1 and Q = diag(Sym^m(p1), P_(m-1)) at order m,
@@ -231,7 +234,7 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, deadline=None):
     so Q[A] = diag(sym^m(p1[A1]), final_(m-1)) + Q^-1 (A - B) Q with
     B = diag(sym^m(A1), A_(m-1)); on a variational system A - B is only the
     subdiagonal block.  Returns the partially reduced system together with
-    the recorded step; the deadline is checked before the products.
+    the recorded step; the time budget is checked before the products.
     """
     m = system.order
     if m == 1:
@@ -250,9 +253,9 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, deadline=None):
             % (q.p.rows, system.matrix.rows)
         )
     if m == 1:
-        reduced = apply_gauge(system.matrix, q, deadline)
+        reduced = apply_gauge(system.matrix, q)
     else:
-        check_deadline(deadline)
+        check_deadline()
         diag = [sym_power_algebra(first.assembled_matrix, m), prev.final_matrix]
         known = [sym_power_algebra(first.system.matrix, m), prev.system.matrix]
         delta = system.matrix - assemble_block_diag(known)
@@ -384,7 +387,7 @@ def _eigen_chains(psi: ConstMat):
     return out
 
 
-def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis, deadline=None):
+def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
     """(lam, matrices) chains of ad(d0) on the working subdiagonal space.
 
     Each element of the initial algebra has diagonal part c*d0, lead =
@@ -393,13 +396,13 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis, deadline=None):
     [lead, x] there (two strictly subdiagonal matrices multiply to zero).
     So the working space is the closure of [d0] + sub_basis + [seed]
     without d0, sub_basis leading; ad(d0) is read off its brackets with d0,
-    and closure and adjoint check the deadline.
+    and closure and adjoint check the time budget.
 
     Longest chains first, each kernel element first, so that
     [d0, C_s] = lam*C_s + C_(s-1); the relation is checked before it is used.
     """
-    work = lie_closure([d0] + list(sub_basis) + [seed], deadline)
-    _, psi = work.adjoint(0, deadline)
+    work = lie_closure([d0] + list(sub_basis) + [seed])
+    _, psi = work.adjoint(0)
     work_basis = work.mats[1:]
     chains = [
         (lam, [lincomb(v, work_basis) for v in ch]) for lam, ch in _eigen_chains(psi)
@@ -418,7 +421,7 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis, deadline=None):
 # ---- the chain sweep -----------------------------------------------------------
 
 
-def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase, deadline):
+def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
     """Solve the elimination of every chain coefficient in one pass.
 
     chains holds (lam, matrices) pairs, kernel element first, with
@@ -440,7 +443,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase, deadline):
     for lam, mats in chains:
         above = _RF_ZERO
         for s in range(len(mats) - 1, -1, -1):
-            check_deadline(deadline)
+            check_deadline()
             k = start + s
             c = coords[k] + beta0 * above
             left[k] = c
@@ -479,7 +482,6 @@ def reduce_subdiagonal(
     system: BlockSystem,
     assembly: ReductionStep | None = None,
     initial_matrix: RatMat | None = None,
-    deadline=None,
 ) -> ReductionReport:
     """Reduce the subdiagonal block of a system whose diagonal is reduced.
 
@@ -496,17 +498,17 @@ def reduce_subdiagonal(
     a0 = system.matrix
     n = a0.rows
     d1 = system.block_sizes[0]
-    check_deadline(deadline)
+    check_deadline()
 
-    wn0 = wei_norman(a0, deadline)
-    _check_monogenous(wn0.matrices(), d1, deadline)
-    lie0 = lie_closure(wn0.matrices(), deadline)
+    wn0 = wei_norman(a0)
+    _check_monogenous(wn0.matrices(), d1)
+    lie0 = lie_closure(wn0.matrices())
     diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
 
     if diag_basis:
         # split_diag_sub took d0 from the first element with a diagonal part
         lead = next(m for m in lie0.mats if not diag_projection(m, d1).is_zero)
-        chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis, deadline)
+        chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis)
     else:
         # zero diagonal: every generator is its own chain, pure antidifferentiation
         chains = [(QQ0, [w]) for w in sub_basis]
@@ -522,18 +524,18 @@ def reduce_subdiagonal(
         coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
-        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, poles, deadline)
+        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, poles)
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
         total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv)
 
-    wn_final = wei_norman(a, deadline)
-    lie_final = lie_closure(wn_final.matrices(), deadline)
+    wn_final = wei_norman(a)
+    lie_final = lie_closure(wn_final.matrices())
     abelian = lie_final.is_abelian()
 
     try:
-        tower = picard_vessiot_tower(wn_final, lie_final, deadline)
+        tower = picard_vessiot_tower(wn_final, lie_final)
     except UnsupportedRegime:
         tower = None
     certified = (
@@ -564,7 +566,7 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    if apply_gauge(initial, total, deadline) != a:
+    if apply_gauge(initial, total) != a:
         raise RuntimeError(
             "replay postcondition failed: the total gauge does not carry the "
             "initial matrix to the final one"
@@ -572,7 +574,7 @@ def reduce_subdiagonal(
     return report
 
 
-def _check_monogenous(mats, d1: int, deadline=None) -> None:
+def _check_monogenous(mats, d1: int) -> None:
     """UnsupportedRegime unless the diagonal algebra has dimension <= 1.
 
     On block lower-triangular matrices the projection to the block diagonal
@@ -587,11 +589,11 @@ def _check_monogenous(mats, d1: int, deadline=None) -> None:
         if sum(span.add(p) for p in projs) > 1:
             raise UnsupportedRegime(
                 "diagonal algebra is not monogenous (dimension %d)"
-                % lie_closure(projs, deadline).dim
+                % lie_closure(projs).dim
             )
 
 
-def _check_known_diagonal(m: int, lower, deadline=None) -> None:
+def _check_known_diagonal(m: int, lower) -> None:
     """_check_monogenous on the diagonal of the order-m assembled matrix.
 
     That diagonal is diag(sym^m(p1[A1]), final_(m-1)) (see reduce_diagonal),
@@ -599,8 +601,8 @@ def _check_known_diagonal(m: int, lower, deadline=None) -> None:
     is refused before any product of the order-m assembly.
     """
     diag = [sym_power_algebra(lower[0].assembled_matrix, m), lower[-1].final_matrix]
-    wn = wei_norman(assemble_block_diag(diag), deadline)
-    _check_monogenous(wn.matrices(), diag[0].rows, deadline)
+    wn = wei_norman(assemble_block_diag(diag))
+    _check_monogenous(wn.matrices(), diag[0].rows)
 
 
 def _letters_independent(tower) -> bool:
@@ -742,7 +744,7 @@ class _TowerBuilder:
         return out
 
 
-def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
+def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
     """Integral tower splitting the solutions of a reduced system.
 
     wn is the Wei-Norman decomposition of the reduced matrix, lie the closure
@@ -753,7 +755,8 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     non-leading coefficients top-down along the adjoint chains then only
     ever needs antiderivatives, and each one that is not rational becomes a
     named tower symbol.  Raises UnsupportedRegime when the structure does
-    not have this shape.  The deadline is checked at every chain position.
+    not have this shape.  The time budget is checked at every chain
+    position.
     """
     if wn.dim == 0:
         return []
@@ -762,7 +765,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
     pair = lie.first_noncommuting_pair()
     chosen = None
     for cand in range(lie.dim) if pair is None else pair:
-        adjoint = lie.adjoint(cand, deadline)
+        adjoint = lie.adjoint(cand)
         if adjoint is None:
             continue
         others, ad = adjoint
@@ -808,7 +811,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis, deadline=None):
         idxs = list(range(pos, pos + len(ch)))
         pos += len(ch)
         for s in range(len(ch) - 1, -1, -1):
-            check_deadline(deadline)
+            check_deadline()
             cur = formal[idxs[s]]
             if not cur:
                 continue
@@ -839,31 +842,25 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     reports give has passed the monogenous check.  Returns one ReductionReport
     per order, lowest first.  Regime and timeout errors are raised again
     with the order and the phase in front, "order m, diagonal check: ",
-    "order m, diagonal assembly: " or "order m, subdiagonal reduction: ";
-    a NaN max_seconds raises PreconditionFailure.
+    "order m, diagonal assembly: " or "order m, subdiagonal reduction: ".
+    The orders run under errors.time_budget(max_seconds); a NaN max_seconds
+    raises PreconditionFailure.
     """
-    deadline = None
-    if max_seconds is not None:
-        if math.isnan(max_seconds):
-            # a NaN deadline compares false with every clock reading
-            raise PreconditionFailure("the time budget is not a number")
-        deadline = time.monotonic() + max_seconds
     reports = []
-    for bs in systems:
-        phase = "diagonal check"
-        try:
-            if reports:
-                check_deadline(deadline)
-                _check_known_diagonal(bs.order, reports, deadline)
-            phase = "diagonal assembly"
-            partial, step = reduce_diagonal(bs, p1, reports, deadline)
-            phase = "subdiagonal reduction"
-            report = reduce_subdiagonal(
-                partial, assembly=step, initial_matrix=bs.matrix, deadline=deadline
-            )
-        except (UnsupportedRegime, ReductionTimeout) as e:
-            raise type(e)("order %d, %s: %s" % (bs.order, phase, e)) from e
-        reports.append(report)
+    with time_budget(max_seconds):
+        for bs in systems:
+            phase = "diagonal check"
+            try:
+                if reports:
+                    check_deadline()
+                    _check_known_diagonal(bs.order, reports)
+                phase = "diagonal assembly"
+                partial, step = reduce_diagonal(bs, p1, reports)
+                phase = "subdiagonal reduction"
+                report = reduce_subdiagonal(partial, assembly=step, initial_matrix=bs.matrix)
+            except (UnsupportedRegime, ReductionTimeout) as e:
+                raise type(e)("order %d, %s: %s" % (bs.order, phase, e)) from e
+            reports.append(report)
     return reports
 
 

@@ -77,6 +77,10 @@ def test_system_file_rejections():
         (good + "entry 1 1 = x +\n", "line 4"),
         (good + "banana = 1\n", "unknown key"),
         (good + "blocks = 1 2\n", "sum to 2"),
+        # a repeated key is refused, not overwritten by its last value
+        (good + "size = 1\n", "line 4: duplicate key 'size'"),
+        (good + "variable = t\n", "line 4: duplicate key 'variable'"),
+        (good + "blocks = 2\nblocks = 1 1\n", "line 5: duplicate key 'blocks'"),
         ("format = system v1\nvariable = x\n", "missing a positive size"),
         ("format = system v1\nvariable = x\nsize = %d\n" % (MAX_SYSTEM_SIZE + 1),
          "size %d is above the limit of %d" % (MAX_SYSTEM_SIZE + 1, MAX_SYSTEM_SIZE)),

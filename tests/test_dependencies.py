@@ -1,4 +1,5 @@
-"""The package imports only the standard library, sympy and itself."""
+"""The package imports only the standard library, sympy and itself, and
+one module keeps the time budget."""
 
 import ast
 import fractions
@@ -11,19 +12,51 @@ from varred import rationals
 ALLOWED = set(sys.stdlib_module_names) | {"varred", "sympy"}
 
 
+def parsed_sources():
+    """(file name, syntax tree) of every module in src/varred."""
+    for path in sorted(pathlib.Path(varred.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_imports_are_stdlib_sympy_or_varred():
     """Every absolute import in src/varred, those inside functions too, has
     its root in the standard library, sympy or varred, and the rationals
     are the stdlib Fraction."""
     outside = []
-    for path in sorted(pathlib.Path(varred.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 roots = [node.module.split(".")[0]]
             else:
                 continue
-            outside += [(path.name, node.lineno, r) for r in roots if r not in ALLOWED]
+            outside += [(name, node.lineno, r) for r in roots if r not in ALLOWED]
     assert outside == []
     assert rationals.QQ is fractions.Fraction
+
+
+def test_the_time_budget_lives_in_errors():
+    """No function in src/varred takes a deadline parameter, check_deadline
+    is called without arguments, and only errors.py reads time.monotonic:
+    a phase reads the budget that errors.time_budget set, it is not handed
+    one."""
+    found = []
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "deadline" for p in params):
+                    found.append((name, node.lineno, "deadline parameter"))
+            elif isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee == "check_deadline" and (node.args or node.keywords):
+                    found.append((name, node.lineno, "check_deadline with arguments"))
+            elif name != "errors.py" and (
+                    isinstance(node, ast.Attribute) and node.attr == "monotonic"
+                    or isinstance(node, ast.ImportFrom) and node.module == "time"
+                    and any(alias.name == "monotonic" for alias in node.names)):
+                found.append((name, node.lineno, "time.monotonic read"))
+    assert found == []

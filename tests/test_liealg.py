@@ -1,13 +1,11 @@
 """Wei-Norman decompositions, Lie closures, and block splitting."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
-from varred import fixtures
-from varred.errors import PreconditionFailure, ReductionTimeout
+from varred.errors import PreconditionFailure
 from varred.liealgebra import (
     DualFrame,
     lie_closure,
@@ -211,24 +209,6 @@ def test_lie_closure_abelian_detection():
 
 def test_lie_closure_empty():
     assert lie_closure([]).dim == 0
-
-
-def test_lie_closure_respects_deadline():
-    gens = wei_norman(fixtures.load_system("nilpotent-pair").matrix).matrices()
-    with pytest.raises(ReductionTimeout):
-        lie_closure(gens, deadline=time.monotonic() - 1.0)
-
-
-def test_adjoint_respects_deadline():
-    lie = lie_closure(wei_norman(fixtures.load_system("nilpotent-pair").matrix).matrices())
-    with pytest.raises(ReductionTimeout):
-        lie.adjoint(0, deadline=time.monotonic() - 1.0)
-
-
-def test_wei_norman_respects_deadline():
-    with pytest.raises(ReductionTimeout):
-        wei_norman(fixtures.load_system("nilpotent-pair").matrix,
-                   deadline=time.monotonic() - 1.0)
 
 
 def test_working_space_psi_columns_are_bracket_coordinates():

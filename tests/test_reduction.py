@@ -5,7 +5,6 @@ import hashlib
 import random
 import re
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +16,18 @@ from varred.errors import (
     PreconditionFailure,
     ReductionTimeout,
     UnsupportedRegime,
+    check_deadline,
+    time_budget,
 )
 from varred.expr import poly_to_text
 from varred.fileformats import parse_report, parse_system, render_report
-from varred.gauge import GaugeMatrix, apply_gauge, block_diag_gauge, sym_power_algebra
+from varred.gauge import (
+    GaugeMatrix,
+    apply_gauge,
+    block_diag_gauge,
+    sym_power_algebra,
+    sym_power_group,
+)
 from varred.liealgebra import (
     DualFrame,
     diag_projection,
@@ -28,7 +35,7 @@ from varred.liealgebra import (
     split_diag_sub,
     wei_norman,
 )
-from varred.matrices import ConstMat, RatMat, comm, nilpotent_jordan_chains
+from varred.matrices import ConstMat, RatMat, charpoly, comm, nilpotent_jordan_chains
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
@@ -84,11 +91,11 @@ def step_kinds(report):
     return kinds
 
 
-def tower_of(mat, deadline=None):
+def tower_of(mat):
     """The integral tower of a matrix, read from its Wei-Norman decomposition
     and the closure of its matrices as reduce_subdiagonal hands them over."""
     wn = wei_norman(mat)
-    return picard_vessiot_tower(wn, lie_closure(wn.matrices()), deadline)
+    return picard_vessiot_tower(wn, lie_closure(wn.matrices()))
 
 
 # ---- single elimination gauges --------------------------------------------------
@@ -336,8 +343,8 @@ def test_assembly_matches_the_whole_matrix_gauge_on_henon_heiles(lve3_run, hh_p1
         partial, step = reduce_diagonal(rep.system, hh_p1, reports[:m - 1])
         assert partial.matrix == apply_gauge(rep.system.matrix, step.gauge)
         assert partial.matrix == rep.assembled_matrix
-    with pytest.raises(ReductionTimeout):
-        reduce_diagonal(reports[1].system, hh_p1, reports[:1], time.monotonic() - 1.0)
+    with time_budget(-1.0), pytest.raises(ReductionTimeout):
+        reduce_diagonal(reports[1].system, hh_p1, reports[:1])
 
 
 def test_assembly_matches_the_whole_matrix_gauge_on_block_systems():
@@ -372,9 +379,9 @@ def test_orders_above_one_apply_no_whole_matrix_gauge(monkeypatch, hh_system, hh
     sizes = []
     inner = reduction.apply_gauge
 
-    def counted(a, p, deadline=None):
+    def counted(a, p):
         sizes.append(a.rows)
-        return inner(a, p, deadline)
+        return inner(a, p)
 
     monkeypatch.setattr(reduction, "apply_gauge", counted)
     reduction.reduce_variational_tower(hh_system, 3, hh_p1)
@@ -424,9 +431,9 @@ def hh_closures(lve3_run):
         for rep in lve3_run[0]:
             closed = []
 
-            def recording(gens, deadline=None, closed=closed):
+            def recording(gens, closed=closed):
                 closed.append(list(gens))
-                return inner(gens, deadline)
+                return inner(gens)
 
             mp.setattr(reduction, "lie_closure", recording)
             system = BlockSystem(rep.order, rep.assembled_matrix, rep.system.block_sizes)
@@ -455,9 +462,9 @@ def test_wide_diagonal_is_refused_before_the_full_closure(monkeypatch):
     closed = []
     inner = reduction.lie_closure
 
-    def recording(gens, deadline=None):
+    def recording(gens):
         closed.append(list(gens))
-        return inner(gens, deadline)
+        return inner(gens)
 
     monkeypatch.setattr(reduction, "lie_closure", recording)
     zero = rf("0")
@@ -477,21 +484,77 @@ def test_reduction_respects_time_budget(hh_p1):
     bs = BlockSystem(1, sf.matrix, [4])
     with pytest.raises(ReductionTimeout):
         reduce_block_systems([bs], hh_p1, max_seconds=0.0)
+    # the budget ends with the reduction that set it
+    gens = wei_norman(fixtures.load_system("nilpotent-pair").matrix).matrices()
+    assert lie_closure(gens).dim == len(breadth_first_basis(gens))
 
 
-def test_diagonal_assembly_respects_deadline(hh_p1):
-    sf = fixtures.load_system("first-order")
-    bs = BlockSystem(1, sf.matrix, [4])
-    with pytest.raises(ReductionTimeout):
-        reduce_diagonal(bs, hh_p1, None, deadline=time.monotonic() - 1.0)
+@pytest.fixture(scope="module")
+def budgeted_calls(hh_p1):
+    """One call per entry point that checks the time budget, on an input
+    that reaches a check point; the inputs are built outside any budget."""
+    a1 = fixtures.load_system("first-order").matrix
+    pair = fixtures.load_system("nilpotent-pair").matrix
+    wn = wei_norman(pair)
+    lie = lie_closure(wn.matrices())
+    zero = rf("0")
+    lower = RatMat([[zero, zero], [rf("1/x + x"), zero]])
+    return {
+        "apply_gauge": lambda: apply_gauge(a1, hh_p1),
+        "wei_norman": lambda: wei_norman(pair),
+        "lie_closure": lambda: lie_closure(wn.matrices()),
+        "adjoint": lambda: lie.adjoint(0),
+        "reduce_diagonal": lambda: reduce_diagonal(BlockSystem(1, a1, [4]), hh_p1, None),
+        "reduce_subdiagonal": lambda: reduce_subdiagonal(BlockSystem(1, lower, [1, 1])),
+        "picard_vessiot_tower": lambda: picard_vessiot_tower(wn, lie),
+        "nilpotent_jordan_chains": lambda: nilpotent_jordan_chains(
+            ConstMat([[0, 0], [1, 0]])),
+        "charpoly": lambda: charpoly(ConstMat([[1, 2], [3, 4]])),
+        "sym_power_group": lambda: sym_power_group(hh_p1.p, 2),
+    }
 
 
-def test_tower_respects_deadline():
-    # the closure is built before the deadline passes; the chain positions
-    # check it
-    with pytest.raises(ReductionTimeout):
-        tower_of(fixtures.load_system("nilpotent-pair").matrix,
-                 deadline=time.monotonic() - 1.0)
+@pytest.mark.parametrize("name", [
+    "apply_gauge", "wei_norman", "lie_closure", "adjoint", "reduce_diagonal",
+    "reduce_subdiagonal", "picard_vessiot_tower", "nilpotent_jordan_chains",
+    "charpoly", "sym_power_group",
+])
+def test_entry_points_respect_an_expired_budget(budgeted_calls, name):
+    call = budgeted_calls[name]
+    call()
+    with time_budget(-1.0), pytest.raises(ReductionTimeout):
+        call()
+
+
+@pytest.mark.parametrize("name, phase", [
+    ("sym_power_group", "order 2, diagonal assembly"),
+    ("nilpotent_jordan_chains", "order 2, subdiagonal reduction"),
+])
+def test_timeouts_in_newly_checked_phases_name_the_phase(
+        monkeypatch, hh_system, hh_p1, name, phase):
+    inner = getattr(reduction, name)
+
+    def expired(*args):
+        with time_budget(-1.0):
+            return inner(*args)
+
+    monkeypatch.setattr(reduction, name, expired)
+    with pytest.raises(ReductionTimeout, match="^%s: time budget exhausted" % phase):
+        reduction.reduce_variational_tower(hh_system, 2, hh_p1)
+
+
+def test_inner_budgets_do_not_outlast_an_expired_one():
+    with time_budget(-1.0):
+        for seconds in (3600, None):
+            with time_budget(seconds), pytest.raises(ReductionTimeout):
+                check_deadline()
+    check_deadline()
+
+
+def test_nan_time_budget_is_refused():
+    with pytest.raises(PreconditionFailure, match="time budget is not a number"):
+        with time_budget(float("nan")):
+            pass
 
 
 # ---- reduced-form certification --------------------------------------------------
@@ -689,8 +752,8 @@ def test_working_space_closure_respects_deadline():
     seed = working_seed(lie.mats, diag[0], 2)
     chains = _adjoint_chains(diag[0], seed, sub)
     assert sum(len(mats) for _, mats in chains) >= 2
-    with pytest.raises(ReductionTimeout):
-        _adjoint_chains(diag[0], seed, sub, time.monotonic() - 1.0)
+    with time_budget(-1.0), pytest.raises(ReductionTimeout):
+        _adjoint_chains(diag[0], seed, sub)
 
 
 # ---- the bundled example, orders 1 and 2 -----------------------------------------
@@ -945,9 +1008,9 @@ def test_working_space_closes_from_one_seed(hh_closures, synth_seed0, monkeypatc
     recorded = [(system, calls) for system, _, calls in hh_closures]
     inner = reduction.lie_closure
 
-    def recording(gens, deadline=None):
+    def recording(gens):
         recorded[-1][1].append(list(gens))
-        return inner(gens, deadline)
+        return inner(gens)
 
     monkeypatch.setattr(reduction, "lie_closure", recording)
     for system in systems:
