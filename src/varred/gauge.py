@@ -126,7 +126,9 @@ def sym_power_algebra(a: RatMat, m: int) -> RatMat:
 class GaugeMatrix:
     """Invertible frame change P with its inverse carried along.
 
-    The pair is trusted, not checked; from_p builds the inverse from p alone.
+    The constructor does not check the pair; from_p builds the inverse from
+    p alone.  reduce_block_systems checks the first-order pair once; later
+    total gauges are invertible by construction (see reduce_subdiagonal).
     """
 
     __slots__ = ("p", "p_inv")
@@ -150,14 +152,27 @@ class GaugeMatrix:
 
 
 def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
-    """P[a] = P^(-1) (a P - P').
+    """P[a] = P^(-1) (a P - P'), correct only if p.p_inv inverts p.p.
 
-    The time budget is checked before each of the two products.
+    In the pipeline only the order-1 assembly calls it; the replays use
+    carries.  The time budget is checked before each of the two products.
     """
     check_deadline()
     inner = a * p.p - p.p.derivative()
     check_deadline()
     return p.p_inv * inner
+
+
+def carries(a: RatMat, p: RatMat, f: RatMat) -> bool:
+    """True when a P - P' == P f: for an invertible P, exactly P[a] == f.
+
+    No inverse is read; the zero matrix carries every a to every f.  The
+    time budget is checked before each side.
+    """
+    check_deadline()
+    moved = a * p - p.derivative()
+    check_deadline()
+    return moved == p * f
 
 
 def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:

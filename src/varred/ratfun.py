@@ -203,17 +203,17 @@ class RatFun:
                 + max(other.num.degree or 0, other.den.degree) + 1)
 
     def derivative(self) -> "RatFun":
+        """(n/d)' = (n' r - n d'/g) / (d r) with g = gcd(d, d') and r = d/g,
+        already reduced: an irreducible p with p^e || d divides d r e + 1
+        times but not the numerator, which is -e n p' r/p modulo p.
+        """
         n, d = self.num, self.den
         if d.is_one:
             return RatFun._raw(n.derivative(), _ONE)
-        cand = n.derivative() * d - n * d.derivative()
-        if cand.is_zero:
-            return _ZERO
-        # common factors with d^2 all live in d * gcd(d, d')
-        g = poly_gcd(cand, d * poly_gcd(d, d.derivative()))
-        if g.is_one:
-            return RatFun._raw(cand, d * d)
-        return RatFun._raw(cand.exact_div(g), (d * d).exact_div(g))
+        dd = d.derivative()
+        g = poly_gcd(d, dd)
+        r, q = (d, dd) if g.is_one else (d.exact_div(g), dd.exact_div(g))
+        return RatFun._raw(n.derivative() * r - n * q, d * r)
 
     # ---- text ------------------------------------------------------------
 

@@ -5,8 +5,8 @@ variational hierarchy: at each order the diagonal blocks are reduced by
 recycling the gauges of the lower orders, and the subdiagonal block is then
 cleaned by one scalar sweep along the adjoint chains of the diagonal term.
 Every elimination is recorded as a ReductionStep, and the report carries
-the total gauge; applying it to the initial matrix reproduces the final
-matrix exactly, which is checked once at the end of every reduction.
+the total gauge P, which carries the initial matrix A to the final matrix F
+exactly: A P - P' == P F is checked once at the end of every reduction.
 
 What cannot be removed is kept honestly: Hermite residues with simple poles
 stay as coefficients of their generators, and they are what a later
@@ -37,6 +37,7 @@ from .gauge import (
     apply_gauge,
     assemble_block_diag,
     block_diag_gauge,
+    carries,
     exp_sub_nilpotent,
     sym_power_algebra,
     sym_power_group,
@@ -492,8 +493,11 @@ def reduce_subdiagonal(
     whole elimination gauge Id + S; without a diagonal generator every
     subdiagonal generator is a chain of its own.  When assembly, the
     diagonal-assembly step, is given, initial_matrix must be the matrix it
-    starts from.  The total gauge is checked once: applied to the initial
-    matrix it must give the final matrix exactly.
+    starts from, and its gauge must be invertible (not checked).  The total
+    gauge P = Q (Id + S), Q the assembly gauge or Id, is checked once:
+    A P - P' == P F for the initial A and the final F.  That is P[A] == F
+    as P is invertible: S is checked to lie in the strictly lower-left
+    block, so (Id + S)^-1 = Id - S.  The carried inverse is not read.
     """
     a0 = system.matrix
     n = a0.rows
@@ -528,6 +532,8 @@ def reduce_subdiagonal(
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
+        if any(f for i, row in enumerate(s.data) for j, f in enumerate(row) if i < d1 or j >= d1):
+            raise RuntimeError("elimination gauge Id + S has S outside the lower-left block")
         total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv)
 
     wn_final = wei_norman(a)
@@ -566,7 +572,7 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    if apply_gauge(initial, total) != a:
+    if not carries(initial, total.p, a):
         raise RuntimeError(
             "replay postcondition failed: the total gauge does not carry the "
             "initial matrix to the final one"
@@ -844,8 +850,13 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     with the order and the phase in front, "order m, diagonal check: ",
     "order m, diagonal assembly: " or "order m, subdiagonal reduction: ".
     The orders run under errors.time_budget(max_seconds); a NaN max_seconds
-    raises PreconditionFailure.
+    raises PreconditionFailure.  So does a p1 with p1.p_inv * p1.p != Id,
+    before any order runs: every higher gauge is invertible because p1 is.
     """
+    if p1.p_inv.cols != p1.p.rows or p1.p_inv * p1.p != RatMat.identity(p1.p.rows):
+        raise PreconditionFailure(
+            "order 1, diagonal assembly: p_inv * p of the first-order gauge is not the identity"
+        )
     reports = []
     with time_budget(max_seconds):
         for bs in systems:

@@ -12,18 +12,20 @@ with the generators only, and all_seed_working_basis seeds the working
 subdiagonal space with the lower-left block of every element of the
 initial algebra, where the package takes one seed.
 
-The scalar kernels have references too: hermite_split_by_sums adds one
-normalized RatFun per pole order, where the package normalizes once over
-the product of the denominators; equation_rows_by_products builds each
-row of the rational-solution system from its five products, where the
-package shifts two polynomials; and fraction_poly_to_text and
-fraction_render print through Fraction coefficients, where the package
-reads the int numerators.
+The scalar kernels have references too: derivative_by_two_gcds reduces
+n'd - nd' over d^2 by a gcd with the numerator, where the package takes
+only gcd(d, d') and reads the reduced denominator off the pole orders;
+hermite_split_by_sums adds one normalized RatFun per pole order, where
+the package normalizes once over the product of the denominators;
+equation_rows_by_products builds each row of the rational-solution
+system from its five products, where the package shifts two polynomials;
+and fraction_poly_to_text and fraction_render print through Fraction
+coefficients, where the package reads the int numerators.
 """
 
 from varred.expr import _is_bare_atom
 from varred.matrices import ConstMat, RatMat
-from varred.poly import Poly, poly_xgcd, squarefree_decomposition
+from varred.poly import Poly, poly_gcd, poly_xgcd, squarefree_decomposition
 from varred.rationals import QQ, QQ0, QQ1
 from varred.ratfun import HermiteSplit, RatFun
 
@@ -255,6 +257,21 @@ def entrywise_mul(a: RatMat, b: RatMat) -> RatMat:
 def entrywise_gauge(a: RatMat, p) -> RatMat:
     """P[a] = P^(-1) (a P - P') with entrywise_mul for both products."""
     return entrywise_mul(p.p_inv, entrywise_mul(a, p.p) - p.p.derivative())
+
+
+def derivative_by_two_gcds(f: RatFun) -> RatFun:
+    """(n/d)' = (n'd - nd')/d^2, reduced by its gcd with d * gcd(d, d'),
+    which holds every factor that the numerator shares with d^2."""
+    n, d = f.num, f.den
+    if d.is_one:
+        return RatFun.from_poly(n.derivative())
+    cand = n.derivative() * d - n * d.derivative()
+    if cand.is_zero:
+        return _RF_ZERO
+    g = poly_gcd(cand, d * poly_gcd(d, d.derivative()))
+    if g.is_one:
+        return RatFun._raw(cand, d * d)
+    return RatFun._raw(cand.exact_div(g), (d * d).exact_div(g))
 
 
 def hermite_split_by_sums(f: RatFun) -> HermiteSplit:

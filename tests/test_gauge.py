@@ -10,6 +10,7 @@ from varred.gauge import (
     apply_gauge,
     assemble_block_diag,
     block_diag_gauge,
+    carries,
     exp_sub_nilpotent,
     sym_power_algebra,
     sym_power_group,
@@ -189,3 +190,40 @@ def test_block_diag_gauge_acts_blockwise():
         combined = apply_gauge(big, block_diag_gauge([p1, p2]))
         want = assemble_block_diag([apply_gauge(a1, p1), apply_gauge(a2, p2)])
         assert combined == want
+
+
+def sample_gauges(rng):
+    """(a, gauge) pairs: unit-lower Id + g B with B strictly lower-left in a
+    two-block split, and block-diagonal gauges of random blocks."""
+    out = []
+    while len(out) < 24:
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        dmat, b = rand_sub_pair(rng, d1, d2)
+        if not b.is_zero:
+            out.append((dmat, exp_sub_nilpotent(rand_ratfun(rng, 2), b)))
+        blocks = [rand_gauge(rng, d1), rand_gauge(rng, d2)]
+        out.append((rand_ratmat(rng, d1 + d2, 1), block_diag_gauge(blocks)))
+    return out
+
+
+def test_carries_agrees_with_apply_gauge():
+    """carries(a, P, f) holds exactly when P[a] == f: for f = P[a], for
+    P[a] with one entry changed, and for f = a."""
+    rng = random.Random(409)
+    for a, gauge in sample_gauges(rng):
+        f = apply_gauge(a, gauge)
+        changed = RatMat([list(row) for row in f.data])
+        i, j = rng.randrange(f.rows), rng.randrange(f.cols)
+        changed.data[i][j] = changed.data[i][j] + parse_ratfun("1/(x - 7)")
+        assert carries(a, gauge.p, f)
+        assert not carries(a, gauge.p, changed)
+        assert carries(a, gauge.p, a) == (f == a)
+
+
+def test_the_zero_matrix_carries_every_matrix_to_every_other():
+    # 0 A - 0' == 0 F for all A and F: carries proves P[A] == F only for
+    # an invertible P, which is why the reduction establishes invertibility
+    rng = random.Random(410)
+    a, f = rand_ratmat(rng, 3, 2), rand_ratmat(rng, 3, 2)
+    assert a != f
+    assert carries(a, RatMat.zeros(3), f)

@@ -31,6 +31,7 @@ from varred.ratfun import (
 )
 
 from dense_oracle import (
+    derivative_by_two_gcds,
     equation_rows_by_products,
     fraction_poly_to_text,
     fraction_render,
@@ -434,6 +435,43 @@ def test_ratfun_derivative_product_rule():
         a = rand_ratfun(rng, 5)
         b = rand_ratfun(rng, 5)
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def _irreducible_factor(rng, degree):
+    """A random monic integer polynomial of degree 1 to 3 with no integer
+    root; for these degrees and monic integer input, irreducible over Q."""
+    while True:
+        low = [rng.randint(-4, 4) for _ in range(degree)]
+        c0 = low[0]
+        roots = [0] if c0 == 0 else [s * k for k in range(1, abs(c0) + 1)
+                                     if c0 % k == 0 for s in (1, -1)]
+        if degree == 1 or not any(sum(c * r**i for i, c in enumerate(low + [1])) == 0
+                                  for r in roots):
+            return Poly([Fraction(c) for c in low] + [Fraction(1)])
+
+
+def test_derivative_matches_the_two_gcd_reference():
+    """One gcd of d and d' gives the reduced derivative: equal to the
+    reference that reduces by a gcd with the numerator, on denominators
+    with repeated irreducible factors of degree 1 to 3, numerators of
+    degree 0 and up, and polynomials."""
+    rng = random.Random(118)
+    kinds = {"polynomial": 0, "constant numerator": 0, "repeated factor": 0}
+    for k in range(300):
+        num = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 7))])
+        den = Poly([Fraction(1)])
+        if k % 10:
+            for _ in range(rng.randint(1, 3)):
+                den = den * _irreducible_factor(rng, rng.randint(1, 3)) ** rng.randint(1, 3)
+        f = RatFun(num, den)
+        kinds["polynomial"] += f.den.is_one
+        kinds["constant numerator"] += f.num.is_constant and not f.den.is_one
+        kinds["repeated factor"] += any(m > 1 for _, m in squarefree_decomposition(f.den))
+        got = f.derivative()
+        assert got == derivative_by_two_gcds(f)
+        assert poly_gcd(got.num, got.den).is_one and got.den.lc == 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_parse_render_round_trip():

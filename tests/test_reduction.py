@@ -334,6 +334,50 @@ def test_diagonal_gauge_size_mismatch(hh_p1):
         reduce_diagonal(bs, hh_p1, None)
 
 
+def wrong_inverses(p1):
+    """Wrong inverses of p1.p: zero, doubled, one entry moved, wrong shapes."""
+    n = p1.p.rows
+    perturbed = RatMat([list(row) for row in p1.p_inv.data])
+    perturbed.data[2][1] = perturbed.data[2][1] + rf("1")
+    return {"zero": RatMat.zeros(n), "doubled": p1.p_inv.scale(rf("2")),
+            "perturbed": perturbed, "n x n-1": RatMat.zeros(n, n - 1),
+            "n-1 x n": RatMat.zeros(n - 1, n)}
+
+
+@pytest.mark.parametrize("wrong", ["zero", "doubled", "perturbed", "n x n-1", "n-1 x n"])
+def test_a_wrong_first_order_inverse_is_refused_before_any_order(
+        monkeypatch, hh_system, hh_p1, wrong):
+    # with the zero inverse the replay P^-1 (A P - P') == F once passed at
+    # order 1 and the run reported an abelian, certified algebra of dimension 0
+    ran = []
+    monkeypatch.setattr(reduction, "reduce_diagonal", lambda *args: ran.append(args))
+    bad = GaugeMatrix(hh_p1.p, wrong_inverses(hh_p1)[wrong])
+    with pytest.raises(PreconditionFailure, match="^order 1, diagonal assembly: "):
+        reduction.reduce_variational_tower(hh_system, 2, bad)
+    assert ran == []
+
+
+def test_the_bundled_first_order_gauge_passes_the_inverse_check(hh_system):
+    p1 = fixtures.load_p1()
+    assert p1.p_inv * p1.p == RatMat.identity(4)
+    assert len(reduction.reduce_variational_tower(hh_system, 1, p1)) == 1
+
+
+def test_an_elimination_gauge_off_the_lower_left_block_is_refused(monkeypatch):
+    # the replay proves P[A] == F only for an invertible P; Id + S is
+    # invertible because S lies in the strictly lower-left block, so S^2 = 0
+    mat = lower_system(rf("1/x"), Fraction(1), Fraction(1), rf("1"))
+    assert reduce_subdiagonal(BlockSystem(1, mat, [1, 1])).final_matrix != mat
+    inner = reduction._adjoint_chains
+
+    def shifted(d0, seed, sub_basis):
+        return [(lam, [m + d0 for m in mats]) for lam, mats in inner(d0, seed, sub_basis)]
+
+    monkeypatch.setattr(reduction, "_adjoint_chains", shifted)
+    with pytest.raises(RuntimeError, match="outside the lower-left block"):
+        reduce_subdiagonal(BlockSystem(1, mat, [1, 1]))
+
+
 def test_assembly_matches_the_whole_matrix_gauge_on_henon_heiles(lve3_run, hh_p1):
     # orders 2 and 3 are assembled from the lower reports; the result is
     # the diagonal gauge applied to the whole initial matrix
@@ -374,18 +418,24 @@ def test_assembly_matches_the_whole_matrix_gauge_on_block_systems():
 
 
 def test_orders_above_one_apply_no_whole_matrix_gauge(monkeypatch, hh_system, hh_p1):
-    # the order-1 assembly and one replay per order apply a gauge to a
-    # whole matrix; the assemblies of orders 2 and 3 do not
-    sizes = []
-    inner = reduction.apply_gauge
+    # only the order-1 assembly applies a gauge, with its inverse, to a
+    # whole matrix; the assemblies of orders 2 and 3 do not, and the one
+    # replay per order multiplies by the total gauge instead
+    sizes = {"apply_gauge": [], "carries": []}
 
-    def counted(a, p):
-        sizes.append(a.rows)
-        return inner(a, p)
+    def counted(name):
+        inner = getattr(reduction, name)
 
-    monkeypatch.setattr(reduction, "apply_gauge", counted)
+        def wrapper(a, p, *rest):
+            sizes[name].append(a.rows)
+            return inner(a, p, *rest)
+
+        monkeypatch.setattr(reduction, name, wrapper)
+
+    counted("apply_gauge")
+    counted("carries")
     reduction.reduce_variational_tower(hh_system, 3, hh_p1)
-    assert sizes == [4, 4, 14, 34]
+    assert sizes == {"apply_gauge": [4], "carries": [4, 14, 34]}
 
 
 # ---- subdiagonal reduction corner cases ------------------------------------------
