@@ -16,7 +16,7 @@ from .errors import (
     time_budget,
 )
 from .rationals import QQ
-from .poly import Poly
+from .poly import Poly, shared_factors
 from .ratfun import (
     RatFun,
     hermite_split,
@@ -93,6 +93,7 @@ __all__ = [
     "UnsupportedRegime",
     "ReductionTimeout",
     "time_budget",
+    "shared_factors",
     "comm",
     "nilpotent_jordan_chains",
     "hermite_split",

@@ -128,7 +128,7 @@ class LieBasis:
 
     mats[0:n_generators] are the independent generators in input order; the
     rest are brackets in the order they were discovered.  span is the
-    tracked SpanQQ of mats, so the coordinates of a bracket along mats are
+    SpanQQ of mats, so the coordinates of a bracket along mats are
     read off it.  No structure table is kept: each query takes the brackets
     it reads, and no query lists every pair.
     """
@@ -183,8 +183,8 @@ def lie_closure(generators) -> LieBasis:
     """
     gens = list(generators)
     if not gens:
-        return LieBasis([], 0, SpanQQ(0, track=True))
-    span = SpanQQ(gens[0].rows * gens[0].cols, track=True)
+        return LieBasis([], 0, SpanQQ(0))
+    span = SpanQQ(gens[0].rows * gens[0].cols)
     basis = [g for g in gens if span.add(g)]
     n_gen = len(basis)
     j = 1
@@ -232,7 +232,7 @@ def split_diag_sub(mats, d1: int):
         return [], []
     check_block_lower(mats, d1)
     n = mats[0].rows
-    span = SpanQQ(n * n, track=True)
+    span = SpanQQ(n * n)
     diag_basis, accepted, sub_basis = [], [], []
     for m in mats:
         p = diag_projection(m, d1)
@@ -263,7 +263,7 @@ class DualFrame:
         if not basis:
             raise ValueError("empty basis")
         self.basis = basis
-        self.span = SpanQQ(basis[0].rows * basis[0].cols, track=True)
+        self.span = SpanQQ(basis[0].rows * basis[0].cols)
         for b in basis:
             if not self.span.add(b):
                 raise ValueError("basis matrices are linearly dependent")

@@ -239,7 +239,7 @@ def lincomb(coeffs, mats) -> ConstMat:
 
 
 class SpanQQ:
-    """Incremental echelon span of rational vectors with coordinate tracking.
+    """Incremental echelon span of rational vectors, tracking coordinates.
 
     A vector is a ConstMat, read row-major, a Poly, read as its coefficient
     vector, or a dense sequence of rationals; each becomes ints over one
@@ -250,16 +250,14 @@ class SpanQQ:
     index) and unreduced against each other, so an added vector's residual
     after forward reduction becomes the new basis row as the same rational
     vector whatever the scaling -- callers rely on that (basis = reduced
-    residuals in input order).  With tracking, combos[k] is (ints, den):
-    the ints of row k are sum ints[i] / den * (i-th accepted vector).
+    residuals in input order).  combos[k] is (ints, den): the ints of row k
+    are sum ints[i] / den * (i-th accepted vector).
     """
 
-    def __init__(self, length: int, track: bool = False):
+    def __init__(self, length: int):
         self.length = length
         self.rows = []  # (pivot, {index: int}, QQ scale) sorted by pivot
-        self.track = track
         self.combos = []  # combos[k]: ({accepted index: int}, int den)
-        self.n_added = 0
 
     @property
     def dim(self) -> int:
@@ -300,20 +298,18 @@ class SpanQQ:
             g = -g
         ints = {i: v // g for i, v in w.items()}
         pos = next((k for k, (p, _, _) in enumerate(self.rows) if p > pivot), len(self.rows))
-        if self.track:
-            # ints = (sd/sn * vec - sum t[k] * ints_k) / g, each ints_k over its combo
-            den = _ilcm(sn, *[self.combos[k][1] for k in t])
-            combo = {self.n_added: sd * (den // sn)}
-            for k, tk in t.items():
-                ck, ek = self.combos[k]
-                _axpy(combo, -tk * (den // ek), ck)
-            den *= g
-            if den < 0:
-                den = -den
-                combo = {i: -v for i, v in combo.items()}
-            h = _igcd(den, *combo.values())
-            self.combos.insert(pos, ({i: v // h for i, v in combo.items()}, den // h))
-            self.n_added += 1
+        # ints = (sd/sn * vec - sum t[k] * ints_k) / g, each ints_k over its combo
+        den = _ilcm(sn, *[self.combos[k][1] for k in t])
+        combo = {len(self.rows): sd * (den // sn)}
+        for k, tk in t.items():
+            ck, ek = self.combos[k]
+            _axpy(combo, -tk * (den // ek), ck)
+        den *= g
+        if den < 0:
+            den = -den
+            combo = {i: -v for i, v in combo.items()}
+        h = _igcd(den, *combo.values())
+        self.combos.insert(pos, ({i: v // h for i, v in combo.items()}, den // h))
         self.rows.insert(pos, (pivot, ints, QQ(sn * g, sd)))
         return True
 
@@ -330,8 +326,6 @@ class SpanQQ:
 
     def coords_in_added(self, vec):
         """Coordinates of vec in the accepted original vectors, or None."""
-        if not self.track:
-            raise ValueError("span built without tracking")
         w, t, sn, sd = self._reduce(vec)
         if w:
             return None
@@ -340,7 +334,7 @@ class SpanQQ:
         for k, tk in t.items():
             ck, ek = self.combos[k]
             _axpy(acc, tk * (den // ek), ck)
-        out = [QQ0] * self.n_added
+        out = [QQ0] * len(self.rows)
         for i, v in acc.items():
             out[i] = QQ(sn * v, sd * den)
         return out
@@ -386,7 +380,7 @@ def _axpy(v: dict, f, w: dict) -> None:
 def nullspace(m: ConstMat):
     """Canonical nullspace basis of m, as dense lists of QQ.
 
-    The columns of m go into one tracked SpanQQ in order.  A column that
+    The columns of m go into one SpanQQ in order.  A column that
     does not enlarge it is a combination of the accepted columns before it,
     and gives the basis vector with 1 in its own slot and minus those
     coordinates in the accepted slots: rref's basis, read off its free
@@ -396,7 +390,7 @@ def nullspace(m: ConstMat):
     for i, row in m.num.items():
         for j, v in row.items():
             cols.setdefault(j, {})[i] = v
-    span = SpanQQ(m.rows, track=True)
+    span = SpanQQ(m.rows)
     accepted, basis = [], []
     for j in range(m.cols):
         col = ConstMat.from_ints(1, m.rows, {0: cols.get(j, {})}, m.den)

@@ -12,14 +12,19 @@ found by Miller-Rabin) with CRT lifting until a candidate divides both
 inputs exactly (Brown, J. ACM 18, 1971), which keeps intermediate
 coefficients from exploding; everything user-facing is monic over Q.
 
-factor_irreducible splits squarefree parts by Yun's algorithm and leaves
-their irreducible split to sympy.  A FactorBase answers the same question
-by trial division over the irreducible factors it has met (the idea of
-factor refinement, Bach, Driscoll and Shallit, J. Algorithms 15, 1993),
-and factors in full only the cofactor that is left; a computation whose
-denominators share a few poles, such as one reduction, keeps one base.
+factor_irreducible is the one way to factor.  In full, it splits
+squarefree parts by Yun's algorithm and leaves their irreducible split to
+sympy.  Inside a shared_factors() block it answers through the block's
+FactorBase instead, by trial division over the irreducible factors met so
+far (the idea of factor refinement, Bach, Driscoll and Shallit,
+J. Algorithms 15, 1993), and factors in full only the cofactor that is
+left; a computation whose denominators share a few poles, such as one
+reduction, runs in one block.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .rationals import QQ, QQ0, QQ1
 
@@ -519,15 +524,9 @@ def _sympy_factor_squarefree(f: Poly):
     return out
 
 
-def factor_irreducible(p: Poly):
-    """Full factorization over Q: (lc, [(monic irreducible, multiplicity)...]).
-
-    Deterministic order: by (degree, coefficient tuple).  Squarefree splitting
-    is Yun's algorithm; the remaining irreducible split of each squarefree
-    part beyond degree one is delegated to sympy.
-    """
-    if p.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
+def _factor_full(p: Poly):
+    """factor_irreducible(p), p nonzero, computed from scratch: Yun's
+    squarefree split, then sympy on each squarefree part beyond degree one."""
     if p.is_constant:
         return p.lc, []
     factors = {}
@@ -542,15 +541,14 @@ def factor_irreducible(p: Poly):
 class FactorBase:
     """The monic irreducible factors met so far, to factor by trial division.
 
-    factor(p) returns what factor_irreducible(p) returns.  p.monic() is
-    divided by each factor held, as often as it goes exactly, and only a
-    nonconstant cofactor that is left goes to factor_irreducible; its factors
-    join the base.  Factorization over Q is unique, so the result does not
-    depend on what the base holds.  The base also remembers the factor list
+    factor(p) returns what _factor_full(p) returns, for a nonzero p.
+    p.monic() is divided by each factor held, as often as it goes exactly,
+    and only a nonconstant cofactor that is left is factored in full; its
+    factors join the base.  Factorization over Q is unique, so the result
+    does not depend on what the base holds.  The base also remembers the factor list
     of every monic input it has factored and returns a fresh copy of it
-    when that input comes again.  One base serves one computation whose
-    denominators share their poles, such as one reduction, so nothing it
-    remembers outlives that computation.
+    when that input comes again.  It lives only as long as the outermost
+    shared_factors() block, so nothing it remembers outlives that block.
     """
 
     def __init__(self):
@@ -558,8 +556,6 @@ class FactorBase:
         self._known = {}  # monic input -> its (factor, multiplicity) list
 
     def factor(self, p: Poly):
-        if p.is_zero:
-            raise ValueError("cannot factor the zero polynomial")
         monic = rest = p.monic()
         known = self._known.get(monic)
         if known is not None:
@@ -576,10 +572,40 @@ class FactorBase:
             if k:
                 found.append((q, k))
         if not rest.is_constant:
-            new = factor_irreducible(rest)[1]
+            new = _factor_full(rest)[1]
             found.extend(new)
             self._factors.extend(q for q, _ in new)
             self._factors.sort(key=lambda q: q.degree)
         found.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
         self._known[monic] = found
         return p.lc, list(found)
+
+
+# the FactorBase of the enclosing shared_factors() block; None: no block
+_FACTOR_BASE = ContextVar("varred_factor_base", default=None)
+
+
+@contextmanager
+def shared_factors():
+    """Make factor_irreducible answer through one FactorBase inside the
+    with-block.  A nested block reuses the enclosing block's base; the
+    outermost block drops it on exit, also when an exception leaves it."""
+    base = _FACTOR_BASE.get()
+    token = _FACTOR_BASE.set(FactorBase() if base is None else base)
+    try:
+        yield
+    finally:
+        _FACTOR_BASE.reset(token)
+
+
+def factor_irreducible(p: Poly):
+    """Full factorization over Q: (lc, [(monic irreducible, multiplicity)...]).
+
+    Deterministic order: by (degree, coefficient tuple).  Inside a
+    shared_factors() block the block's FactorBase answers; outside one,
+    p is factored from scratch.
+    """
+    if p.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    base = _FACTOR_BASE.get()
+    return _factor_full(p) if base is None else base.factor(p)

@@ -14,10 +14,10 @@ system from shifts of two polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .rationals import QQ, QQ0, QQ1, is_integer
 from .poly import (
-    FactorBase,
     Poly,
     factor_irreducible,
     poly_gcd,
@@ -156,26 +156,11 @@ class RatFun:
         return RatFun._raw(na * nb, da * db)
 
     def __truediv__(self, other):
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        na, da = self.num, self.den
         nb, db = other.num, other.den
-        if na.is_zero:
-            return _ZERO
-        g1 = poly_gcd(na, nb)
-        if not g1.is_one:
-            na = na.exact_div(g1)
-            nb = nb.exact_div(g1)
-        g2 = poly_gcd(db, da)
-        if not g2.is_one:
-            db = db.exact_div(g2)
-            da = da.exact_div(g2)
-        num, den = na * db, da * nb
-        lc = den.lc
-        if lc != 1:
-            inv = QQ1 / lc
-            num, den = num.scale(inv), den.scale(inv)
-        return RatFun._raw(num, den)
+        if nb.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        inv = QQ1 / nb.lc
+        return self * RatFun._raw(db.scale(inv), nb.scale(inv))
 
     def scale(self, c) -> "RatFun":
         c = QQ(c)
@@ -413,16 +398,9 @@ def as_log_derivative(f: RatFun):
         lambdas.append(lam)
         factors.append(t.factor)
     # write lambda_i = c * e_i with e_i coprime integers, e_1 > 0
-    from math import gcd as igcd
-
-    den_lcm = 1
-    for lam in lambdas:
-        d = lam.denominator
-        den_lcm = den_lcm * d // igcd(den_lcm, d)
+    den_lcm = lcm(*[lam.denominator for lam in lambdas])
     ints = [int(lam * den_lcm) for lam in lambdas]
-    g = 0
-    for v in ints:
-        g = igcd(g, v)
+    g = gcd(*ints)
     if ints[0] < 0:
         g = -g
     exps = [v // g for v in ints]
@@ -468,30 +446,28 @@ def _equation_rows(gamma: RatFun, beta: RatFun, w: Poly, udeg: int):
     return rows
 
 
-def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | None = None):
+def solve_first_order_rational(gamma: RatFun, beta: RatFun):
     """A rational solution g of g' = gamma*g + beta, or None if none exists.
 
     Completeness: a denominator bound is assembled from the poles of gamma
     and beta (with the usual residue refinement at simple poles of gamma),
     a degree bound from the behaviour at infinity, and the remaining linear
-    system over Q is solved exactly on one tracked `matrices.SpanQQ`: the
+    system over Q is solved exactly on one `matrices.SpanQQ`: the
     coefficient vectors of the unknowns go in in order, those that enlarge
     it are the pivot unknowns and every other unknown is 0; the pivot
     unknowns are the coordinates of the rhs over them, and an rhs outside
     the span means no solution.  Any returned solution is verified by
-    substitution.  The denominators are factored over poles, a
-    `poly.FactorBase` that the caller shares across the equations of one
-    computation; without one a fresh base is used.
+    substitution.  The denominators go to poly.factor_irreducible, so a
+    caller that solves many equations whose denominators share their poles
+    enters one poly.shared_factors() block around them.
     """
     if gamma.is_zero:
         split = hermite_split(beta)
         if split.l.is_zero:
             return split.r
         return None
-    if poles is None:
-        poles = FactorBase()
-    _, gden_factors = poles.factor(gamma.den)
-    _, bden_factors = poles.factor(beta.den)
+    _, gden_factors = factor_irreducible(gamma.den)
+    _, bden_factors = factor_irreducible(beta.den)
     qs = {q: m for q, m in bden_factors}
     for q, m in gden_factors:
         qs.setdefault(q, 0)
@@ -542,7 +518,7 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun, poles: FactorBase | 
     # solve sum u_i * lhs_rows[i] = rhs_const coefficientwise
     from .matrices import SpanQQ  # imported here: matrices imports this module
 
-    span = SpanQQ(max(p.degree or 0 for p in lhs_rows + [rhs_const]) + 1, track=True)
+    span = SpanQQ(max(p.degree or 0 for p in lhs_rows + [rhs_const]) + 1)
     pivots = [i for i, p in enumerate(lhs_rows) if span.add(p)]
     coords = span.coords_in_added(rhs_const)
     if coords is None:

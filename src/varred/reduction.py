@@ -12,10 +12,10 @@ What cannot be removed is kept honestly: Hermite residues with simple poles
 stay as coefficients of their generators, and they are what a later
 obstruction certificate points at.
 
-Every denominator one reduction factors (in the rational solves of the
-sweep, for the new poles of its residues and for the report's residual
-pole factors) is factored over one poly.FactorBase that the reduction
-creates and drops: its poles are a few factors met early, so trial
+reduce_block_systems (around all its orders), reduce_subdiagonal and
+remove_generator each run in a poly.shared_factors() block, so the
+denominators, characteristic polynomials and partial fractions of one run
+are factored over one pole base: a few factors met early, so trial
 division replaces a full factorization.
 
 The phases call errors.check_deadline(); reduce_block_systems runs under
@@ -64,7 +64,7 @@ from .matrices import (
     rational_eigenvalues,
     trace_shows_not_nilpotent,
 )
-from .poly import FactorBase
+from .poly import factor_irreducible, shared_factors
 from .rationals import QQ0
 from .ratfun import (
     RatFun,
@@ -201,23 +201,23 @@ def _sub_projection(a: RatMat, d1: int) -> RatMat:
     return out
 
 
-def _new_pole_factors(l: RatFun, beta0: RatFun, poles: FactorBase):
+def _new_pole_factors(l: RatFun, beta0: RatFun):
     """Irreducible factors of den(l) that den(beta0) does not already carry."""
     if l is None or l.is_zero:
         return []
     base = beta0.den
     out = []
-    for q, _ in poles.factor(l.den)[1]:
+    for q, _ in factor_irreducible(l.den)[1]:
         if not (base % q).is_zero:
             out.append(q)
     return out
 
 
-def _pole_factor_set(funcs, poles: FactorBase):
+def _pole_factor_set(funcs):
     """Sorted irreducible denominator factors across a list of functions."""
     seen = []
     for f in funcs:
-        for q, _ in poles.factor(f.den)[1]:
+        for q, _ in factor_irreducible(f.den)[1]:
             if q not in seen:
                 seen.append(q)
     seen.sort(key=lambda p: (p.degree, p.coeffs))
@@ -268,6 +268,7 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower):
 # ---- one elimination gauge -----------------------------------------------------
 
 
+@shared_factors()
 def remove_generator(
     a: RatMat,
     d1: int,
@@ -293,7 +294,6 @@ def remove_generator(
     """
     if coords is None:
         coords = subframe.coords(wei_norman(_sub_projection(a, d1)))
-    poles = FactorBase()
     gen = subframe.basis[index]
     coeff = coords[index]
     if coeff.is_zero:
@@ -301,7 +301,7 @@ def remove_generator(
 
     if lam != QQ0:
         rate = beta0.scale(lam)
-        g = solve_first_order_rational(rate, coeff, poles)
+        g = solve_first_order_rational(rate, coeff)
         if g is None:
             step = ReductionStep(kind="unresolved", generator=gen, unsolved=(rate, coeff))
             return a, step, coords
@@ -320,7 +320,7 @@ def remove_generator(
                 kind=kind,
                 generator=gen,
                 residual_l=residual,
-                new_poles=_new_pole_factors(residual, beta0, poles),
+                new_poles=_new_pole_factors(residual, beta0),
             )
             return a, step, coords
 
@@ -340,7 +340,7 @@ def remove_generator(
         generator=gen,
         solved_g=g,
         residual_l=residual,
-        new_poles=_new_pole_factors(residual, beta0, poles),
+        new_poles=_new_pole_factors(residual, beta0),
     )
     return a2, step, coords2
 
@@ -370,7 +370,7 @@ def _eigen_chains(psi: ConstMat):
         for _ in range(mult - 1):
             power = power * shifted
         vecs = nullspace(power)
-        span = SpanQQ(n, track=True)
+        span = SpanQQ(n)
         for v in vecs:
             span.add(v)
         k = len(vecs)
@@ -422,7 +422,7 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
 # ---- the chain sweep -----------------------------------------------------------
 
 
-def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
+def _sweep_chains(chains, coords, beta0: RatFun):
     """Solve the elimination of every chain coefficient in one pass.
 
     chains holds (lam, matrices) pairs, kernel element first, with
@@ -431,8 +431,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
     the lower-left block, so Id + S with S = sum g_k C_k moves the
     coefficient of C_s to c_s + lam*beta0*g_s - g_s' with
     c_s = coords_s + beta0*g_(s+1), and nothing else.  Going down each
-    chain makes that one scalar equation per position; their denominators
-    are factored over poles.
+    chain makes that one scalar equation per position.
 
     Returns (g, left, steps): the gauge coefficients, the coefficients that
     stay, and the recorded steps in chain order.
@@ -453,7 +452,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
                 continue
             if lam != QQ0:
                 rate = beta0.scale(lam)
-                sol = solve_first_order_rational(rate, c, poles)
+                sol = solve_first_order_rational(rate, c)
                 if sol is None:
                     step = ReductionStep(kind="unresolved", generator=mats[s], unsolved=(rate, c))
                 else:
@@ -468,7 +467,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
                     generator=mats[s],
                     solved_g=None if split.r.is_zero else split.r,
                     residual_l=residual,
-                    new_poles=_new_pole_factors(residual, beta0, poles),
+                    new_poles=_new_pole_factors(residual, beta0),
                 )
             steps.append(step)
             above = g[k]
@@ -479,6 +478,7 @@ def _sweep_chains(chains, coords, beta0: RatFun, poles: FactorBase):
 # ---- the subdiagonal driver -----------------------------------------------------
 
 
+@shared_factors()
 def reduce_subdiagonal(
     system: BlockSystem,
     assembly: ReductionStep | None = None,
@@ -518,7 +518,6 @@ def reduce_subdiagonal(
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
-    poles = FactorBase()
     steps, q = ([assembly], assembly.gauge) if assembly else ([], GaugeMatrix.identity(n))
     a = a0
     total = q
@@ -528,7 +527,7 @@ def reduce_subdiagonal(
         coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
-        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0, poles)
+        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0)
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
@@ -568,7 +567,7 @@ def reduce_subdiagonal(
         diag_dim=len(diag_basis),
         sub_dim=len(sub_basis),
         jordan_block_sizes=jordan_sizes,
-        residual_pole_factors=_pole_factor_set(wn_final.functions(), poles),
+        residual_pole_factors=_pole_factor_set(wn_final.functions()),
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
@@ -858,7 +857,7 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
             "order 1, diagonal assembly: p_inv * p of the first-order gauge is not the identity"
         )
     reports = []
-    with time_budget(max_seconds):
+    with time_budget(max_seconds), shared_factors():
         for bs in systems:
             phase = "diagonal check"
             try:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from varred import cli, fixtures, liealgebra, reduction
+from varred import cli, fixtures, liealgebra, poly, reduction
 from varred.cli import main
 from varred.errors import FileFormatError
 from varred.expr import MAX_DIGITS, MAX_EXPONENT, MAX_POWER_TERMS
@@ -395,6 +395,7 @@ def test_fourth_order_is_refused_at_its_diagonal(tmp_path, capsys, monkeypatch):
     assert elapsed < 60.0
     assert finished == [1, 2, 3]
     assert products and products.count(3) == 0
+    assert poly._FACTOR_BASE.get() is None  # the refusal dropped the run's pole base
 
 
 @pytest.fixture(scope="module")

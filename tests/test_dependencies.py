@@ -1,5 +1,5 @@
-"""The package imports only the standard library, sympy and itself, and
-one module keeps the time budget."""
+"""The package imports only the standard library, sympy and itself, one
+module keeps the time budget, and one keeps the pole base."""
 
 import ast
 import fractions
@@ -59,4 +59,33 @@ def test_the_time_budget_lives_in_errors():
                     or isinstance(node, ast.ImportFrom) and node.module == "time"
                     and any(alias.name == "monotonic" for alias in node.names)):
                 found.append((name, node.lineno, "time.monotonic read"))
+    assert found == []
+
+
+def test_the_pole_base_lives_in_poly():
+    """Outside poly.py no module names FactorBase, the ContextVar that holds
+    the shared base or the full factorization behind it, and no function
+    takes a poles parameter: every factorization asks factor_irreducible,
+    and a computation shares its base by entering poly.shared_factors()."""
+    private = {"FactorBase", "_FACTOR_BASE", "_factor_full", "_sympy_factor_squarefree"}
+    found = []
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "poles" for p in params):
+                    found.append((name, node.lineno, "poles parameter"))
+            elif isinstance(node, ast.keyword) and node.arg == "poles":
+                found.append((name, node.value.lineno, "poles argument"))
+            elif name != "poly.py":
+                if isinstance(node, ast.Name):
+                    used = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    used = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    used = {alias.name for alias in node.names}
+                else:
+                    continue
+                found += [(name, node.lineno, n) for n in used & private]
     assert found == []

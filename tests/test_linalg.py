@@ -158,7 +158,7 @@ def test_spanqq_tracked_coordinates():
              for n in (rng.randint(2, 5) for _ in range(60)))
     # lazy, so each case is drawn right before its coefficients
     for n, vecs in itertools.chain(dense, sparse_span_cases(rng, 6)):
-        span = SpanQQ(n, track=True)
+        span = SpanQQ(n)
         basis = []
         for v in vecs:
             if span.add(list(v)):
@@ -338,7 +338,7 @@ def test_spanqq_matches_dense_reference():
         rng.shuffle(vecs)
         mats = [ConstMat([v[i * c:(i + 1) * c] for i in range(r)]) for v in vecs]
         ref = RefSpan()
-        dense, matrix, poly = (SpanQQ(n, track=True) for _ in range(3))
+        dense, matrix, poly = (SpanQQ(n) for _ in range(3))
         for v, m in zip(vecs, mats):
             grew = ref.add(v)
             if not any(v):
@@ -357,7 +357,7 @@ def test_spanqq_matches_dense_reference():
                     assert span.coords_in_rows(vec) == ref.coords_in_rows(v)
                     assert span.coords_in_added(vec) == ref.coords_in_added(v)
     # 0x0 matrices, empty vectors and the zero polynomial span nothing
-    span = SpanQQ(0, track=True)
+    span = SpanQQ(0)
     assert not span.add(ConstMat([])) and not span.add([]) and not span.add(Poly())
     assert span.coords_in_added(ConstMat([])) == []
     assert span.coords_in_added(Poly()) == []

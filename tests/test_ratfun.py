@@ -18,6 +18,7 @@ from varred.poly import (
     poly_gcd,
     poly_lcm,
     poly_xgcd,
+    shared_factors,
     squarefree_decomposition,
 )
 from varred.ratfun import (
@@ -350,29 +351,28 @@ def test_factor_base_matches_factor_irreducible(monkeypatch):
     one = Poly([1])
     pool = [x, x ** 2 + one, x - Poly([3]), x.scale(2) + Poly([5]), x ** 3 - Poly([2])]
     refinements = []
+    full = poly_module._factor_full
 
     def counted(p):
         refinements.append(p)
-        return factor_irreducible(p)
+        return full(p)
 
-    monkeypatch.setattr(poly_module, "factor_irreducible", counted)
+    monkeypatch.setattr(poly_module, "_factor_full", counted)
     base = FactorBase()
     rng = random.Random(1401)
-    with pytest.raises(ValueError, match="zero polynomial"):
-        base.factor(Poly())
     for c in (Fraction(-3, 4), Fraction(7)):
-        assert base.factor(Poly([c])) == factor_irreducible(Poly([c])) == (c, [])
+        assert base.factor(Poly([c])) == full(Poly([c])) == (c, [])
     for k in range(120):
         avail = pool[: 2 + k // 30]
         p = Poly([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))])
         for q in rng.sample(avail, rng.randint(1, len(avail))):
             p = p * q ** rng.randint(1, 3)
-        assert base.factor(p) == factor_irreducible(p)
+        assert base.factor(p) == full(p)
     # a held factor itself, then a new cofactor beside held factors
-    assert base.factor(x ** 2 + one) == factor_irreducible(x ** 2 + one)
+    assert base.factor(x ** 2 + one) == full(x ** 2 + one)
     p = (x + one) ** 2 * x * (x - Poly([3]))
     n = len(refinements)
-    assert base.factor(p) == factor_irreducible(p)
+    assert base.factor(p) == full(p)
     assert refinements[n:] == [(x + one) ** 2]
     assert 0 < len(refinements) < 30  # a quarter of the 120 products
 
@@ -678,14 +678,14 @@ def test_solve_first_order_rational_round_trip():
 
 
 def test_solve_first_order_rational_with_a_shared_pole_base():
-    """A base shared across equations gives what a fresh base gives, on
-    equations with a known rational solution and on random ones."""
+    """Equations solved inside one shared_factors() block, whose base grows
+    across them, give what they give outside any block, on equations with
+    a known rational solution and on random ones."""
     rng = random.Random(1403)
     x = Poly.variable()
     one = Poly([1])
     dens = [x, x ** 2 + one, x - Poly([3]), x.scale(2) + Poly([5])]
-    poles = FactorBase()
-    solved = 0
+    equations = []
     for _ in range(60):
         beta0 = RatFun(Poly([rng.randint(1, 5)]), rng.choice(dens))
         gamma = beta0.scale(rng.choice([1, 2, -1, 3]))
@@ -693,11 +693,52 @@ def test_solve_first_order_rational_with_a_shared_pole_base():
         for q in rng.sample(dens, rng.randint(1, 3)):
             den = den * q ** rng.randint(1, 3)
         f = RatFun(rand_poly(rng, rng.randint(0, 4)), den)
-        beta = f.derivative() - gamma * f if rng.random() < 0.5 else f
-        got = solve_first_order_rational(gamma, beta, poles)
-        assert got == solve_first_order_rational(gamma, beta)
-        solved += got is not None
-    assert 0 < solved < 60
+        equations.append((gamma, f.derivative() - gamma * f if rng.random() < 0.5 else f))
+    outside = [solve_first_order_rational(gamma, beta) for gamma, beta in equations]
+    with shared_factors():
+        inside = [solve_first_order_rational(gamma, beta) for gamma, beta in equations]
+    assert inside == outside
+    assert 0 < sum(g is not None for g in inside) < 60
+
+
+def test_shared_factors_blocks_nest_and_drop_their_base(monkeypatch):
+    """factor_irreducible answers through the block's base: a repeated input
+    and a product of factors already met are not factored again.  A nested
+    block reuses the base, and the outermost block drops it, also when an
+    exception leaves it."""
+    x = Poly.variable()
+    one = Poly([1])
+    full = poly_module._factor_full
+    factored = []
+
+    def counted(p):
+        factored.append(p)
+        return full(p)
+
+    monkeypatch.setattr(poly_module, "_factor_full", counted)
+    p = (x ** 2 + one) ** 2 * (x - Poly([3]))
+    assert poly_module._FACTOR_BASE.get() is None
+    with shared_factors():
+        base = poly_module._FACTOR_BASE.get()
+        assert factor_irreducible(p) == full(p)
+        with shared_factors():
+            assert poly_module._FACTOR_BASE.get() is base
+            assert factor_irreducible(p.scale(-2)) == full(p.scale(-2))
+            assert factor_irreducible(x - Poly([3])) == full(x - Poly([3]))
+        assert poly_module._FACTOR_BASE.get() is base
+    assert factored == [p.monic()]
+    assert poly_module._FACTOR_BASE.get() is None
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        with shared_factors():
+            assert poly_module._FACTOR_BASE.get() is not None
+            factor_irreducible(Poly())
+    assert poly_module._FACTOR_BASE.get() is None
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        factor_irreducible(Poly())
+    # outside a block every call factors from scratch
+    factored.clear()
+    assert factor_irreducible(p) == factor_irreducible(p)
+    assert factored == [p, p]
 
 
 def test_solve_first_order_rational_sets_free_unknowns_to_zero():

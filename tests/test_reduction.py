@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from varred import fixtures, liealgebra, reduction
+from varred import fixtures, liealgebra, poly, reduction
 from varred.errors import (
     PreconditionFailure,
     ReductionTimeout,
@@ -574,6 +574,7 @@ def test_entry_points_respect_an_expired_budget(budgeted_calls, name):
     call()
     with time_budget(-1.0), pytest.raises(ReductionTimeout):
         call()
+    assert poly._FACTOR_BASE.get() is None  # the timeout dropped the pole base
 
 
 @pytest.mark.parametrize("name, phase", [
@@ -591,6 +592,37 @@ def test_timeouts_in_newly_checked_phases_name_the_phase(
     monkeypatch.setattr(reduction, name, expired)
     with pytest.raises(ReductionTimeout, match="^%s: time budget exhausted" % phase):
         reduction.reduce_variational_tower(hh_system, 2, hh_p1)
+
+
+def test_one_run_factors_each_squarefree_part_once(monkeypatch, hh_system, hh_p1):
+    """All orders of one run share one pole base, so no squarefree part
+    reaches sympy twice; with a base per reduction x^2 + 1 went twice."""
+    sent = []
+    inner = poly._sympy_factor_squarefree
+
+    def recording(f):
+        sent.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(poly, "_sympy_factor_squarefree", recording)
+    reduction.reduce_variational_tower(hh_system, 3, hh_p1)
+    assert sent and len(sent) == len(set(sent))
+
+
+def test_all_orders_of_a_run_share_one_pole_base(monkeypatch, hh_system, hh_p1):
+    """Once a factor is found in full, later orders of the run divide by it:
+    no irreducible factor is found in full twice, where a base per order
+    found x again at order 2."""
+    full = poly._factor_full
+    found = []
+
+    def recording(p):
+        found.extend(q for q, _ in full(p)[1])
+        return full(p)
+
+    monkeypatch.setattr(poly, "_factor_full", recording)
+    reduction.reduce_variational_tower(hh_system, 2, hh_p1)
+    assert found and len(found) == len(set(found))
 
 
 def test_inner_budgets_do_not_outlast_an_expired_one():
