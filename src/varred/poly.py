@@ -6,11 +6,16 @@ polynomial has no numerators and its degree is the ``None`` sentinel --
 code that needs a degree must handle the zero case explicitly instead of
 inheriting a -1 from somewhere.
 
-The gcd runs on the primitive integer numerators, modular over word-size
-primes (the table of the six largest below 2^30 first, then smaller ones
-found by Miller-Rabin) with CRT lifting until a candidate divides both
-inputs exactly (Brown, J. ACM 18, 1971), which keeps intermediate
-coefficients from exploding; everything user-facing is monic over Q.
+poly_cofactors is the one gcd kernel: it returns the monic gcd over Q
+together with both exact quotients by it.  It runs on the primitive integer
+numerators, first by the heuristic gcd of Char, Geddes and Gonnet (one
+integer gcd of two evaluations, its xi-adic digits read back as a
+candidate), and, when a few evaluation points give no candidate that
+divides both inputs, modular over word-size primes (the table of the six
+largest below 2^30 first, then smaller ones found by Miller-Rabin) with CRT
+lifting until a candidate divides both inputs exactly (Brown, J. ACM 18,
+1971).  Either way the exact division that accepts the candidate yields
+the quotients, so callers never divide by the gcd again.
 
 factor_irreducible is the one way to factor.  In full, it splits
 squarefree parts by Yun's algorithm and leaves their irreducible split to
@@ -384,24 +389,29 @@ def _modp_gcd_monic(a, b, p):
     return [v * inv % p for v in fa]
 
 
-def _int_divides(h, a):
-    """Whether h divides a over Z[x] (both primitive, deg h <= deg a)."""
+def _int_quot(a, h):
+    """a / h over Z[x] when h divides a exactly, else None (h nonzero)."""
     dh = len(h) - 1
+    dq = len(a) - 1 - dh
+    if dq < 0:
+        return None
     lead = h[-1]
     r = list(a)
-    for k in range(len(a) - 1 - dh, -1, -1):
-        c = r[dh + k]
-        if c % lead:
-            return False
-        c //= lead
+    q = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c, m = divmod(r[dh + k], lead)
+        if m:
+            return None
         if c:
-            for j in range(dh + 1):
+            q[k] = c
+            for j in range(dh):
                 r[k + j] -= c * h[j]
-    return not any(r)
+    return None if any(r[:dh]) else q
 
 
 def _int_gcd(a, b):
-    """Primitive gcd of primitive int lists, modular over primes below 2^30.
+    """(h, a/h, b/h) with h the primitive gcd of primitive int lists,
+    modular over primes below 2^30.
 
     The primes come from `_gcd_primes`, the table first.  A prime that
     divides a leading coefficient is skipped.  One image of degree 0
@@ -424,7 +434,7 @@ def _int_gcd(a, b):
         gp = _modp_gcd_monic(a, b, p)
         deg = len(gp) - 1
         if deg == 0:
-            return [1]
+            return [1], a, b
         if best_deg is None or deg < best_deg:
             # previous primes were unlucky (their gcd degree was too big)
             best_deg = deg
@@ -445,27 +455,108 @@ def _int_gcd(a, b):
                 combined.append(v - mp if 2 * v > mp else v)
             residues, modulus = combined, mp
         h = _int_primitive(residues)  # p divides no lc: degree best_deg
-        if _int_divides(h, a) and _int_divides(h, b):
-            return h
+        qa = _int_quot(a, h)
+        if qa is not None:
+            qb = _int_quot(b, h)
+            if qb is not None:
+                return h, qa, qb
     raise ArithmeticError("gcd needs more primes than lie below 2^30")
+
+
+# Evaluation points the heuristic gcd tries before the modular gcd.
+_HEU_POINTS = 6
+# Added to the least point Theorem 7.7 allows: the spare room keeps a small
+# common factor of the cofactor values from spoiling the candidate, and the
+# point stays one 30-bit digit for inputs with small coefficients.
+_XI_OFFSET = 2**20
+
+
+def _eval_points(a, b):
+    """The points of the heuristic gcd: the first is at least
+    2 min(|a|_inf, |b|_inf) + 2, the bound of Theorem 7.7 in Geddes, Czapor
+    and Labahn, Algorithms for Computer Algebra (1992); each next one is
+    about 2.73 times the last, as in sympy's heugcd."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2 + _XI_OFFSET
+    for _ in range(_HEU_POINTS):
+        yield xi
+        xi = xi * 73794 // 27011
+
+
+def _int_cofactors(a, b):
+    """(h, a/h, b/h) with h the primitive gcd of primitive int lists of
+    degree >= 1, by the heuristic gcd of Char, Geddes and Gonnet
+    (J. Symbolic Comp. 7, 1989).
+
+    At a point xi of `_eval_points` the integer gcd of a(xi) and b(xi) is a
+    multiple of h(xi).  An integer gcd of at most xi/2 means the inputs are
+    coprime: every root of h is a root of both, so of modulus below
+    1 + min(|a|_inf, |b|_inf) <= xi/2, and |h(xi)| > xi/2 unless h is
+    constant.  Otherwise the symmetric xi-adic digits of the integer gcd
+    give a candidate, and its primitive part is the gcd exactly when it
+    divides both inputs (Theorem 7.7), which the division that yields the
+    cofactors checks.  A point whose candidate fails is followed by the
+    next; when all fail, the modular `_int_gcd` answers.
+    """
+    for xi in _eval_points(a, b):
+        va = vb = 0
+        for v in reversed(a):
+            va = va * xi + v
+        for v in reversed(b):
+            vb = vb * xi + v
+        gamma = _igcd(va, vb)
+        half = xi >> 1
+        if gamma <= half:
+            return [1], a, b
+        digits = []
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                d -= xi
+                gamma += 1
+            digits.append(d)
+        h = _int_primitive(digits)
+        qa = _int_quot(a, h)
+        if qa is not None:
+            qb = _int_quot(b, h)
+            if qb is not None:
+                return h, qa, qb
+    return _int_gcd(a, b)
+
+
+def poly_cofactors(a: Poly, b: Poly):
+    """(g, a/g, b/g) with g the monic gcd over Q; (0, 0, 0) when both are
+    zero.  Each result is exact: a == g * (a/g) and b == g * (b/g)."""
+    an, bn = a._num, b._num
+    if not an or not bn:
+        if an:
+            return a.monic(), _canon([an[-1]], a._den), _ZERO
+        if bn:
+            return b.monic(), _ZERO, _canon([bn[-1]], b._den)
+        return _ZERO, _ZERO, _ZERO
+    if len(an) == 1 or len(bn) == 1:
+        return _ONE, a, b
+    ia, ib = _int_primitive(an), _int_primitive(bn)
+    h, qa, qb = _int_cofactors(ia, ib)
+    if len(h) == 1:
+        return _ONE, a, b
+    # an == c * ia with c = an[-1] // ia[-1] and ia == qa * h, so
+    # a / (h / lead) == qa * c * lead / a._den; h / lead is canonical and
+    # monic, as h is primitive with a positive lc
+    lead = h[-1]
+    ma, mb = an[-1] // ia[-1] * lead, bn[-1] // ib[-1] * lead
+    return (Poly._new(tuple(h), lead), _canon([v * ma for v in qa], a._den),
+            _canon([v * mb for v in qb], b._den))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.is_constant or b.is_constant:
-        return _ONE
-    ig = _int_gcd(_int_primitive(a._num), _int_primitive(b._num))
-    return Poly._new(tuple(ig), ig[-1])  # primitive, positive lc: monic
+    return poly_cofactors(a, b)[0]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     if a.is_zero or b.is_zero:
         return _ZERO
-    return (a * b.exact_div(poly_gcd(a, b))).monic()
+    return (poly_cofactors(a, b)[1] * b).monic()
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -493,19 +584,14 @@ def squarefree_decomposition(p: Poly):
     if p.is_constant:
         return []
     p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p.exact_div(a)
-    c = dp.exact_div(a)
+    _, b, c = poly_cofactors(p, p.derivative())
     d = c - b.derivative()
     out = []
     i = 1
     while not b.is_constant:
-        a2 = poly_gcd(b, d)
+        a2, b, c = poly_cofactors(b, d)
         if not a2.is_constant:
             out.append((a2, i))
-        b = b.exact_div(a2)
-        c = d.exact_div(a2)
         d = c - b.derivative()
         i += 1
     return out

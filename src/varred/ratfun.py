@@ -5,11 +5,12 @@ solutions of first order equations y' = gamma*y + beta.
 
 Canonical form: numerator and denominator coprime, denominator monic.  The
 add/mul routines follow the gcd-avoiding scheme of the stdlib Fraction type
-(Henrici), which keeps the polynomial gcds small.  The Hermite split keeps
-one numerator per squarefree factor of the denominator and normalizes each
-of its two parts once, over one denominator, instead of adding a
-normalized term per pole order; the rational solver builds its linear
-system from shifts of two polynomials.
+(Henrici), which keeps the polynomial gcds small; each gcd comes from
+poly.poly_cofactors together with both operands divided by it.  The
+Hermite split keeps one numerator per squarefree factor of the denominator
+and normalizes each of its two parts once, over one denominator, instead
+of adding a normalized term per pole order; the rational solver builds its
+linear system from shifts of two polynomials.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .rationals import QQ, QQ0, QQ1, is_integer
 from .poly import (
     Poly,
     factor_irreducible,
-    poly_gcd,
+    poly_cofactors,
     poly_lcm,
     poly_xgcd,
     squarefree_decomposition,
@@ -46,10 +47,7 @@ class RatFun:
         if num.is_zero:
             self.num, self.den = Poly(), _ONE
             return
-        g = poly_gcd(num, den)
-        if not g.is_one:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        _, num, den = poly_cofactors(num, den)
         lc = den.lc
         if lc != 1:
             inv = QQ1 / lc
@@ -114,25 +112,20 @@ class RatFun:
             num = na + nb
             if num.is_zero:
                 return _ZERO
-            g = poly_gcd(num, da)
-            if g.is_one:
-                return RatFun._raw(num, da)
-            return RatFun._raw(num.exact_div(g), da.exact_div(g))
-        g = poly_gcd(da, db)
+            _, num, da = poly_cofactors(num, da)
+            return RatFun._raw(num, da)
+        g, da_r, db_r = poly_cofactors(da, db)
         if g.is_one:
             num = na * db + nb * da
             if num.is_zero:
                 return _ZERO
             return RatFun._raw(num, da * db)
-        da_r = da.exact_div(g)
-        db_r = db.exact_div(g)
         t = na * db_r + nb * da_r
         if t.is_zero:
             return _ZERO
-        g2 = poly_gcd(t, g)
-        if g2.is_one:
-            return RatFun._raw(t, da_r * db)
-        return RatFun._raw(t.exact_div(g2), da_r * db.exact_div(g2))
+        g2, t, g_r = poly_cofactors(t, g)
+        # da * db / g2 == da_r * db_r * (g / g2), and db == db_r * g
+        return RatFun._raw(t, da_r * (db if g2.is_one else db_r * g_r))
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,14 +138,8 @@ class RatFun:
         nb, db = other.num, other.den
         if na.is_zero or nb.is_zero:
             return _ZERO
-        g1 = poly_gcd(na, db)
-        if not g1.is_one:
-            na = na.exact_div(g1)
-            db = db.exact_div(g1)
-        g2 = poly_gcd(nb, da)
-        if not g2.is_one:
-            nb = nb.exact_div(g2)
-            da = da.exact_div(g2)
+        _, na, db = poly_cofactors(na, db)
+        _, nb, da = poly_cofactors(nb, da)
         return RatFun._raw(na * nb, da * db)
 
     def __truediv__(self, other):
@@ -195,9 +182,7 @@ class RatFun:
         n, d = self.num, self.den
         if d.is_one:
             return RatFun._raw(n.derivative(), _ONE)
-        dd = d.derivative()
-        g = poly_gcd(d, dd)
-        r, q = (d, dd) if g.is_one else (d.exact_div(g), dd.exact_div(g))
+        _, r, q = poly_cofactors(d, d.derivative())
         return RatFun._raw(n.derivative() * r - n * q, d * r)
 
     # ---- text ------------------------------------------------------------

@@ -15,6 +15,7 @@ from varred.poly import (
     FactorBase,
     Poly,
     factor_irreducible,
+    poly_cofactors,
     poly_gcd,
     poly_lcm,
     poly_xgcd,
@@ -206,7 +207,9 @@ def test_gcd_primes_continue_below_the_table():
 
 
 def _recorded_gcd(monkeypatch, a, b):
-    """poly_gcd(a, b) and the (prime, image degree) of each modular image."""
+    """poly_cofactors(a, b) by the modular gcd alone (no heuristic
+    evaluation point) and the (prime, image degree) of each modular image."""
+    monkeypatch.setattr(poly_module, "_HEU_POINTS", 0)
     calls = []
     inner = poly_module._modp_gcd_monic
 
@@ -217,20 +220,31 @@ def _recorded_gcd(monkeypatch, a, b):
         return gp
 
     monkeypatch.setattr(poly_module, "_modp_gcd_monic", recording)
-    got = poly_gcd(a, b)
+    got = poly_cofactors(a, b)
     monkeypatch.undo()
     return got, calls
 
 
-def _sympy_gcd(a, b):
+def _sympy_cofactors(a, b):
+    """(monic gcd, a/gcd, b/gcd) from sympy."""
     x = sympy.Symbol("x")
-    g = sympy.Poly(list(reversed(a.coeffs)), x).gcd(sympy.Poly(list(reversed(b.coeffs)), x))
-    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs())])
+
+    def to_poly(sp):
+        return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+
+    sa = sympy.Poly(list(reversed(a.coeffs)) or [0], x, domain="QQ")
+    sb = sympy.Poly(list(reversed(b.coeffs)) or [0], x, domain="QQ")
+    g = sa.gcd(sb)
+    if not g.is_zero:
+        g = g.monic()
+        return to_poly(g), to_poly(sa.exquo(g)), to_poly(sb.exquo(g))
+    return Poly(), Poly(), Poly()
 
 
 def test_poly_gcd_matches_sympy_on_every_branch(monkeypatch):
-    """poly_gcd against sympy on inputs built for each branch of the
-    modular gcd; the recorded images show the branch was taken."""
+    """The modular gcd, with the heuristic switched off, against sympy's
+    gcd and quotients on inputs built for each of its branches; the
+    recorded images show the branch was taken."""
     rng = random.Random(1501)
     x = Poly.variable()
     p0, p1 = _GCD_PRIMES[:2]
@@ -241,8 +255,8 @@ def test_poly_gcd_matches_sympy_on_every_branch(monkeypatch):
 
     def check(a, b):
         got, calls = _recorded_gcd(monkeypatch, a, b)
-        assert got == _sympy_gcd(a, b)
-        return got, calls
+        assert got == _sympy_cofactors(a, b)
+        return got[0], calls
 
     for _ in range(5):
         # coprime: one image of degree 0 settles it
@@ -272,6 +286,90 @@ def test_poly_gcd_matches_sympy_on_every_branch(monkeypatch):
         primes = [p for p, _ in calls]
         assert primes == sorted(set(primes), reverse=True)
         assert primes[len(_GCD_PRIMES)] < _GCD_PRIMES[-1]
+
+
+def test_poly_cofactors_match_sympy():
+    """poly_cofactors against sympy's gcd and exact quotients on seeded
+    inputs: coprime pairs, shared factors of degree 1-6, 400-bit
+    coefficients, equal inputs, one input dividing the other, and zero or
+    constant operands."""
+    rng = random.Random(2301)
+
+    def rand_q(deg, bits=8):
+        return Poly([Fraction(rng.choice((1, -1)) * rng.getrandbits(bits),
+                              rng.randint(1, 2**bits)) for _ in range(deg)]
+                    + [Fraction(rng.randint(1, 2**bits), rng.randint(1, 9))])
+
+    cases = []
+    for _ in range(12):
+        u, v = rand_q(rng.randint(1, 7)), rand_q(rng.randint(1, 7))
+        g = rand_q(rng.randint(1, 6))
+        huge = rand_q(rng.randint(1, 4), bits=400)
+        cases += [
+            (u, v),
+            (g * u, g * v),
+            (g * g * u, g * v.scale(Fraction(-3, 7))),
+            (huge * u, huge * v),
+            (u, u),
+            (g * u, u.scale(Fraction(5, 3))),
+            (u, g * u),
+            (u, Poly.const(Fraction(-2, 3))),
+            (Poly(), u),
+            (u, Poly()),
+        ]
+    cases.append((Poly(), Poly()))
+    for a, b in cases:
+        got = poly_cofactors(a, b)
+        assert got == _sympy_cofactors(a, b)
+        for p in got:
+            _assert_canonical(p)
+        g, ca, cb = got
+        assert g * ca == a and g * cb == b
+        assert poly_gcd(a, b) == g
+
+
+def test_heuristic_gcd_starts_at_the_theorem_7_7_bound():
+    """The first evaluation point is at least 2 min(|a|_inf, |b|_inf) + 2,
+    also when a large leading coefficient makes |a|_inf / lc(a) small, and
+    the points grow."""
+    rng = random.Random(2302)
+    for _ in range(200):
+        a = [rng.choice((1, -1)) * rng.getrandbits(rng.choice((4, 40, 400)))
+             for _ in range(rng.randint(1, 8))] + [rng.getrandbits(500) + 1]
+        b = [rng.choice((1, -1)) * rng.getrandbits(rng.choice((4, 40, 400)))
+             for _ in range(rng.randint(1, 8))] + [rng.randint(1, 9)]
+        points = list(poly_module._eval_points(a, b))
+        assert len(points) == poly_module._HEU_POINTS
+        bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        assert points[0] >= bound
+        assert all(p < q for p, q in zip(points, points[1:]))
+
+
+def test_heuristic_gcd_rejects_a_spurious_candidate(monkeypatch):
+    """f = x + c and g = f + 2 f(xi0) are coprime, but at the first point
+    xi0 the integer gcd f(xi0) rebuilds to the candidate f, which does not
+    divide g.  The division check rejects it and the next point answers,
+    without the modular gcd."""
+    x = Poly.variable()
+    xi0 = next(poly_module._eval_points([5, 1], [5, 1]))
+    f = x + Poly.const(5)
+    g = f + Poly.const(2 * (xi0 + 5))
+    points = []
+    inner = poly_module._eval_points
+
+    def recording(a, b):
+        for xi in inner(a, b):
+            points.append(xi)
+            yield xi
+
+    def modular(a, b):
+        raise AssertionError("the heuristic gcd fell back to the modular gcd")
+
+    monkeypatch.setattr(poly_module, "_eval_points", recording)
+    monkeypatch.setattr(poly_module, "_int_gcd", modular)
+    assert poly_module._int_quot(g._num, f._num) is None
+    assert poly_cofactors(f, g) == (Poly([1]), f, g)
+    assert points[0] == xi0 and len(points) == 2
 
 
 def test_poly_gcd_divides_both_and_is_monic():
