@@ -21,7 +21,6 @@ from .ratfun import (
     RatFun,
     hermite_split,
     parse_ratfun,
-    partial_fractions,
     solve_first_order_rational,
 )
 from .matrices import ConstMat, RatMat, comm, nilpotent_jordan_chains
@@ -97,7 +96,6 @@ __all__ = [
     "comm",
     "nilpotent_jordan_chains",
     "hermite_split",
-    "partial_fractions",
     "solve_first_order_rational",
     "parse_ratfun",
     "parse_mpoly",

@@ -99,7 +99,7 @@ def parse_system(text: str) -> SystemFile:
             size = _int_value(value, lineno, "size")
         elif key == "blocks":
             blocks = [_int_value(v, lineno, "block size") for v in value.split()]
-        elif key.startswith("entry"):
+        elif key.split()[:1] == ["entry"]:
             parts = key.split()
             if len(parts) != 3:
                 raise FileFormatError("line %d: entry needs a row and a column"

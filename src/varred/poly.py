@@ -8,14 +8,12 @@ inheriting a -1 from somewhere.
 
 poly_cofactors is the one gcd kernel: it returns the monic gcd over Q
 together with both exact quotients by it.  It runs on the primitive integer
-numerators, first by the heuristic gcd of Char, Geddes and Gonnet (one
-integer gcd of two evaluations, its xi-adic digits read back as a
-candidate), and, when a few evaluation points give no candidate that
-divides both inputs, modular over word-size primes (the table of the six
-largest below 2^30 first, then smaller ones found by Miller-Rabin) with CRT
-lifting until a candidate divides both inputs exactly (Brown, J. ACM 18,
-1971).  Either way the exact division that accepts the candidate yields
-the quotients, so callers never divide by the gcd again.
+numerators by the heuristic gcd of Char, Geddes and Gonnet (one integer gcd
+of two evaluations, its xi-adic digits read back as a candidate).  When a
+few evaluation points give no candidate that divides both inputs, Euclid's
+algorithm answers instead, as the primitive remainder sequence over Z.
+Either way an exact division of the inputs by the primitive gcd yields the
+quotients, so callers never divide by the gcd again.
 
 factor_irreducible is the one way to factor.  In full, it splits
 squarefree parts by Yun's algorithm and leaves their irreducible split to
@@ -324,71 +322,6 @@ def _int_primitive(a):
     return [v // g for v in a]
 
 
-# Primes for the modular gcd: the six largest below 2^30, so every residue
-# is a one-digit CPython int (30-bit digits) and takes the fast small-int
-# paths of %, * and pow.
-_GCD_PRIMES = (
-    1073741789,
-    1073741783,
-    1073741741,
-    1073741723,
-    1073741719,
-    1073741717,
-)
-
-
-def _is_prime(n):
-    """Miller-Rabin for odd n > 2 with bases 2, 3, 5 and 7: exact below 3.2e9."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in (2, 3, 5, 7):
-        if a == n:
-            return True
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _gcd_primes():
-    """The primes below 2^30 in descending order: the table, then the rest."""
-    yield from _GCD_PRIMES
-    for n in range(_GCD_PRIMES[-1] - 2, 2, -2):
-        if _is_prime(n):
-            yield n
-
-
-def _modp_gcd_monic(a, b, p):
-    """Monic gcd of two int lists in F_p[x]; p divides neither leading
-    coefficient."""
-    fa = [v % p for v in a]
-    fb = [v % p for v in b]
-    while fb:
-        # fa mod fb by synthetic division
-        inv = pow(fb[-1], -1, p)
-        db = len(fb) - 1
-        r = fa[:]
-        for k in range(len(r) - 1 - db, -1, -1):
-            c = r[db + k] * inv % p
-            if c:
-                for j in range(db):
-                    r[k + j] = (r[k + j] - c * fb[j]) % p
-                r[db + k] = 0
-        while r and r[-1] == 0:
-            r.pop()
-        fa, fb = fb, r
-    inv = pow(fa[-1], -1, p)
-    return [v * inv % p for v in fa]
-
-
 def _int_quot(a, h):
     """a / h over Z[x] when h divides a exactly, else None (h nonzero)."""
     dh = len(h) - 1
@@ -409,61 +342,7 @@ def _int_quot(a, h):
     return None if any(r[:dh]) else q
 
 
-def _int_gcd(a, b):
-    """(h, a/h, b/h) with h the primitive gcd of primitive int lists,
-    modular over primes below 2^30.
-
-    The primes come from `_gcd_primes`, the table first.  A prime that
-    divides a leading coefficient is skipped.  One image of degree 0
-    settles coprimality for sure (the gcd cannot drop degree mod p unless p
-    divides a leading coefficient).  Otherwise the images of least degree
-    (an image of larger degree comes from one of the finitely many unlucky
-    primes) are lifted with balanced residues and CRT-combined, and each
-    candidate is believed only once it divides both inputs exactly.  After
-    finitely many lucky primes the modulus exceeds twice lc_pair times the
-    coefficient bound and the lift is the gcd, so the loop returns long
-    before the 5.4e7 primes below 2^30 run out.
-    """
-    lc_pair = _igcd(a[-1], b[-1])
-    best_deg = None
-    residues = None  # balanced lift of lc_pair * monic gcd
-    modulus = None
-    for p in _gcd_primes():
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        gp = _modp_gcd_monic(a, b, p)
-        deg = len(gp) - 1
-        if deg == 0:
-            return [1], a, b
-        if best_deg is None or deg < best_deg:
-            # previous primes were unlucky (their gcd degree was too big)
-            best_deg = deg
-            residues = None
-            modulus = None
-        elif deg > best_deg:
-            continue
-        scaled = [v * lc_pair % p for v in gp]
-        if modulus is None:
-            modulus = p
-            residues = [v - p if 2 * v > p else v for v in scaled]
-        else:
-            m, mp = modulus, modulus * p
-            inv = pow(m, -1, p)
-            combined = []
-            for r0, rp in zip(residues, scaled):
-                v = (r0 + (rp - r0) * inv % p * m) % mp
-                combined.append(v - mp if 2 * v > mp else v)
-            residues, modulus = combined, mp
-        h = _int_primitive(residues)  # p divides no lc: degree best_deg
-        qa = _int_quot(a, h)
-        if qa is not None:
-            qb = _int_quot(b, h)
-            if qb is not None:
-                return h, qa, qb
-    raise ArithmeticError("gcd needs more primes than lie below 2^30")
-
-
-# Evaluation points the heuristic gcd tries before the modular gcd.
+# Evaluation points the heuristic gcd tries before Euclid.
 _HEU_POINTS = 6
 # Added to the least point Theorem 7.7 allows: the spare room keeps a small
 # common factor of the cofactor values from spoiling the candidate, and the
@@ -495,7 +374,7 @@ def _int_cofactors(a, b):
     give a candidate, and its primitive part is the gcd exactly when it
     divides both inputs (Theorem 7.7), which the division that yields the
     cofactors checks.  A point whose candidate fails is followed by the
-    next; when all fail, the modular `_int_gcd` answers.
+    next; when all fail, `_int_euclid` answers.
     """
     for xi in _eval_points(a, b):
         va = vb = 0
@@ -520,7 +399,20 @@ def _int_cofactors(a, b):
             qb = _int_quot(b, h)
             if qb is not None:
                 return h, qa, qb
-    return _int_gcd(a, b)
+    h = _int_euclid(a, b)
+    return h, _int_quot(a, h), _int_quot(b, h)
+
+
+def _int_euclid(a, b):
+    """The primitive gcd of primitive int lists of degree >= 1 by Euclid's
+    algorithm on Z[x] that keeps the primitive part of each remainder (the
+    primitive remainder sequence, Geddes, Czapor and Labahn, sec. 7.3)."""
+    while len(b) > 1:
+        r = Poly._new(tuple(a), 1) % Poly._new(tuple(b), 1)
+        if not r:
+            return b
+        a, b = b, r.primitive_int()[1]
+    return [1]
 
 
 def poly_cofactors(a: Poly, b: Poly):

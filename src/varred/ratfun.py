@@ -1,7 +1,10 @@
 """Rational functions in one variable over Q, and the calculus on them that
-the reduction steps consume: partial fractions, the Hermite split of a
-function into a derivative part plus a simple-pole part, and rational
-solutions of first order equations y' = gamma*y + beta.
+the reduction steps consume: the Hermite split of a function into a
+derivative part plus a simple-pole part, recognition of logarithmic
+derivatives c*w'/w, and rational solutions of first order equations
+y' = gamma*y + beta.  The three read the part of a function over one
+factor of its denominator through one helper, _part_over; no full
+partial-fraction decomposition is built.
 
 Canonical form: numerator and denominator coprime, denominator monic.  The
 add/mul routines follow the gcd-avoiding scheme of the stdlib Fraction type
@@ -236,55 +239,19 @@ def parse_ratfun(text: str, var: str = "x") -> RatFun:
     return parse_expression(text, resolve, RatFun.const)
 
 
-# ---- partial fractions -----------------------------------------------------
+# ---- the part of a function over one factor of its denominator -------------
 
 
-@dataclass
-class PFTerm:
-    factor: Poly  # monic irreducible
-    power: int  # >= 1
-    numerator: Poly  # deg < deg factor, nonzero
-
-
-@dataclass
-class PFDecomp:
-    poly_part: Poly
-    terms: list  # of PFTerm, deterministic order
-
-    def recombine(self) -> RatFun:
-        out = RatFun.from_poly(self.poly_part)
-        for t in self.terms:
-            out = out + RatFun(t.numerator, t.factor**t.power)
-        return out
-
-
-def partial_fractions(f: RatFun) -> PFDecomp:
-    """Full partial fraction decomposition over Q.
-
-    Terms are grouped by irreducible factor of the denominator (sorted by
-    degree, then coefficient tuple) with powers descending inside each group.
-    """
-    polypart, rem = f.num.divmod(f.den)
-    terms = []
-    if not rem.is_zero:
-        _, factors = factor_irreducible(f.den)
-        den = f.den
-        for q, mult in factors:
-            qm = q**mult
-            rest = den.exact_div(qm)
-            # component of rem/den living over q^mult: rem * inv(rest) mod q^mult
-            g, s, _ = poly_xgcd(rest, qm)
-            if not g.is_one:
-                raise ValueError("denominator factors not coprime")
-            comp = (rem * s) % qm
-            # expand comp in powers of q
-            power = mult
-            while not comp.is_zero and power >= 1:
-                comp, low = comp.divmod(q)
-                if not low.is_zero:
-                    terms.append(PFTerm(q, power, low))
-                power -= 1
-    return PFDecomp(polypart, terms)
+def _part_over(num: Poly, den: Poly, qm: Poly) -> Poly:
+    """The numerator over qm of the part of num/den over the factor qm of
+    den, which must be coprime to den/qm: num * (den/qm)^-1 mod qm."""
+    rest = den.exact_div(qm)
+    if rest.is_one:
+        return num % qm
+    g, s, _ = poly_xgcd(rest, qm)
+    if not g.is_one:
+        raise ValueError("denominator factors not coprime")
+    return (num * s) % qm
 
 
 # ---- Hermite split ----------------------------------------------------------
@@ -311,13 +278,7 @@ def hermite_split(f: RatFun) -> HermiteSplit:
     r_parts, l_parts = [], []  # (numerator, denominator) pairs
     if not rem.is_zero:
         for q, mult in squarefree_decomposition(f.den):
-            qm = q**mult
-            rest = f.den.exact_div(qm)
-            if rest.is_one:
-                comp = rem
-            else:
-                _, s, _ = poly_xgcd(rest, qm)
-                comp = (rem * s) % qm
+            comp = _part_over(rem, f.den, q**mult)
             dq = q.derivative()
             _, s2, t2 = poly_xgcd(q, dq)  # s2*q + t2*q' = 1, q squarefree
             num, qpow = _ZERO_POLY, _ONE  # num over q^(mult-1); qpow = q^(mult-j)
@@ -361,27 +322,25 @@ def _over_product(poly: Poly, parts) -> RatFun:
 def as_log_derivative(f: RatFun):
     """If f = c * w'/w with c rational and w a rational function, return (c, w).
 
-    Otherwise None.  Normalized so the integer exponent vector of w has
-    gcd 1 and positive first exponent (factors ordered as in
-    partial_fractions).
+    Otherwise None.  f must be proper with only simple poles, and its
+    residue part over each irreducible factor q of the denominator a
+    rational multiple lambda of q'.  Normalized so the integer exponent
+    vector of w has gcd 1 and positive first exponent, factors ordered as
+    factor_irreducible orders them.
     """
-    if f.is_zero:
+    if f.is_zero or f.num.degree >= f.den.degree:
         return None
-    pf = partial_fractions(f)
-    if not pf.poly_part.is_zero or not pf.terms:
+    _, factors = factor_irreducible(f.den)
+    if any(mult != 1 for _, mult in factors):
         return None
     lambdas = []
-    factors = []
-    for t in pf.terms:
-        if t.power != 1:
-            return None
-        dq = t.factor.derivative()
-        # numerator must be a rational multiple of q'
-        lam = t.numerator.lc / dq.lc
-        if t.numerator != dq.scale(lam):
+    for q, _ in factors:
+        res = _part_over(f.num, f.den, q)
+        dq = q.derivative()
+        lam = res.lc / dq.lc
+        if res != dq.scale(lam):
             return None
         lambdas.append(lam)
-        factors.append(t.factor)
     # write lambda_i = c * e_i with e_i coprime integers, e_1 > 0
     den_lcm = lcm(*[lam.denominator for lam in lambdas])
     ints = [int(lam * den_lcm) for lam in lambdas]
@@ -391,7 +350,7 @@ def as_log_derivative(f: RatFun):
     exps = [v // g for v in ints]
     c = QQ(g, den_lcm)
     wn, wd = _ONE, _ONE
-    for q, e in zip(factors, exps):
+    for (q, _), e in zip(factors, exps):
         if e > 0:
             wn = wn * q**e
         else:
@@ -466,9 +425,7 @@ def solve_first_order_rational(gamma: RatFun, beta: RatFun):
             k = max(b - 1, 0)
             if a == 1:
                 # residue refinement: gamma ~ rho*q'/q locally allows order -rho
-                gd_rest = gamma.den.exact_div(q)
-                _, s, _ = poly_xgcd(gd_rest, q)
-                loc = (gamma.num * s) % q
+                loc = _part_over(gamma.num, gamma.den, q)
                 _, sq, _ = poly_xgcd(q.derivative() % q, q)
                 rho = (loc * sq) % q
                 if rho.is_constant and not rho.is_zero:

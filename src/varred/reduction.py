@@ -14,8 +14,8 @@ obstruction certificate points at.
 
 reduce_block_systems (around all its orders), reduce_subdiagonal and
 remove_generator each run in a poly.shared_factors() block, so the
-denominators, characteristic polynomials and partial fractions of one run
-are factored over one pole base: a few factors met early, so trial
+denominators, characteristic polynomials and log-derivative integrands of
+one run are factored over one pole base: a few factors met early, so trial
 division replaces a full factorization.
 
 The phases call errors.check_deadline(); reduce_block_systems runs under

@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled example pipeline, computed once per session.
 
-The order-3 reduction (orders 1 to 3) takes 1.5 to 2.1 seconds on a 2-CPU
+The order-3 reduction (orders 1 to 3) takes 1.3 to 1.5 seconds on a 2-CPU
 Intel Xeon with Python 3.11 and the Fraction backend; every test that
 needs its reports shares one run through these fixtures, and the acceptance tests
 check the recorded wall-clock times against their budgets.

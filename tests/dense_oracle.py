@@ -19,13 +19,25 @@ hermite_split_by_sums adds one normalized RatFun per pole order, where
 the package normalizes once over the product of the denominators;
 equation_rows_by_products builds each row of the rational-solution
 system from its five products, where the package shifts two polynomials;
-and fraction_poly_to_text and fraction_render print through Fraction
-coefficients, where the package reads the int numerators.
+as_log_derivative_by_partial_fractions reads the residues off a full
+partial-fraction decomposition, where the package reads the part over
+each simple pole only; and fraction_poly_to_text and fraction_render
+print through Fraction coefficients, where the package reads the int
+numerators.
 """
+
+from dataclasses import dataclass
+from math import gcd, lcm
 
 from varred.expr import _is_bare_atom
 from varred.matrices import ConstMat, RatMat
-from varred.poly import Poly, poly_gcd, poly_xgcd, squarefree_decomposition
+from varred.poly import (
+    Poly,
+    factor_irreducible,
+    poly_gcd,
+    poly_xgcd,
+    squarefree_decomposition,
+)
 from varred.rationals import QQ, QQ0, QQ1
 from varred.ratfun import HermiteSplit, RatFun
 
@@ -301,6 +313,84 @@ def hermite_split_by_sums(f: RatFun) -> HermiteSplit:
             if not low.is_zero:
                 l = l + RatFun(low, q)
     return HermiteSplit(r, l)
+
+
+@dataclass
+class PFTerm:
+    factor: Poly  # monic irreducible
+    power: int  # >= 1
+    numerator: Poly  # deg < deg factor, nonzero
+
+
+@dataclass
+class PFDecomp:
+    poly_part: Poly
+    terms: list  # of PFTerm, deterministic order
+
+    def recombine(self) -> RatFun:
+        out = RatFun.from_poly(self.poly_part)
+        for t in self.terms:
+            out = out + RatFun(t.numerator, t.factor**t.power)
+        return out
+
+
+def partial_fractions(f: RatFun) -> PFDecomp:
+    """Full partial fraction decomposition over Q.
+
+    Terms are grouped by irreducible factor of the denominator (sorted by
+    degree, then coefficient tuple) with powers descending inside each group.
+    """
+    polypart, rem = f.num.divmod(f.den)
+    terms = []
+    if not rem.is_zero:
+        _, factors = factor_irreducible(f.den)
+        for q, mult in factors:
+            qm = q**mult
+            # component of rem/den over q^mult: rem * inv(den/q^mult) mod q^mult
+            g, s, _ = poly_xgcd(f.den.exact_div(qm), qm)
+            if not g.is_one:
+                raise ValueError("denominator factors not coprime")
+            comp = (rem * s) % qm
+            power = mult
+            while not comp.is_zero and power >= 1:
+                comp, low = comp.divmod(q)
+                if not low.is_zero:
+                    terms.append(PFTerm(q, power, low))
+                power -= 1
+    return PFDecomp(polypart, terms)
+
+
+def as_log_derivative_by_partial_fractions(f: RatFun):
+    """(c, w) with f = c * w'/w, or None, read off partial_fractions(f):
+    no polynomial part, every term of power one, and every numerator a
+    rational multiple of its factor's derivative."""
+    if f.is_zero:
+        return None
+    pf = partial_fractions(f)
+    if not pf.poly_part.is_zero or not pf.terms:
+        return None
+    lambdas = []
+    for t in pf.terms:
+        if t.power != 1:
+            return None
+        dq = t.factor.derivative()
+        lam = t.numerator.lc / dq.lc
+        if t.numerator != dq.scale(lam):
+            return None
+        lambdas.append(lam)
+    den_lcm = lcm(*[lam.denominator for lam in lambdas])
+    ints = [int(lam * den_lcm) for lam in lambdas]
+    g = gcd(*ints)
+    if ints[0] < 0:
+        g = -g
+    wn = wd = Poly([QQ1])
+    for t, v in zip(pf.terms, ints):
+        e = v // g
+        if e > 0:
+            wn = wn * t.factor**e
+        else:
+            wd = wd * t.factor ** (-e)
+    return QQ(g, den_lcm), RatFun._raw(wn, wd)
 
 
 def equation_rows_by_products(gamma: RatFun, beta: RatFun, w: Poly, udeg: int):

@@ -76,6 +76,9 @@ def test_system_file_rejections():
         (good + "entry 1 = 1\n", "row and a column"),
         (good + "entry 1 1 = x +\n", "line 4"),
         (good + "banana = 1\n", "unknown key"),
+        # the key's first word must be exactly "entry"
+        (good + "entryway 1 1 = x\n", "line 4: unknown key 'entryway 1 1'"),
+        (good + "entry1 1 = x\n", "line 4: unknown key 'entry1 1'"),
         (good + "blocks = 1 2\n", "sum to 2"),
         # a repeated key is refused, not overwritten by its last value
         (good + "size = 1\n", "line 4: duplicate key 'size'"),
@@ -247,6 +250,10 @@ def test_exit_code_for_malformed_input(tmp_path, capsys):
     assert main(["reduce", bad, "--p1-fixture", "henon-heiles"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    stray = write(tmp_path / "stray.sys", "format = system v1\nvariable = x\n"
+                  "size = 1\nentryway 1 1 = x\n")
+    assert main(["lie", stray]) == 2
+    assert "unknown key 'entryway 1 1'" in capsys.readouterr().err
 
 
 def test_huge_exponents_are_refused_quickly(tmp_path, capsys):

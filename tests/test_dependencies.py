@@ -1,5 +1,6 @@
 """The package imports only the standard library, sympy and itself, one
-module keeps the time budget, and one keeps the pole base."""
+module keeps the time budget, one keeps the pole base, and every name it
+exports resolves."""
 
 import ast
 import fractions
@@ -89,3 +90,10 @@ def test_the_pole_base_lives_in_poly():
                     continue
                 found += [(name, node.lineno, n) for n in used & private]
     assert found == []
+
+
+def test_every_export_resolves():
+    """Each name in varred.__all__ is listed once and is an attribute of the
+    package, so a name whose definition was deleted cannot stay exported."""
+    assert [n for n in varred.__all__ if not hasattr(varred, n)] == []
+    assert len(set(varred.__all__)) == len(varred.__all__)

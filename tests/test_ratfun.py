@@ -1,6 +1,5 @@
 """Polynomial and rational-function arithmetic, splitting, and recognition."""
 
-import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -11,7 +10,6 @@ import sympy
 from varred import poly as poly_module
 from varred.expr import poly_to_text
 from varred.poly import (
-    _GCD_PRIMES,
     FactorBase,
     Poly,
     factor_irreducible,
@@ -27,17 +25,19 @@ from varred.ratfun import (
     as_log_derivative,
     hermite_split,
     parse_ratfun,
-    partial_fractions,
     solve_first_order_rational,
     _equation_rows,
+    _part_over,
 )
 
 from dense_oracle import (
+    as_log_derivative_by_partial_fractions,
     derivative_by_two_gcds,
     equation_rows_by_products,
     fraction_poly_to_text,
     fraction_render,
     hermite_split_by_sums,
+    partial_fractions,
 )
 
 
@@ -183,48 +183,6 @@ def test_poly_kernel_matches_fraction_oracle():
                 assert hash(p) == hash(q)
 
 
-def _is_prime(n):
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
-def test_gcd_primes_are_the_six_largest_below_2_to_the_30():
-    # below 2^30 every residue is a single 30-bit digit of a CPython int
-    primes = _GCD_PRIMES
-    assert len(primes) == 6 and all(p < 2**30 for p in primes)
-    assert all(_is_prime(p) for p in primes)
-    assert sorted(primes, reverse=True) == [
-        n for n in range(2**30 - 1, min(primes) - 1, -1) if n % 2 and _is_prime(n)]
-
-
-def test_gcd_primes_continue_below_the_table():
-    """After the table come the next primes below it, by trial division;
-    the Miller-Rabin test behind them is exact on small odd numbers too."""
-    first = list(itertools.islice(poly_module._gcd_primes(), 20))
-    below = (n for n in range(2**30 - 1, 1, -1) if _is_prime(n))
-    assert first[:6] == list(_GCD_PRIMES)
-    assert first == list(itertools.islice(below, 20))
-    assert all(poly_module._is_prime(n) == _is_prime(n) for n in range(3, 20000, 2))
-
-
-def _recorded_gcd(monkeypatch, a, b):
-    """poly_cofactors(a, b) by the modular gcd alone (no heuristic
-    evaluation point) and the (prime, image degree) of each modular image."""
-    monkeypatch.setattr(poly_module, "_HEU_POINTS", 0)
-    calls = []
-    inner = poly_module._modp_gcd_monic
-
-    def recording(fa, fb, p):
-        gp = inner(fa, fb, p)
-        calls.append((p, len(gp) - 1))
-        assert len(calls) < 100, "no candidate verified after 100 primes"
-        return gp
-
-    monkeypatch.setattr(poly_module, "_modp_gcd_monic", recording)
-    got = poly_cofactors(a, b)
-    monkeypatch.undo()
-    return got, calls
-
-
 def _sympy_cofactors(a, b):
     """(monic gcd, a/gcd, b/gcd) from sympy."""
     x = sympy.Symbol("x")
@@ -242,50 +200,41 @@ def _sympy_cofactors(a, b):
 
 
 def test_poly_gcd_matches_sympy_on_every_branch(monkeypatch):
-    """The modular gcd, with the heuristic switched off, against sympy's
-    gcd and quotients on inputs built for each of its branches; the
-    recorded images show the branch was taken."""
+    """The Euclidean fallback, with the heuristic switched off, against
+    sympy's gcd and quotients: coprime pairs, shared factors, 400-bit
+    coefficients, equal operands and one operand dividing the other, with
+    rational and negative leading coefficients.  Each call reaches the
+    fallback exactly once."""
     rng = random.Random(1501)
-    x = Poly.variable()
-    p0, p1 = _GCD_PRIMES[:2]
+    monkeypatch.setattr(poly_module, "_HEU_POINTS", 0)
+    calls = []
+    inner = poly_module._int_euclid
 
-    def ints(deg, bits, lead=None):
+    def recording(a, b):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(poly_module, "_int_euclid", recording)
+
+    def ints(deg, bits):
         cs = [rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(deg)]
-        return Poly(cs + [lead if lead is not None else rng.randint(1, 2**bits)])
+        return Poly(cs + [rng.randint(1, 2**bits)])
 
-    def check(a, b):
-        got, calls = _recorded_gcd(monkeypatch, a, b)
-        assert got == _sympy_cofactors(a, b)
-        return got[0], calls
-
+    branches = {"coprime": 0, "shared": 0}
     for _ in range(5):
-        # coprime: one image of degree 0 settles it
-        got, calls = check(ints(rng.randint(2, 8), 20), ints(rng.randint(2, 8), 20))
-        assert got == Poly([1]) and calls == [(p0, 0)]
-
-        g = ints(2, 8)
-        u, v = ints(3, 8), ints(3, 8)
-        # p0 unlucky first: x + 1 and x + 1 + p0 agree mod p0
-        got, calls = check(g * (x + Poly([1])) * u, g * (x + Poly([1 + p0])) * v)
-        assert got == g.monic() and calls == [(p0, 3), (p1, 2)]
-
-        # a table prime divides a leading coefficient: it is never imaged
-        got, calls = check(g * ints(3, 8, lead=p0 * rng.randint(1, 9)), g * v)
-        assert got == g.monic() and calls[0] == (p1, 2)
-
-        # coefficients beyond p0/2: the first candidate fails the division
-        # check, and p1, unlucky after a lucky p0, is skipped
-        big = ints(2, 45)
-        got, calls = check(big * (x + Poly([1])) * u, big * (x + Poly([1 + p1])) * v)
-        assert got == big.monic() and [d for _, d in calls] == [2, 3, 2]
-
-        # 400-bit gcd coefficients need more primes than the table holds
+        g, u, v = ints(2, 8), ints(rng.randint(2, 8), 20), ints(rng.randint(2, 8), 20)
         huge = ints(rng.randint(2, 6), 400)
-        got, calls = check(huge * u, huge * v)
-        assert got == huge.monic() and len(calls) > len(_GCD_PRIMES)
-        primes = [p for p, _ in calls]
-        assert primes == sorted(set(primes), reverse=True)
-        assert primes[len(_GCD_PRIMES)] < _GCD_PRIMES[-1]
+        for a, b in [(u, v), (g * u, g * v), (huge * u, huge * v.scale(Fraction(-3, 7))),
+                     (u, u), (g * u, u.scale(Fraction(5, 3))), (u, g * u)]:
+            calls.clear()
+            got = poly_cofactors(a, b)
+            assert len(calls) == 1
+            assert got == _sympy_cofactors(a, b)
+            for p in got:
+                _assert_canonical(p)
+            branches["coprime" if got[0].is_one else "shared"] += 1
+            assert got[0] * got[1] == a and got[0] * got[2] == b
+    assert branches == {"coprime": 5, "shared": 25}
 
 
 def test_poly_cofactors_match_sympy():
@@ -349,7 +298,7 @@ def test_heuristic_gcd_rejects_a_spurious_candidate(monkeypatch):
     """f = x + c and g = f + 2 f(xi0) are coprime, but at the first point
     xi0 the integer gcd f(xi0) rebuilds to the candidate f, which does not
     divide g.  The division check rejects it and the next point answers,
-    without the modular gcd."""
+    without the Euclidean fallback."""
     x = Poly.variable()
     xi0 = next(poly_module._eval_points([5, 1], [5, 1]))
     f = x + Poly.const(5)
@@ -362,11 +311,11 @@ def test_heuristic_gcd_rejects_a_spurious_candidate(monkeypatch):
             points.append(xi)
             yield xi
 
-    def modular(a, b):
-        raise AssertionError("the heuristic gcd fell back to the modular gcd")
+    def euclid(a, b):
+        raise AssertionError("the heuristic gcd fell back to Euclid")
 
     monkeypatch.setattr(poly_module, "_eval_points", recording)
-    monkeypatch.setattr(poly_module, "_int_gcd", modular)
+    monkeypatch.setattr(poly_module, "_int_euclid", euclid)
     assert poly_module._int_quot(g._num, f._num) is None
     assert poly_cofactors(f, g) == (Poly([1]), f, g)
     assert points[0] == xi0 and len(points) == 2
@@ -587,6 +536,7 @@ def test_parse_ratfun_rejects_garbage():
 
 
 def test_partial_fractions_recombine():
+    """The oracle's partial fractions sum back to f."""
     rng = random.Random(110)
     for _ in range(120):
         f = rand_ratfun(rng, 6)
@@ -750,6 +700,51 @@ def test_as_log_derivative_rejects_non_logs():
     assert as_log_derivative(parse_ratfun("1/x^2")) is None
     assert as_log_derivative(parse_ratfun("x")) is None
     assert as_log_derivative(parse_ratfun("0")) is None
+
+
+def test_as_log_derivative_matches_the_partial_fraction_oracle():
+    """The residue read through the part over each simple pole gives what
+    the full partial-fraction decomposition gives, on seeded scaled w'/w
+    with several factors, irreducible quadratics and cubics and negative
+    exponents, and on non-logs: double poles, polynomial parts and
+    residues that are not rational multiples of q'."""
+    rng = random.Random(2401)
+    kinds = {"log": 0, "negative exponent": 0, "quadratic": 0, "not a log": 0}
+    cases = [parse_ratfun(t) for t in ("x/(x^2 - 2) + 1/x^2", "1/x^2", "x", "3",
+                                       "1/(x^2 + 1)", "x + 1/x", "(x + 1)/(x^2 - 2)")]
+    for k in range(150):
+        w = RatFun.const(1)
+        for q in rng.sample(_IRREDUCIBLES, rng.randint(1, 4)):
+            e = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+            w = w * RatFun.from_poly(q ** abs(e)) if e > 0 else w / RatFun.from_poly(q ** -e)
+        f = RatFun(w.num.derivative() * w.den - w.num * w.den.derivative(),
+                   w.num * w.den).scale(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 9)))
+        if k % 3 == 1:
+            f = f + RatFun(Poly([rng.randint(1, 5)]), rng.choice(_IRREDUCIBLES) ** 2)
+        elif k % 3 == 2:
+            f = f + RatFun(Poly([rng.randint(-3, 3), rng.randint(1, 3)]),
+                           rng.choice(_IRREDUCIBLES[3:]))
+        cases.append(f)
+    for f in cases:
+        got = as_log_derivative(f)
+        assert got == as_log_derivative_by_partial_fractions(f), f
+        if got is None:
+            kinds["not a log"] += 1
+            continue
+        c, w = got
+        assert RatFun(w.num.derivative() * w.den - w.num * w.den.derivative(),
+                      w.num * w.den).scale(c) == f
+        kinds["log"] += 1
+        kinds["negative exponent"] += not w.den.is_one
+        kinds["quadratic"] += any(q.degree >= 2 for q, _ in factor_irreducible(f.den)[1])
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_part_over_refuses_a_factor_that_is_not_coprime():
+    x = Poly.variable()
+    assert _part_over(Poly([1]), x ** 2 * (x - Poly([1])), x ** 2) == Poly([-1, -1])
+    with pytest.raises(ValueError, match="denominator factors not coprime"):
+        _part_over(Poly([1]), x ** 3, x)
 
 
 def test_solve_first_order_rational_round_trip():
