@@ -55,11 +55,10 @@ def _const_rank_profile(c):
     A Jordan chain of length s contributes max(s - j, 0) to the rank of c^j.
     """
     try:
-        jc = nilpotent_jordan_chains(c)
+        sizes = [len(ch) for ch in nilpotent_jordan_chains(c)]
     except UnsupportedRegime:
         raise PreconditionFailure("matrix is not nilpotent") from None
-    return [sum(max(s - j, 0) for s in jc.block_sizes)
-            for j in range(1, jc.nilpotency_index + 1)]
+    return [sum(max(s - j, 0) for s in sizes) for j in range(1, max(sizes, default=0) + 1)]
 
 
 def rank_profile(mat, var_factor):

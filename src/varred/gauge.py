@@ -146,10 +146,6 @@ class GaugeMatrix:
     def from_p(p: RatMat) -> "GaugeMatrix":
         return GaugeMatrix(p, p.inverse())
 
-    def compose(self, then: "GaugeMatrix") -> "GaugeMatrix":
-        """Frame change `self` followed by `then` (so P_total = P1 P2)."""
-        return GaugeMatrix(self.p * then.p, then.p_inv * self.p_inv)
-
 
 def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
     """P[a] = P^(-1) (a P - P'), correct only if p.p_inv inverts p.p.

@@ -18,7 +18,6 @@ polynomials over the lcms of the denominators of its row and its column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as _igcd, lcm as _ilcm
 
 from .rationals import QQ, QQ0, QQ1
@@ -463,15 +462,17 @@ class RatMat:
             [[e.num.lc if not e.is_zero else QQ0 for e in row] for row in self.data]
         )
 
+    def _entrywise(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return RatMat([[op(a, b) for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.data, other.data)])
+
     def __add__(self, other):
-        return RatMat(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._entrywise(other, RatFun.__add__)
 
     def __sub__(self, other):
-        return RatMat(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
+        return self._entrywise(other, RatFun.__sub__)
 
     def scale(self, f: RatFun) -> "RatMat":
         return RatMat([[a * f if not a.is_zero else _RF_ZERO for a in row] for row in self.data])
@@ -567,23 +568,6 @@ class RatMat:
 # ---- nilpotent structure ------------------------------------------------------
 
 
-@dataclass
-class JordanChains:
-    """Chains of a nilpotent operator N on Q^n.
-
-    Each chain is a list of coordinate vectors ordered kernel-first:
-    N(chain[j]) = chain[j-1] and N(chain[0]) = 0.  Chains are sorted by
-    length descending, ties by the first-nonzero index of the kernel vector.
-    """
-
-    chains: list
-    nilpotency_index: int
-
-    @property
-    def block_sizes(self):
-        return [len(c) for c in self.chains]
-
-
 def trace_shows_not_nilpotent(m: ConstMat) -> bool:
     """True when tr(m) or tr(m^2) is nonzero, which proves m not nilpotent.
 
@@ -598,11 +582,15 @@ def trace_shows_not_nilpotent(m: ConstMat) -> bool:
                for j, v in row.items() if j in num) != 0
 
 
-def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
-    """Jordan chain decomposition of a nilpotent matrix over Q.
+def nilpotent_jordan_chains(m: ConstMat) -> list:
+    """The Jordan chains of a nilpotent matrix m over Q.
 
-    Raises UnsupportedRegime (with the stabilized rank as evidence) if m is
-    not nilpotent.  The time budget is checked before each power.
+    Each chain is a list of coordinate vectors ordered kernel-first:
+    m(chain[j]) = chain[j-1] and m(chain[0]) = 0.  Chains are sorted by
+    length descending, ties by the first-nonzero index of the kernel vector;
+    their lengths are the Jordan block sizes, the longest the nilpotency
+    index.  Raises UnsupportedRegime (with the stabilized rank as evidence)
+    if m is not nilpotent.  The time budget is checked before each power.
     """
     n = m.rows
     if n != m.cols:
@@ -652,7 +640,7 @@ def nilpotent_jordan_chains(m: ConstMat) -> JordanChains:
         return next(i for i, c in enumerate(vec) if c)
 
     chains.sort(key=lambda ch: (-len(ch), first_nonzero(ch[0])))
-    return JordanChains(chains, q)
+    return chains
 
 
 def charpoly(m: ConstMat) -> Poly:

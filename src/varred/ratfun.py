@@ -318,6 +318,9 @@ def _over_product(poly: Poly, parts) -> RatFun:
 
 # ---- logarithmic derivative recognition -------------------------------------
 
+# the largest deg(w) / deg(den) that as_log_derivative multiplies out
+_LOG_DEGREE_FACTOR = 16
+
 
 def as_log_derivative(f: RatFun):
     """If f = c * w'/w with c rational and w a rational function, return (c, w).
@@ -326,7 +329,10 @@ def as_log_derivative(f: RatFun):
     residue part over each irreducible factor q of the denominator a
     rational multiple lambda of q'.  Normalized so the integer exponent
     vector of w has gcd 1 and positive first exponent, factors ordered as
-    factor_irreducible orders them.
+    factor_irreducible orders them.  The exponents are in the ratio of the
+    residues, so 1/x + 3000/(x - 1) asks for a w of degree 3001: None also
+    when deg(w) = sum |e_i| deg q_i exceeds _LOG_DEGREE_FACTOR * deg(den),
+    which is checked before any power is formed.
     """
     if f.is_zero or f.num.degree >= f.den.degree:
         return None
@@ -348,6 +354,9 @@ def as_log_derivative(f: RatFun):
     if ints[0] < 0:
         g = -g
     exps = [v // g for v in ints]
+    if sum(abs(e) * q.degree for (q, _), e in zip(factors, exps)) > (
+            _LOG_DEGREE_FACTOR * f.den.degree):
+        return None
     c = QQ(g, den_lcm)
     wn, wd = _ONE, _ONE
     for (q, _), e in zip(factors, exps):

@@ -7,6 +7,8 @@ cleaned by one scalar sweep along the adjoint chains of the diagonal term.
 Every elimination is recorded as a ReductionStep, and the report carries
 the total gauge P, which carries the initial matrix A to the final matrix F
 exactly: A P - P' == P F is checked once at the end of every reduction.
+The scalar rule of one chain position is written once, in _sweep_chains;
+remove_generator, the one-gauge-at-a-time reference, calls it too.
 
 What cannot be removed is kept honestly: Hermite residues with simple poles
 stay as coefficients of their generators, and they are what a later
@@ -46,7 +48,6 @@ from .liealgebra import (
     DualFrame,
     LieBasis,
     WeiNormanDecomp,
-    check_block_lower,
     commute_pairwise,
     diag_projection,
     lie_closure,
@@ -281,49 +282,25 @@ def remove_generator(
     """Try to remove the coefficient of one subdiagonal generator.
 
     The generator is subframe.basis[index]; lam is the eigenvalue of the
-    diagonal adjoint on it.  For lam = 0 the Hermite split removes the
-    derivative part and keeps the simple-pole residue; for lam != 0 a full
-    rational solution of g' = lam*beta0*g + coeff is required, and when none
-    exists the generator is retained and the step marked unresolved.
+    diagonal adjoint on it.  _sweep_chains solves for g on a chain of this
+    one position; a nonzero g is applied as the gauge exp(g * generator).
 
     Returns (new matrix, step, coordinates of the new subdiagonal part).
     Postconditions are checked: the target coefficient equals the recorded
     residue and the diagonal blocks are untouched.  This is the one-gauge
-    reference for the chain sweep of reduce_subdiagonal, which must agree
-    with calling it position by position down every chain.
+    reference for the chain sweep of reduce_subdiagonal: called position by
+    position down every chain, it reads each coefficient back from the
+    gauged matrix and applies one gauge at a time, not one Id + S.
     """
     if coords is None:
         coords = subframe.coords(wei_norman(_sub_projection(a, d1)))
     gen = subframe.basis[index]
-    coeff = coords[index]
-    if coeff.is_zero:
+    if coords[index].is_zero:
         return a, ReductionStep(kind="chain-removal", generator=gen), coords
-
-    if lam != QQ0:
-        rate = beta0.scale(lam)
-        g = solve_first_order_rational(rate, coeff)
-        if g is None:
-            step = ReductionStep(kind="unresolved", generator=gen, unsolved=(rate, coeff))
-            return a, step, coords
-        expected = _RF_ZERO
-        residual = None
-        kind = "chain-removal"
-    else:
-        split = hermite_split(coeff)
-        g = split.r
-        expected = split.l
-        residual = None if split.l.is_zero else split.l
-        kind = "chain-removal" if residual is None else "hermite-partial"
-        if g.is_zero:
-            # nothing to gauge away; the whole coefficient is already residue
-            step = ReductionStep(
-                kind=kind,
-                generator=gen,
-                residual_l=residual,
-                new_poles=_new_pole_factors(residual, beta0),
-            )
-            return a, step, coords
-
+    (g,), (expected,), (step,) = _sweep_chains([(lam, [gen])], [coords[index]], beta0)
+    if g.is_zero:
+        # unresolved, or the whole coefficient is already residue
+        return a, step, coords
     p = exp_sub_nilpotent(g, gen)
     a2 = apply_gauge(a, p)
     coords2 = subframe.coords(wei_norman(_sub_projection(a2, d1)))
@@ -334,14 +311,7 @@ def remove_generator(
         )
     if _diag_projection(a2, d1) != _diag_projection(a, d1):
         raise RuntimeError("elimination postcondition failed: diagonal moved")
-    step = ReductionStep(
-        kind=kind,
-        gauge=p,
-        generator=gen,
-        solved_g=g,
-        residual_l=residual,
-        new_poles=_new_pole_factors(residual, beta0),
-    )
+    step.gauge = p
     return a2, step, coords2
 
 
@@ -358,7 +328,7 @@ def _eigen_chains(psi: ConstMat):
     """
     if not trace_shows_not_nilpotent(psi):
         try:
-            return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi).chains]
+            return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi)]
         except UnsupportedRegime:
             pass
     n = psi.rows
@@ -383,7 +353,7 @@ def _eigen_chains(psi: ConstMat):
             cols.append(c)
         restriction = ConstMat([[cols[j][i] for j in range(k)] for i in range(k)])
         eigenbasis = ConstMat(list(zip(*vecs)))  # columns: vecs
-        for ch in nilpotent_jordan_chains(restriction).chains:
+        for ch in nilpotent_jordan_chains(restriction):
             out.append((lam, [eigenbasis.apply(u) for u in ch]))
     return out
 
@@ -583,19 +553,15 @@ def _check_monogenous(mats, d1: int) -> None:
     """UnsupportedRegime unless the diagonal algebra has dimension <= 1.
 
     On block lower-triangular matrices the projection to the block diagonal
-    is a Lie homomorphism, so the diagonal algebra is generated by the
-    projections of mats: a span of dimension <= 1 is already closed, and
-    only a refusal closes them, for the dimension it names.
+    is a Lie homomorphism, so the diagonal algebra is generated by the basis
+    split_diag_sub gives of the projections of mats: a span of dimension
+    <= 1 is already closed, and only a refusal closes it, for its message.
     """
-    check_block_lower(mats, d1)
-    projs = [diag_projection(m, d1) for m in mats]
-    if projs:
-        span = SpanQQ(projs[0].rows * projs[0].cols)
-        if sum(span.add(p) for p in projs) > 1:
-            raise UnsupportedRegime(
-                "diagonal algebra is not monogenous (dimension %d)"
-                % lie_closure(projs).dim
-            )
+    diag_basis = split_diag_sub(mats, d1)[0]
+    if len(diag_basis) > 1:
+        raise UnsupportedRegime(
+            "diagonal algebra is not monogenous (dimension %d)" % lie_closure(diag_basis).dim
+        )
 
 
 def _check_known_diagonal(m: int, lower) -> None:
@@ -756,12 +722,13 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
     of its matrices.  Requires a leading generator whose adjoint acts
     nilpotently on the remaining basis of the Lie algebra, all of whose
     elements commute with each other; such a leader lies in every
-    noncommuting pair, so only the first pair is tried.  Eliminating the
-    non-leading coefficients top-down along the adjoint chains then only
-    ever needs antiderivatives, and each one that is not rational becomes a
-    named tower symbol.  Raises UnsupportedRegime when the structure does
-    not have this shape.  The time budget is checked at every chain
-    position.
+    noncommuting pair, so only the first pair is tried.  An abelian algebra
+    has no pair, and its element 0 leads: its adjoint is zero.  Eliminating
+    the non-leading coefficients top-down along the adjoint chains then
+    only ever needs antiderivatives, and each one that is not rational
+    becomes a named tower symbol.  Raises UnsupportedRegime when the
+    structure does not have this shape.  The time budget is checked at
+    every chain position.
     """
     if wn.dim == 0:
         return []
@@ -769,7 +736,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
 
     pair = lie.first_noncommuting_pair()
     chosen = None
-    for cand in range(lie.dim) if pair is None else pair:
+    for cand in pair or (0,):
         adjoint = lie.adjoint(cand)
         if adjoint is None:
             continue
@@ -777,7 +744,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
         if trace_shows_not_nilpotent(ad):
             continue
         try:
-            chains = nilpotent_jordan_chains(ad).chains
+            chains = nilpotent_jordan_chains(ad)
         except UnsupportedRegime:
             continue
         # the other basis elements must commute with each other

@@ -119,7 +119,7 @@ def test_gauge_composition_matches_sequential_application():
         p = rand_gauge(rng, n)
         q = rand_gauge(rng, n)
         two_step = apply_gauge(apply_gauge(a, p), q)
-        assert two_step == apply_gauge(a, p.compose(q))
+        assert two_step == apply_gauge(a, GaugeMatrix(p.p * q.p, q.p_inv * p.p_inv))
 
 
 def test_gauge_inverse_round_trip():

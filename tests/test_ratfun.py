@@ -702,6 +702,19 @@ def test_as_log_derivative_rejects_non_logs():
     assert as_log_derivative(parse_ratfun("0")) is None
 
 
+def test_as_log_derivative_bounds_the_degree_of_w():
+    """w has exponents in the ratio of the residues: 1/x + k/(x - 1) is the
+    log derivative of x (x - 1)^k, of degree k + 1, which is formed up to
+    16 deg(den) = 32 and refused above, before any power is taken."""
+    c, w = as_log_derivative(parse_ratfun("1/x + 31/(x - 1)"))
+    assert c == 1 and w.num.degree == 32 and w.den.is_one
+    for k in (32, 3000, 10**9):
+        assert as_log_derivative(parse_ratfun("1/x + %d/(x - 1)" % k)) is None
+    c, w = as_log_derivative(parse_ratfun("-31/x + 1/(x - 1)"))
+    assert (w.num.degree, w.den.degree) == (1, 31)
+    assert as_log_derivative(parse_ratfun("-32/x + 1/(x - 1)")) is None
+
+
 def test_as_log_derivative_matches_the_partial_fraction_oracle():
     """The residue read through the part over each simple pole gives what
     the full partial-fraction decomposition gives, on seeded scaled w'/w
