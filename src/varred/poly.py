@@ -16,13 +16,16 @@ Either way an exact division of the inputs by the primitive gcd yields the
 quotients, so callers never divide by the gcd again.
 
 factor_irreducible is the one way to factor.  In full, it splits
-squarefree parts by Yun's algorithm and leaves their irreducible split to
-sympy.  Inside a shared_factors() block it answers through the block's
-FactorBase instead, by trial division over the irreducible factors met so
-far (the idea of factor refinement, Bach, Driscoll and Shallit,
-J. Algorithms 15, 1993), and factors in full only the cofactor that is
-left; a computation whose denominators share a few poles, such as one
-reduction, runs in one block.
+squarefree parts by Yun's algorithm and each part into irreducibles by
+Zassenhaus's method: Cantor-Zassenhaus modulo a small prime, Hensel
+lifting, and recombination of the lifted factors by exact division over
+Z, all on int lists, with no Poly built until the factors are known.
+Inside a shared_factors() block it answers through the block's FactorBase
+instead, by trial division over the irreducible factors met so far (the
+idea of factor refinement, Bach, Driscoll and Shallit, J. Algorithms 15,
+1993), and factors in full only the cofactor that is left; a computation
+whose denominators share a few poles, such as one reduction, runs in one
+block.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from contextvars import ContextVar
 
 from .rationals import QQ, QQ0, QQ1
 
-from math import gcd as _igcd, lcm as _ilcm
+from math import gcd as _igcd, isqrt as _isqrt, lcm as _ilcm
 
 
 def _canon(nums, den) -> "Poly":
@@ -350,15 +353,25 @@ _HEU_POINTS = 6
 _XI_OFFSET = 2**20
 
 
+def _mignotte_bound(f):
+    """A bound on the coefficients of every factor over Z of the int list f:
+    |g|_inf <= |g|_1 <= 2^deg(f) |f|_2 (Mignotte, Math. Comp. 28, 1974)."""
+    return (_isqrt(sum(v * v for v in f)) + 1) << (len(f) - 1)
+
+
 def _eval_points(a, b):
     """The points of the heuristic gcd: the first is at least
     2 min(|a|_inf, |b|_inf) + 2, the bound of Theorem 7.7 in Geddes, Czapor
     and Labahn, Algorithms for Computer Algebra (1992); each next one is
-    about 2.73 times the last, as in sympy's heugcd."""
+    about 2.73 times the last, as in sympy's heugcd, and at least 2B + 2,
+    B the smaller Mignotte bound of the two, which bounds the coefficients
+    of the gcd."""
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2 + _XI_OFFSET
-    for _ in range(_HEU_POINTS):
+    for k in range(_HEU_POINTS):
         yield xi
         xi = xi * 73794 // 27011
+        if not k:
+            xi = max(xi, 2 * min(_mignotte_bound(a), _mignotte_bound(b)) + 2)
 
 
 def _int_cofactors(a, b):
@@ -489,27 +502,210 @@ def squarefree_decomposition(p: Poly):
     return out
 
 
-def _sympy_factor_squarefree(f: Poly):
-    import sympy
+# ---- factorization: int lists modulo m, ascending, entries in [0, m) ------
 
-    x = sympy.Symbol("x")
-    _, ints = f.primitive_int()
-    sp = sympy.Poly(list(reversed(ints)), x)
-    out = []
-    for fac, mult in sp.factor_list()[1]:
-        coeffs = [QQ(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        out.extend([Poly(coeffs).monic()] * mult)
+
+def _mod_strip(a, m):
+    out = [v % m for v in a]
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _mod_add(a, b, m, sign=1):
+    """a + sign*b modulo m."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] += sign * v
+    return _mod_strip(out, m)
+
+
+def _mod_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, v in enumerate(a):
+        if v:
+            for j, w in enumerate(b, i):
+                out[j] += v * w
+    return _mod_strip(out, m)
+
+
+def _mod_divmod(a, b, m):
+    """(q, r) with a = q*b + r modulo m; lc(b) must be a unit modulo m."""
+    inv, nb = pow(b[-1], -1, m), len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - nb, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb] * inv % m
+        if c:
+            q[k] = c
+            for j in range(nb):
+                r[k + j] -= c * b[j]
+    return _mod_strip(q, m), _mod_strip(r[:nb], m)
+
+
+def _mod_monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [v * inv % m for v in a]
+
+
+def _mod_gcd(a, b, p):
+    """The monic gcd modulo the prime p; a nonzero."""
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_monic(a, p)
+
+
+def _mod_bezout(a, b, p):
+    """(s, t) with s*a + t*b = 1 modulo the prime p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_add(s0, _mod_mul(q, s1, p), p, -1)
+        t0, t1 = t1, _mod_add(t0, _mod_mul(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    return [v * inv % p for v in s0], [v * inv % p for v in t0]
+
+
+def _mod_powmod(a, n, f, p):
+    """a^n modulo f and p."""
+    out = [1]
+    while n:
+        if n & 1:
+            out = _mod_divmod(_mod_mul(out, a, p), f, p)[1]
+        n >>= 1
+        if n:
+            a = _mod_divmod(_mod_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _mod_distinct_degree(f, p):
+    """[(g, d)]: g the product of the irreducible factors of degree d of the
+    monic squarefree f modulo p (von zur Gathen and Gerhard, Alg. 14.3)."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _mod_powmod(h, p, f, p)
+        g = _mod_gcd(f, _mod_add(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _mod_divmod(f, g, p)[0]
+            h = _mod_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _mod_equal_degree(f, d, p, rng):
+    """The monic irreducible factors modulo the odd prime p of f, a product
+    of distinct ones of degree d, by Cantor and Zassenhaus's random split."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (p**d - 1) // 2
+    while True:
+        a = _mod_strip([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        g = _mod_gcd(f, _mod_add(_mod_powmod(a, e, f, p), [1], p, -1), p)
+        if 1 < len(g) < len(f):
+            return (_mod_equal_degree(g, d, p, rng)
+                    + _mod_equal_degree(_mod_divmod(f, g, p)[0], d, p, rng))
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """f = g*h and s*g + t*h = 1 modulo m, h monic, lifted to modulo m^2
+    (von zur Gathen and Gerhard, Alg. 15.10)."""
+    mm = m * m
+    e = _mod_add(f, _mod_mul(g, h, mm), mm, -1)
+    q, r = _mod_divmod(_mod_mul(s, e, mm), h, mm)
+    g = _mod_add(g, _mod_add(_mod_mul(t, e, mm), _mod_mul(q, g, mm), mm), mm)
+    h = _mod_add(h, r, mm)
+    b = _mod_add(_mod_add(_mod_mul(s, g, mm), _mod_mul(t, h, mm), mm), [1], mm, -1)
+    c, d = _mod_divmod(_mod_mul(s, b, mm), h, mm)
+    s = _mod_add(s, d, mm, -1)
+    t = _mod_add(t, _mod_add(_mod_mul(t, b, mm), _mod_mul(c, g, mm), mm), mm, -1)
+    return g, h, s, t
+
+
+def _hensel_lift(f, facs, p, m):
+    """The monic factors modulo m, a power p^(2^k), of f = lc(f) * prod(facs)
+    modulo p, the facs monic and pairwise coprime: split facs in halves,
+    lift the two products together, and recurse into each."""
+    if len(facs) == 1:
+        return [_mod_monic(f, m)]
+    k = len(facs) // 2
+    g = [f[-1] % p]
+    for u in facs[:k]:
+        g = _mod_mul(g, u, p)
+    h = [1]
+    for u in facs[k:]:
+        h = _mod_mul(h, u, p)
+    s, t = _mod_bezout(g, h, p)
+    q = p
+    while q < m:
+        g, h, s, t = _hensel_step(f, g, h, s, t, q)
+        q *= q
+    return _hensel_lift(g, facs[:k], p, m) + _hensel_lift(h, facs[k:], p, m)
+
+
+def _factor_squarefree(f: Poly):
+    """The monic irreducible factors over Q of f, squarefree and of degree at
+    least 2, by Zassenhaus's method (J. Number Theory 1, 1969) on its
+    primitive integer part: factor modulo an odd prime that keeps the degree
+    and the squarefreeness (distinct-degree, then equal-degree), lift the
+    factors until the modulus exceeds twice the leading coefficient times
+    the Mignotte bound, and recombine subsets of them, the smallest first,
+    by exact division over Z."""
+    from itertools import combinations
+    from random import Random
+
+    from .errors import check_deadline
+
+    ints = f.primitive_int()[1]
+    p = 3
+    while True:
+        if ints[-1] % p and all(p % q for q in range(3, _isqrt(p) + 1, 2)):
+            fp = _mod_monic(_mod_strip(ints, p), p)
+            dfp = _mod_strip([i * v for i, v in enumerate(fp)][1:], p)
+            if len(_mod_gcd(fp, dfp, p)) == 1:
+                break
+        p += 2
+    rng = Random(0)
+    facs = [u for g, d in _mod_distinct_degree(fp, p)
+            for u in _mod_equal_degree(g, d, p, rng)]
+    found = []
+    if len(facs) > 1:
+        m = p
+        while m <= 2 * ints[-1] * _mignotte_bound(ints):
+            m *= m
+        lifted = _hensel_lift(ints, facs, p, m)
+        s = 1
+        while 2 * s <= len(lifted):
+            for sub in combinations(range(len(lifted)), s):
+                check_deadline()
+                g = [ints[-1]]
+                for i in sub:
+                    g = _mod_mul(g, lifted[i], m)
+                g = _int_primitive([v - m if 2 * v > m else v for v in g])
+                q = _int_quot(ints, g)
+                if q is not None:
+                    found.append(g)
+                    ints = q
+                    lifted = [u for i, u in enumerate(lifted) if i not in sub]
+                    break
+            else:
+                s += 1
+    return [Poly._new(tuple(g), 1).monic() for g in found + [ints]]
 
 
 def _factor_full(p: Poly):
     """factor_irreducible(p), p nonzero, computed from scratch: Yun's
-    squarefree split, then sympy on each squarefree part beyond degree one."""
+    squarefree split, then _factor_squarefree on each part beyond degree one."""
     if p.is_constant:
         return p.lc, []
     factors = {}
     for sqf, mult in squarefree_decomposition(p):
-        irrs = [sqf] if sqf.degree == 1 else _sympy_factor_squarefree(sqf)
+        irrs = [sqf] if sqf.degree == 1 else _factor_squarefree(sqf)
         for f in irrs:
             factors[f] = factors.get(f, 0) + mult
     ordered = sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))

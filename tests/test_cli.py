@@ -1,6 +1,9 @@
 """Command-line driver and the line-oriented file formats."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -452,6 +455,30 @@ def test_lie_of_the_fourth_order(lve_dir, capsys):
     capsys.readouterr()
     assert main(["lie", str(lve_dir / "lve_order_4.sys")]) == 0
     assert capsys.readouterr().out == lie_output(63)
+
+
+NO_SYMPY_CHILD = """
+import sys
+from varred.cli import main
+from varred.poly import Poly, factor_irreducible
+code = main(["reduce", sys.argv[1], "--p1-fixture", "henon-heiles", "--out", sys.argv[2]])
+factor_irreducible(Poly([2, 2, 3, 1, 1]))
+factor_irreducible(Poly([0, 2, 3, 1]))
+print(code, "sympy" in sys.modules)
+"""
+
+
+def test_reduce_and_factor_never_import_sympy(lve_dir, tmp_path):
+    """A fresh process reduces LVE^3 in full and factors x^4 + x^3 + 3x^2 +
+    2x + 2 and x^3 + 3x^2 + 2x without loading sympy."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(poly.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_CHILD, str(lve_dir / "lve_order_3.sys"),
+         str(tmp_path / "reports")], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr[-2000:]
+    assert (tmp_path / "reports" / "report_order_3.txt").is_file()
 
 
 def test_exit_code_for_timeout(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The package imports only the standard library, sympy and itself, one
+"""The package imports only the standard library and itself, one
 module keeps the time budget, one keeps the pole base, and every name it
 exports resolves."""
 
@@ -10,7 +10,7 @@ import sys
 import varred
 from varred import rationals
 
-ALLOWED = set(sys.stdlib_module_names) | {"varred", "sympy"}
+ALLOWED = set(sys.stdlib_module_names) | {"varred"}
 
 
 def parsed_sources():
@@ -19,10 +19,10 @@ def parsed_sources():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_imports_are_stdlib_sympy_or_varred():
+def test_imports_are_stdlib_or_varred():
     """Every absolute import in src/varred, those inside functions too, has
-    its root in the standard library, sympy or varred, and the rationals
-    are the stdlib Fraction."""
+    its root in the standard library or varred, and the rationals are the
+    stdlib Fraction."""
     outside = []
     for name, tree in parsed_sources():
         for node in ast.walk(tree):
@@ -68,7 +68,7 @@ def test_the_pole_base_lives_in_poly():
     the shared base or the full factorization behind it, and no function
     takes a poles parameter: every factorization asks factor_irreducible,
     and a computation shares its base by entering poly.shared_factors()."""
-    private = {"FactorBase", "_FACTOR_BASE", "_factor_full", "_sympy_factor_squarefree"}
+    private = {"FactorBase", "_FACTOR_BASE", "_factor_full", "_factor_squarefree"}
     found = []
     for name, tree in parsed_sources():
         for node in ast.walk(tree):

@@ -279,8 +279,9 @@ def test_poly_cofactors_match_sympy():
 
 def test_heuristic_gcd_starts_at_the_theorem_7_7_bound():
     """The first evaluation point is at least 2 min(|a|_inf, |b|_inf) + 2,
-    also when a large leading coefficient makes |a|_inf / lc(a) small, and
-    the points grow."""
+    also when a large leading coefficient makes |a|_inf / lc(a) small, the
+    later ones are at least 2B + 2, B the smaller Mignotte bound of the
+    inputs, and the points grow."""
     rng = random.Random(2302)
     for _ in range(200):
         a = [rng.choice((1, -1)) * rng.getrandbits(rng.choice((4, 40, 400)))
@@ -291,6 +292,8 @@ def test_heuristic_gcd_starts_at_the_theorem_7_7_bound():
         assert len(points) == poly_module._HEU_POINTS
         bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
         assert points[0] >= bound
+        mignotte = min(poly_module._mignotte_bound(a), poly_module._mignotte_bound(b))
+        assert points[1] >= 2 * mignotte + 2
         assert all(p < q for p, q in zip(points, points[1:]))
 
 

@@ -596,16 +596,16 @@ def test_timeouts_in_newly_checked_phases_name_the_phase(
 
 
 def test_one_run_factors_each_squarefree_part_once(monkeypatch, hh_system, hh_p1):
-    """All orders of one run share one pole base, so no squarefree part
-    reaches sympy twice; with a base per reduction x^2 + 1 went twice."""
+    """All orders of one run share one pole base, so no squarefree part is
+    factored twice; with a base per reduction x^2 + 1 was."""
     sent = []
-    inner = poly._sympy_factor_squarefree
+    inner = poly._factor_squarefree
 
     def recording(f):
         sent.append(f)
         return inner(f)
 
-    monkeypatch.setattr(poly, "_sympy_factor_squarefree", recording)
+    monkeypatch.setattr(poly, "_factor_squarefree", recording)
     reduction.reduce_variational_tower(hh_system, 3, hh_p1)
     assert sent and len(sent) == len(set(sent))
 
@@ -1054,6 +1054,27 @@ def test_no_jordan_chain_call_fails_on_a_synth_pass(monkeypatch):
     for text in synth_texts(0, 12):
         reduce_system_text(text)
     assert calls and raised == []
+
+
+def test_synth_squarefree_parts_split_as_sympy_splits_them(monkeypatch):
+    """Every squarefree part that the 12 systems of synth-chains seed 0 send
+    to poly._factor_squarefree has sympy's irreducible factors."""
+    parts = []
+    inner = poly._factor_squarefree
+
+    def recording(f):
+        parts.append(f)
+        return inner(f)
+
+    monkeypatch.setattr(poly, "_factor_squarefree", recording)
+    for text in synth_texts(0, 12):
+        reduce_system_text(text)
+    assert len(parts) >= 20
+    x = sympy.Symbol("x")
+    for f in parts:
+        facs = sympy.Poly(list(reversed(f.primitive_int()[1])), x).factor_list()[1]
+        want = sorted([int(c) for c in reversed(q.all_coeffs())] for q, _ in facs)
+        assert sorted(q.primitive_int()[1] for q in inner(f)) == want, f
 
 
 SEED_HASHES = Path(__file__).resolve().parent / "data" / "synth_seeds_1_5.sha256"
