@@ -31,7 +31,7 @@ from .liealgebra import (
     split_diag_sub,
     wei_norman,
 )
-from .gauge import GaugeMatrix, apply_gauge, exp_sub_nilpotent, sym_power_group
+from .gauge import BlockGauge, GaugeMatrix, apply_gauge, exp_sub_nilpotent, sym_power_group
 from .varequations import (
     BlockSystem,
     HamiltonianSystem,
@@ -79,6 +79,7 @@ __all__ = [
     "BlockSystem",
     "HamiltonianSystem",
     "GaugeMatrix",
+    "BlockGauge",
     "LieBasis",
     "WeiNormanDecomp",
     "SystemFile",

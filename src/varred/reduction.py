@@ -7,6 +7,11 @@ cleaned by one scalar sweep along the adjoint chains of the diagonal term.
 Every elimination is recorded as a ReductionStep, and the report carries
 the total gauge P, which carries the initial matrix A to the final matrix F
 exactly: A P - P' == P F is checked once at the end of every reduction.
+Above order 1, P is kept in block form (gauge.BlockGauge), P = [[T, 0],
+[L, R]] with T = Sym^m(p1) and R the total gauge of the order below, and it
+is assembled, composed and replayed block by block: no product of the
+order's full size is formed, and P is multiplied out only for a caller who
+reads it.
 The scalar rule of one chain position is written once, in _sweep_chains;
 remove_generator, the one-gauge-at-a-time reference, calls it too.
 
@@ -35,11 +40,10 @@ from .errors import (
     time_budget,
 )
 from .gauge import (
+    BlockGauge,
     GaugeMatrix,
     apply_gauge,
     assemble_block_diag,
-    block_diag_gauge,
-    carries,
     exp_sub_nilpotent,
     sym_power_algebra,
     sym_power_group,
@@ -100,7 +104,7 @@ class ReductionStep:
     """
 
     kind: str
-    gauge: GaugeMatrix | None = None
+    gauge: GaugeMatrix | BlockGauge | None = None
     generator: ConstMat | None = None
     solved_g: RatFun | None = None
     residual_l: RatFun | None = None
@@ -161,8 +165,11 @@ class ReductionReport:
     """Everything the reduction of one order produced.
 
     system.matrix is the matrix the reduction starts from; applying
-    total_gauge to it reproduces final_matrix exactly.  assembled_matrix is
-    the matrix after the diagonal assembly, which the sweep starts from.
+    total_gauge to it reproduces final_matrix exactly.  total_gauge is a
+    BlockGauge: the assembly gauge followed by the sweep's Id + S, kept as
+    its blocks, with .p and .p_inv multiplied out when first read.
+    assembled_matrix is the matrix after the diagonal assembly, which the
+    sweep starts from.
     """
 
     order: int
@@ -228,41 +235,60 @@ def _pole_factor_set(funcs):
 # ---- diagonal assembly ---------------------------------------------------------
 
 
-def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower):
+def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, diagonal=None):
     """Reduce the diagonal blocks of one order by recycling lower gauges.
 
-    The gauge is p1 at order 1 and Q = diag(Sym^m(p1), P_(m-1)) at order m,
-    where lower holds the reports of orders 1 to m-1.  Q[A] is affine in A,
-    so Q[A] = diag(sym^m(p1[A1]), final_(m-1)) + Q^-1 (A - B) Q with
-    B = diag(sym^m(A1), A_(m-1)); on a variational system A - B is only the
-    subdiagonal block.  Returns the partially reduced system together with
-    the recorded step; the time budget is checked before the products.
+    The gauge is p1 at order 1 and Q = diag(T, R) at order m, with
+    T = Sym^m(p1) and R = P_(m-1), where lower holds the reports of orders 1
+    to m-1; it is recorded as a BlockGauge.  Q[A] is affine in A, so
+    Q[A] = D + Q^-1 (A - B) Q with D = diag(sym^m(p1[A1]), final_(m-1)) and
+    B = diag(sym^m(A1), A_(m-1)).  diagonal is D when the caller has it
+    (see _check_known_diagonal).  Q^-1 (A - B) Q is formed block by block,
+    for the nonzero blocks of A - B only: on a variational system that is
+    the subdiagonal block, R^-1 (C T), and T^-1 is not read.  Returns the
+    partially reduced system together with the recorded step; the time
+    budget is checked before the products.
     """
-    m = system.order
+    m, a = system.order, system.matrix
+    n, d = a.rows, system.block_sizes[0]
     if m == 1:
-        q = p1
+        q = BlockGauge(p1.p.rows, p1.p.rows, p1)
     elif not lower:
         raise PreconditionFailure(
             "diagonal assembly at order %d needs the gauge of order %d" % (m, m - 1)
         )
     else:
         first, prev = lower[0], lower[-1]
-        top = GaugeMatrix(sym_power_group(p1.p, m), sym_power_group(p1.p_inv, m))
-        q = block_diag_gauge([top, prev.total_gauge])
-    if q.p.rows != system.matrix.rows:
-        raise PreconditionFailure(
-            "diagonal gauge size %d does not match system size %d"
-            % (q.p.rows, system.matrix.rows)
+        t = sym_power_group(p1.p, m)
+        q = BlockGauge(
+            t.rows, t.rows + prev.final_matrix.rows,
+            GaugeMatrix(t, lambda: sym_power_group(p1.p_inv, m)), prev.total_gauge,
+            known=(prev.system.matrix, prev.final_matrix),
         )
-    if m == 1:
-        reduced = apply_gauge(system.matrix, q)
-    else:
-        check_deadline()
-        diag = [sym_power_algebra(first.assembled_matrix, m), prev.final_matrix]
-        known = [sym_power_algebra(first.system.matrix, m), prev.system.matrix]
-        delta = system.matrix - assemble_block_diag(known)
-        reduced = assemble_block_diag(diag) + q.p_inv * (delta * q.p)
+    if q.n != n or (m > 1 and q.d != d):
+        raise PreconditionFailure(
+            "diagonal gauge size %d does not match system size %d" % (q.n, n) if q.n != n
+            else "diagonal gauge top block %d does not match system block %d" % (q.d, d)
+        )
     step = ReductionStep(kind="diagonal-assembly", gauge=q)
+    if m == 1:
+        return BlockSystem(m, apply_gauge(a, p1), list(system.block_sizes)), step
+    if diagonal is None:
+        diagonal = _known_diagonal(m, lower)
+    reduced = RatMat([list(row) for row in diagonal.data])
+    top, rest = q.top, q.rest
+    blocks = (
+        (0, 0, top, a.submatrix(0, d, 0, d) - sym_power_algebra(first.system.matrix, m), top),
+        (0, d, top, a.submatrix(0, d, d, n), rest),
+        (d, 0, rest, a.submatrix(d, n, 0, d), top),
+        (d, d, rest, a.submatrix(d, n, d, n) - prev.system.matrix, rest),
+    )
+    for r0, c0, left, delta, right in blocks:
+        if delta.is_zero:
+            continue
+        check_deadline()
+        moved = left.p_inv * (delta * right.p)
+        reduced.set_block(r0, c0, reduced.submatrix(r0, r0 + moved.rows, c0, c0 + moved.cols) + moved)
     return BlockSystem(m, reduced, list(system.block_sizes)), step
 
 
@@ -461,13 +487,18 @@ def reduce_subdiagonal(
     raises UnsupportedRegime).  Its adjoint organizes the subdiagonal
     generators into chains, and one sweep down the chains solves for the
     whole elimination gauge Id + S; without a diagonal generator every
-    subdiagonal generator is a chain of its own.  When assembly, the
-    diagonal-assembly step, is given, initial_matrix must be the matrix it
-    starts from, and its gauge must be invertible (not checked).  The total
-    gauge P = Q (Id + S), Q the assembly gauge or Id, is checked once:
-    A P - P' == P F for the initial A and the final F.  That is P[A] == F
-    as P is invertible: S is checked to lie in the strictly lower-left
-    block, so (Id + S)^-1 = Id - S.  The carried inverse is not read.
+    subdiagonal generator is a chain of its own.
+
+    When assembly, the diagonal-assembly step, is given, initial_matrix must
+    be the matrix it starts from.  A BlockGauge there is the pipeline's own,
+    built by reduce_diagonal from a checked first-order gauge; any other
+    gauge is a caller's, and BlockGauge.split refuses it (PreconditionFailure)
+    unless it is block-diagonal with p_inv p == Id on each block.  The total
+    gauge P = Q (Id + S), Q the assembly gauge or Id, is kept in block form
+    (BlockGauge.then) and checked once, block by block: A P - P' == P F for
+    the initial A and the final F (BlockGauge.carries).  That is P[A] == F as
+    P is invertible: Q is, and S is checked to lie in the strictly
+    lower-left block, so (Id + S)^-1 = Id - S.  No inverse is read.
     """
     a0 = system.matrix
     n = a0.rows
@@ -488,7 +519,12 @@ def reduce_subdiagonal(
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
-    steps, q = ([assembly], assembly.gauge) if assembly else ([], GaugeMatrix.identity(n))
+    if assembly is None:
+        steps, q = [], BlockGauge(d1, n)
+    else:
+        steps, q = [assembly], assembly.gauge
+        if not isinstance(q, BlockGauge):
+            q = BlockGauge.split(q, d1)
     a = a0
     total = q
     if chains:
@@ -503,7 +539,7 @@ def reduce_subdiagonal(
         s = frame.combine([_RF_ZERO] * len(lead) + g)
         if any(f for i, row in enumerate(s.data) for j, f in enumerate(row) if i < d1 or j >= d1):
             raise RuntimeError("elimination gauge Id + S has S outside the lower-left block")
-        total = GaugeMatrix(q.p + q.p * s, q.p_inv - s * q.p_inv)
+        total = q.then(s)
 
     wn_final = wei_norman(a)
     lie_final = lie_closure(wn_final.matrices())
@@ -541,7 +577,7 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    if not carries(initial, total.p, a):
+    if not total.carries(initial, a):
         raise RuntimeError(
             "replay postcondition failed: the total gauge does not carry the "
             "initial matrix to the final one"
@@ -564,16 +600,23 @@ def _check_monogenous(mats, d1: int) -> None:
         )
 
 
-def _check_known_diagonal(m: int, lower) -> None:
+def _known_diagonal(m: int, lower) -> RatMat:
+    """diag(sym^m(p1[A1]), final_(m-1)), the diagonal of the order-m
+    assembled matrix (see reduce_diagonal), from the lower reports."""
+    top = sym_power_algebra(lower[0].assembled_matrix, m)
+    return assemble_block_diag([top, lower[-1].final_matrix])
+
+
+def _check_known_diagonal(m: int, lower) -> RatMat:
     """_check_monogenous on the diagonal of the order-m assembled matrix.
 
-    That diagonal is diag(sym^m(p1[A1]), final_(m-1)) (see reduce_diagonal),
-    known from the reports of the lower orders, so a wide diagonal algebra
-    is refused before any product of the order-m assembly.
+    That diagonal is known from the reports of the lower orders, so a wide
+    diagonal algebra is refused before any product of the order-m assembly.
+    Returns the diagonal, for reduce_diagonal.
     """
-    diag = [sym_power_algebra(lower[0].assembled_matrix, m), lower[-1].final_matrix]
-    wn = wei_norman(assemble_block_diag(diag))
-    _check_monogenous(wn.matrices(), diag[0].rows)
+    diagonal = _known_diagonal(m, lower)
+    _check_monogenous(wei_norman(diagonal).matrices(), diagonal.rows - lower[-1].final_matrix.rows)
+    return diagonal
 
 
 def _letters_independent(tower) -> bool:
@@ -828,11 +871,12 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
         for bs in systems:
             phase = "diagonal check"
             try:
+                diagonal = None
                 if reports:
                     check_deadline()
-                    _check_known_diagonal(bs.order, reports)
+                    diagonal = _check_known_diagonal(bs.order, reports)
                 phase = "diagonal assembly"
-                partial, step = reduce_diagonal(bs, p1, reports)
+                partial, step = reduce_diagonal(bs, p1, reports, diagonal)
                 phase = "subdiagonal reduction"
                 report = reduce_subdiagonal(partial, assembly=step, initial_matrix=bs.matrix)
             except (UnsupportedRegime, ReductionTimeout) as e:

@@ -24,12 +24,17 @@ partial-fraction decomposition, where the package reads the part over
 each simple pole only; and fraction_poly_to_text and fraction_render
 print through Fraction coefficients, where the package reads the int
 numerators.
+
+block_diag_gauge builds a block-diagonal gauge as two whole matrices,
+where the package keeps a gauge as its blocks (BlockGauge) and multiplies
+it out only when it is read.
 """
 
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from varred.expr import _is_bare_atom
+from varred.gauge import GaugeMatrix, assemble_block_diag
 from varred.matrices import ConstMat, RatMat
 from varred.poly import (
     Poly,
@@ -455,3 +460,10 @@ def fraction_render(f: RatFun, var: str = "x") -> str:
     if not _is_bare_atom(ds):
         ds = f"({ds})"
     return f"{ns}/{ds}"
+
+
+def block_diag_gauge(gauges) -> GaugeMatrix:
+    """Block-diagonal gauge from per-block gauges (inverses assemble blockwise)."""
+    p = assemble_block_diag([g.p for g in gauges])
+    p_inv = assemble_block_diag([g.p_inv for g in gauges])
+    return GaugeMatrix(p, p_inv)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from varred.gauge import (
+    BlockGauge,
     GaugeMatrix,
     apply_gauge,
     assemble_block_diag,
-    block_diag_gauge,
     carries,
     exp_sub_nilpotent,
     sym_power_algebra,
@@ -18,6 +18,8 @@ from varred.gauge import (
 from varred.matrices import ConstMat, RatMat
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
+
+from dense_oracle import block_diag_gauge
 
 
 def rand_ratfun(rng, deg=3):
@@ -218,6 +220,38 @@ def test_carries_agrees_with_apply_gauge():
         assert carries(a, gauge.p, f)
         assert not carries(a, gauge.p, changed)
         assert carries(a, gauge.p, a) == (f == a)
+
+
+def test_block_gauge_multiplies_out_to_its_factors():
+    """p and p_inv are diag(T, R) (Id + S) and its inverse, and the block
+    replay agrees with the whole one on block lower-triangular matrices,
+    for f = P[a] and with one entry of f changed; None blocks are Id."""
+    rng = random.Random(411)
+    for k in range(24):
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        n = d1 + d2
+        top = rand_gauge(rng, d1) if k % 3 else None
+        rest = rand_gauge(rng, d2) if k % 4 else None
+        s = RatMat.zeros(n)
+        for i in range(d1, n):
+            for j in range(d1):
+                s.data[i][j] = rand_ratfun(rng, 1)
+        gauge = BlockGauge(d1, n, top, rest).then(s)
+        eye = [GaugeMatrix(RatMat.identity(m), RatMat.identity(m)) for m in (d1, d2)]
+        q = block_diag_gauge([top or eye[0], rest or eye[1]])
+        assert gauge.p == q.p * (RatMat.identity(n) + s)
+        assert gauge.p_inv == (RatMat.identity(n) - s) * q.p_inv
+        assert gauge.p_inv * gauge.p == RatMat.identity(n)
+        a = rand_ratmat(rng, n, 1)
+        for i in range(d1):
+            for j in range(d1, n):
+                a.data[i][j] = parse_ratfun("0")
+        f = apply_gauge(a, gauge)
+        changed = RatMat([list(row) for row in f.data])
+        i, j = rng.randrange(n), rng.randrange(n)
+        changed.data[i][j] = changed.data[i][j] + parse_ratfun("1/(x - 7)")
+        assert gauge.carries(a, f)
+        assert not gauge.carries(a, changed)
 
 
 def test_the_zero_matrix_carries_every_matrix_to_every_other():

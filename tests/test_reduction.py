@@ -23,9 +23,9 @@ from varred.errors import (
 from varred.expr import poly_to_text
 from varred.fileformats import parse_report, parse_system, render_report
 from varred.gauge import (
+    BlockGauge,
     GaugeMatrix,
     apply_gauge,
-    block_diag_gauge,
     sym_power_algebra,
     sym_power_group,
 )
@@ -55,6 +55,7 @@ from varred.varequations import BlockSystem
 
 from dense_oracle import (
     all_seed_working_basis,
+    block_diag_gauge,
     breadth_first_basis,
     coordinates_in_span,
     lower_left,
@@ -419,24 +420,180 @@ def test_assembly_matches_the_whole_matrix_gauge_on_block_systems():
 
 
 def test_orders_above_one_apply_no_whole_matrix_gauge(monkeypatch, hh_system, hh_p1):
-    # only the order-1 assembly applies a gauge, with its inverse, to a
-    # whole matrix; the assemblies of orders 2 and 3 do not, and the one
-    # replay per order multiplies by the total gauge instead
-    sizes = {"apply_gauge": [], "carries": []}
+    # only the order-1 assembly applies a gauge, p1, to a whole matrix.
+    # Orders 2 and 3 keep the total gauge in block form: their assembly,
+    # composition and replay multiply blocks, and no product has an operand
+    # with a side of the order's full size.  The top order never reads its
+    # inverse: Sym^m(p1^-1) is built for the order-2 gauge alone, when the
+    # order-3 assembly reads the inverse of the order-2 total gauge.
+    order, shapes, applied, powers = [0], {0: [], 1: [], 2: [], 3: []}, [], []
+    inner_check = reduction._check_known_diagonal
+    inner_diagonal = reduction.reduce_diagonal
+    inner_apply = reduction.apply_gauge
+    inner_power = reduction.sym_power_group
+    mul = RatMat.__mul__
 
-    def counted(name):
-        inner = getattr(reduction, name)
+    def check_at_order(m, lower):
+        order[0] = m
+        return inner_check(m, lower)
 
-        def wrapper(a, p, *rest):
-            sizes[name].append(a.rows)
-            return inner(a, p, *rest)
+    def at_order(system, *rest):
+        order[0] = system.order
+        return inner_diagonal(system, *rest)
 
-        monkeypatch.setattr(reduction, name, wrapper)
+    def counted_apply(a, p):
+        applied.append(a.rows)
+        return inner_apply(a, p)
 
-    counted("apply_gauge")
-    counted("carries")
-    reduction.reduce_variational_tower(hh_system, 3, hh_p1)
-    assert sizes == {"apply_gauge": [4], "carries": [4, 14, 34]}
+    def counted_power(p, m):
+        powers.append((m, "p" if p is hh_p1.p else "p_inv" if p is hh_p1.p_inv else "?"))
+        return inner_power(p, m)
+
+    def counted_mul(a, b):
+        shapes[order[0]].append((a.rows, a.cols, b.rows, b.cols))
+        return mul(a, b)
+
+    monkeypatch.setattr(reduction, "_check_known_diagonal", check_at_order)
+    monkeypatch.setattr(reduction, "reduce_diagonal", at_order)
+    monkeypatch.setattr(reduction, "apply_gauge", counted_apply)
+    monkeypatch.setattr(reduction, "sym_power_group", counted_power)
+    monkeypatch.setattr(RatMat, "__mul__", counted_mul)
+    reports = reduction.reduce_variational_tower(hh_system, 3, hh_p1)
+    monkeypatch.undo()
+    assert [rep.system.matrix.rows for rep in reports] == [4, 14, 34]
+    assert applied == [4]
+    assert powers == [(2, "p"), (3, "p"), (2, "p_inv")]
+    for m, n in ((2, 14), (3, 34)):
+        assert shapes[m]
+        assert all(n not in sides for sides in shapes[m]), m
+
+
+def flip(m, i, j):
+    """m with 1/(x - 7) added to entry (i, j)."""
+    out = RatMat([list(row) for row in m.data])
+    out.data[i][j] = out.data[i][j] + rf("1/(x - 7)")
+    return out
+
+
+def replay_cases(hh_p1, lve2_run):
+    """(system, assembly, initial matrix) for the three kinds of total gauge:
+    the pipeline's own at Henon-Heiles order 2, a caller's block-diagonal
+    assembly gauge, and no assembly step."""
+    reports = lve2_run[0]
+    partial, step = reduce_diagonal(reports[1].system, hh_p1, reports[:1])
+    rng = random.Random(4100)
+    a0, d1 = two_block_system(rng, solvable=True)
+    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, a0.rows - d1)])
+    caller = (BlockSystem(1, a0, [d1, a0.rows - d1]),
+              ReductionStep(kind="diagonal-assembly", gauge=q),
+              apply_gauge(a0, GaugeMatrix(q.p_inv, q.p)))
+    return {
+        "pipeline": (partial, step, reports[1].system.matrix),
+        "caller": caller,
+        "none": (caller[0], None, a0),
+    }
+
+
+def balanced_flip(gauge, f, i, j):
+    """flip(f, i, j) at a top-left entry, with low[:, i] / (x - 7) taken
+    from column j of the lower-left block: as R^-1 L = low, the lower-left
+    block of the replay still balances, and only the top-left one sees it."""
+    out = flip(f, i, j)
+    for k in range(gauge.n - gauge.d):
+        row = out.data[gauge.d + k]
+        row[j] = row[j] - gauge.low.data[k][i] * rf("1/(x - 7)")
+    return out
+
+
+@pytest.mark.parametrize("case", ["pipeline", "caller", "none"])
+@pytest.mark.parametrize("where", ["top-left F", "top-left F alone", "lower-left F",
+                                   "bottom-right A", "bottom-right F", "top-right F"])
+def test_one_changed_entry_in_any_block_fails_the_replay(
+        monkeypatch, hh_p1, lve2_run, case, where):
+    system, assembly, initial = replay_cases(hh_p1, lve2_run)[case]
+    n, d = system.matrix.rows, system.block_sizes[0]
+    side, i, j = {"top-left F": ("f", d - 1, 0), "top-left F alone": ("balanced", d - 1, 0),
+                  "lower-left F": ("f", n - 1, 0), "bottom-right A": ("a", n - 1, d),
+                  "bottom-right F": ("f", n - 1, d), "top-right F": ("f", 0, n - 1)}[where]
+    report = reduce_subdiagonal(system, assembly=assembly, initial_matrix=initial)
+    assert report.total_gauge.carries(initial, report.final_matrix)
+    inner = BlockGauge.carries
+
+    def changed(gauge, a, f):
+        if side == "a":
+            return inner(gauge, flip(a, i, j), f)
+        if side == "balanced":
+            return inner(gauge, a, balanced_flip(gauge, f, i, j))
+        return inner(gauge, a, flip(f, i, j))
+
+    monkeypatch.setattr(BlockGauge, "carries", changed)
+    with pytest.raises(RuntimeError, match="replay postcondition failed"):
+        reduce_subdiagonal(system, assembly=assembly, initial_matrix=initial)
+
+
+@pytest.mark.parametrize("wrong", ["p off the blocks", "p_inv off the blocks",
+                                   "p_inv wrong on a block"])
+def test_a_caller_assembly_gauge_is_checked(wrong):
+    # a caller's own assembly gauge must be block-diagonal with p_inv p == Id
+    # on each block; a pair that fails either is refused before the sweep
+    rng = random.Random(4101)
+    a0, d1 = two_block_system(rng, solvable=True)
+    n = a0.rows
+    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, n - d1)])
+    p, p_inv = (RatMat([list(row) for row in m.data]) for m in (q.p, q.p_inv))
+    if wrong == "p off the blocks":
+        p.data[n - 1][0] = rf("x")
+        p_inv = p.inverse()  # an invertible pair, but not block-diagonal
+        message = "not block-diagonal"
+    elif wrong == "p_inv off the blocks":
+        p_inv.data[0][n - 1] = rf("1")
+        message = "not block-diagonal"
+    else:
+        p_inv.data[n - 1][n - 1] = p_inv.data[n - 1][n - 1] + rf("1")
+        message = "not the identity on its diagonal block of rows 2 to 4"
+    with pytest.raises(PreconditionFailure, match=message):
+        reduce_subdiagonal(BlockSystem(1, a0, [d1, n - d1]),
+                           assembly=ReductionStep(kind="diagonal-assembly",
+                                                  gauge=GaugeMatrix(p, p_inv)),
+                           initial_matrix=apply_gauge(a0, GaugeMatrix(q.p_inv, q.p)))
+
+
+def sweep_matrix(report, n):
+    """S = sum g_k C_k over the elimination steps of a report."""
+    s = RatMat.zeros(n)
+    for st in report.steps:
+        if st.solved_g is None:
+            continue
+        for i, row in st.generator.num.items():
+            for j, v in row.items():
+                s.data[i][j] = s.data[i][j] + st.solved_g.scale(Fraction(v, st.generator.den))
+    return s
+
+
+def assert_total_gauge_composes(report, q):
+    """total_gauge.p and .p_inv are Q (Id + S) and (Id - S) Q^-1, for the
+    assembly gauge q (None: Id) and S read off the report's steps."""
+    n = report.system.matrix.rows
+    eye = RatMat.identity(n)
+    s = sweep_matrix(report, n)
+    q_p, q_inv = (eye, eye) if q is None else (q.p, q.p_inv)
+    assert report.total_gauge.p == q_p * (eye + s)
+    assert report.total_gauge.p_inv == (eye - s) * q_inv
+
+
+def test_multiplied_out_total_gauges_compose_on_henon_heiles(lve3_run, hh_p1):
+    reports = lve3_run[0]
+    assert_total_gauge_composes(reports[0], hh_p1)
+    for m in (2, 3):
+        prev = reports[m - 2].total_gauge
+        top = GaugeMatrix(sym_power_group(hh_p1.p, m), sym_power_group(hh_p1.p_inv, m))
+        q = block_diag_gauge([top, GaugeMatrix(prev.p, prev.p_inv)])
+        assert_total_gauge_composes(reports[m - 1], q)
+
+
+def test_multiplied_out_total_gauges_compose_on_synth_systems(synth_seed0):
+    for _, rep in synth_seed0:
+        assert_total_gauge_composes(rep, None)
 
 
 # ---- subdiagonal reduction corner cases ------------------------------------------
