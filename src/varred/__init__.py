@@ -47,7 +47,6 @@ from .reduction import (
     ReductionReport,
     ReductionStep,
     TowerElement,
-    certify_monogenous_reduced,
     detect_obstruction,
     picard_vessiot_tower,
     reduce_block_systems,
@@ -114,7 +113,6 @@ __all__ = [
     "reduce_subdiagonal",
     "reduce_block_systems",
     "reduce_variational_tower",
-    "certify_monogenous_reduced",
     "detect_obstruction",
     "picard_vessiot_tower",
     "parse_system",

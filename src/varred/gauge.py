@@ -4,7 +4,11 @@ A change of frame z = P(x) w turns the system z' = A(x) z into w' = P[A] w
 with  P[A] = P^(-1) (A P - P').  Symmetric powers appear because a frame
 change on first variations induces one on every block of monomials: the
 group action Sym^m(P) by substitution, and its infinitesimal counterpart
-sym^m(A) by derivation.
+sym^m(A) by derivation.  That derivation on monomials is written once, in
+monomial_derivation, and varequations builds the variational systems with
+it too.  carries replays a gauge without reading its inverse; BlockGauge
+keeps a total gauge in lower block-triangular form, which it cuts and joins
+with RatMat.cut and RatMat.join.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from .rationals import QQ
 from .ratfun import RatFun
 from .matrices import ConstMat, RatMat
 
-_RF_ZERO = RatFun.const(0)
 _RF_ONE = RatFun.const(1)
 _RF_MINUS_ONE = RatFun.const(-1)
 
@@ -45,6 +48,31 @@ class SymIndex:
 
     def index(self, alpha) -> int:
         return self.position[tuple(alpha)]
+
+
+def monomial_derivation(position, terms) -> RatMat:
+    """The derivation w_i' = sum_beta c w^beta on monomials of w.
+
+    position numbers the monomials, rows and columns alike, in its order;
+    terms[i] holds the terms {beta: c} of w_i'.  As (w^alpha)' = sum_i
+    alpha_i w^(alpha - e_i) w_i', row alpha gets alpha_i c at column
+    alpha - e_i + beta for each term c w^beta of w_i'; a column that
+    position lacks is dropped.
+    """
+    size = len(position)
+    out = RatMat.zeros(size, size)
+    for alpha, r in position.items():
+        orow = out.data[r]
+        for i, ai in enumerate(alpha):
+            if not ai:
+                continue
+            lowered = alpha[:i] + (ai - 1,) + alpha[i + 1:]
+            k = QQ(ai)
+            for beta, c in terms[i].items():
+                col = position.get(tuple([x + y for x, y in zip(lowered, beta)]))
+                if col is not None:
+                    orow[col] = orow[col] + c.scale(k)
+    return out
 
 
 def _form_mul(acc, form, n_vars):
@@ -92,33 +120,12 @@ def sym_power_group(p: RatMat, m: int) -> RatMat:
 
 
 def sym_power_algebra(a: RatMat, m: int) -> RatMat:
-    """sym^m of a system matrix (derivation action on degree-m monomials).
-
-    (w^alpha)' = sum_i alpha_i w^(alpha - e_i) w_i' picks up the entry
-    alpha_i * a_ij at column alpha - e_i + e_j.
-    """
+    """sym^m of a system matrix: the derivation w' = a w on degree-m monomials."""
     if a.rows != a.cols:
         raise ValueError("system matrix must be square")
-    n = a.rows
-    idx = SymIndex(n, m)
-    size = len(idx)
-    out = RatMat.zeros(size, size)
-    for r, alpha in enumerate(idx.exponents):
-        orow = out.data[r]
-        for i in range(n):
-            ai = alpha[i]
-            if not ai:
-                continue
-            arow = a.data[i]
-            for j in range(n):
-                if arow[j].is_zero:
-                    continue
-                beta = list(alpha)
-                beta[i] -= 1
-                beta[j] += 1
-                c = idx.index(beta)
-                orow[c] = orow[c] + arow[j].scale(QQ(ai))
-    return out
+    units = SymIndex(a.rows, 1).exponents
+    terms = [{e: f for e, f in zip(units, row) if not f.is_zero} for row in a.data]
+    return monomial_derivation(SymIndex(a.rows, m).position, terms)
 
 
 # ---- gauge transformations -----------------------------------------------------
@@ -164,12 +171,15 @@ def apply_gauge(a: RatMat, p: GaugeMatrix) -> RatMat:
     return p.p_inv * inner
 
 
-def carries(a: RatMat, p: RatMat, f: RatMat) -> bool:
+def carries(a: RatMat, p, f: RatMat) -> bool:
     """True when a P - P' == P f: for an invertible P, exactly P[a] == f.
 
-    No inverse is read; the zero matrix carries every a to every f.  The
-    time budget is checked before each side.
+    p None is the identity, which carries a to a alone.  No inverse is
+    read; the zero matrix carries every a to every f.  The time budget is
+    checked before each side.
     """
+    if p is None:
+        return a == f
     check_deadline()
     moved = a * p - p.derivative()
     check_deadline()
@@ -195,32 +205,7 @@ def exp_sub_nilpotent(g: RatFun, b: ConstMat) -> GaugeMatrix:
     return GaugeMatrix(p, p_inv)
 
 
-def assemble_block_diag(blocks) -> RatMat:
-    """Block-diagonal rational matrix from square blocks."""
-    total = sum(b.rows for b in blocks)
-    out = RatMat.zeros(total, total)
-    pos = 0
-    for b in blocks:
-        out.set_block(pos, pos, b)
-        pos += b.rows
-    return out
-
-
 # ---- the total gauge in block form ------------------------------------------------
-
-
-def _lower_triangular(d, n, top, low, rest) -> RatMat:
-    """[[top, 0], [low, rest]] at size n; None is an identity or zero block."""
-    out = RatMat.identity(n)
-    for r0, c0, block in ((0, 0, top), (d, 0, low), (d, d, rest)):
-        if block is not None:
-            out.set_block(r0, c0, block)
-    return out
-
-
-def _carries_block(a: RatMat, p, f: RatMat) -> bool:
-    """carries(a, p, f), where p None is the identity."""
-    return a == f if p is None else carries(a, p, f)
 
 
 class BlockGauge:
@@ -258,28 +243,28 @@ class BlockGauge:
         each block.
         """
         n = g.p.rows
+        diagonal = []
         for m in (g.p, g.p_inv):
-            if (m.rows, m.cols) != (n, n) or any(
-                    not m.data[i][j].is_zero for i in range(n) for j in range(n)
-                    if (i < d) != (j < d)):
+            blocks = m.cut(d) if (m.rows, m.cols) == (n, n) else None
+            if blocks is None or not (blocks[1].is_zero and blocks[2].is_zero):
                 raise PreconditionFailure(
                     "assembly gauge is not block-diagonal with blocks %d and %d" % (d, n - d))
-        blocks = []
-        for r0, r1 in ((0, d), (d, n)):
-            p, p_inv = g.p.submatrix(r0, r1, r0, r1), g.p_inv.submatrix(r0, r1, r0, r1)
-            if r1 > r0 and p_inv * p != RatMat.identity(r1 - r0):
+            diagonal.append((blocks[0], blocks[3]))
+        gauges = []
+        for r0, p, p_inv in zip((0, d), *diagonal):
+            if p.rows and p_inv * p != RatMat.identity(p.rows):
                 raise PreconditionFailure(
                     "assembly gauge: p_inv * p is not the identity on its diagonal "
-                    "block of rows %d to %d" % (r0, r1 - 1))
-            blocks.append(GaugeMatrix(p, p_inv) if r1 > r0 else None)
-        return BlockGauge(d, n, *blocks)
+                    "block of rows %d to %d" % (r0, r0 + p.rows - 1))
+            gauges.append(GaugeMatrix(p, p_inv) if p.rows else None)
+        return BlockGauge(d, n, *gauges)
 
     def then(self, s: RatMat) -> "BlockGauge":
         """This block-diagonal gauge followed by Id + s, for s zero outside
         the lower-left block of the system.  Nothing is multiplied unless
         d == n: then top, a first-order gauge, takes s in as T + T s."""
         if self.d < self.n:
-            low = s.submatrix(self.d, self.n, 0, self.d)
+            low = s.cut(self.d)[2]
             return BlockGauge(self.d, self.n, self.top, self.rest, low, self.known)
         t = self.top
         return BlockGauge(self.n, self.n, GaugeMatrix(t.p + t.p * s, lambda: t.p_inv - s * t.p_inv))
@@ -294,20 +279,20 @@ class BlockGauge:
     @property
     def p(self) -> RatMat:
         if self._p is None:
-            self._p = _lower_triangular(
-                self.d, self.n, None if self.top is None else self.top.p, self.l,
-                None if self.rest is None else self.rest.p)
+            top = RatMat.identity(self.d) if self.top is None else self.top.p
+            rest = RatMat.identity(self.n - self.d) if self.rest is None else self.rest.p
+            self._p = RatMat.join(top, None, self.l, rest)
         return self._p
 
     @property
     def p_inv(self) -> RatMat:
         if self._p_inv is None:
-            t_inv = None if self.top is None else self.top.p_inv
+            t_inv = RatMat.identity(self.d) if self.top is None else self.top.p_inv
+            r_inv = RatMat.identity(self.n - self.d) if self.rest is None else self.rest.p_inv
             low = self.low
             if low is not None:
-                low = (low if t_inv is None else low * t_inv).scale(_RF_MINUS_ONE)
-            self._p_inv = _lower_triangular(
-                self.d, self.n, t_inv, low, None if self.rest is None else self.rest.p_inv)
+                low = (low if self.top is None else low * t_inv).scale(_RF_MINUS_ONE)
+            self._p_inv = RatMat.join(t_inv, None, low, r_inv)
         return self._p_inv
 
     def carries(self, a: RatMat, f: RatMat) -> bool:
@@ -321,23 +306,19 @@ class BlockGauge:
         product has an operand of size n, and the time budget is checked
         before each side of each block.
         """
-        d, n = self.d, self.n
-        if any(not e.is_zero for m in (a, f) for row in m.data[:d] for e in row[d:]):
+        a_t, a_tr, c, a_r = a.cut(self.d)
+        f_t, f_tr, f_c, f_r = f.cut(self.d)
+        if not (a_tr.is_zero and f_tr.is_zero):
             return False
         t = None if self.top is None else self.top.p
-        f_t = f.submatrix(0, d, 0, d)
-        if not _carries_block(a.submatrix(0, d, 0, d), t, f_t):
+        if not carries(a_t, t, f_t):
             return False
-        if d == n:
+        if self.d == self.n:
             return True
-        a_r, f_r = a.submatrix(d, n, d, n), f.submatrix(d, n, d, n)
         r = None if self.rest is None else self.rest.p
-        known = self.known
-        if not (known is not None and known[0] == a_r and known[1] == f_r):
-            if not _carries_block(a_r, r, f_r):
-                return False
+        if self.known != (a_r, f_r) and not carries(a_r, r, f_r):
+            return False
         check_deadline()
-        c, f_c = a.submatrix(d, n, 0, d), f.submatrix(d, n, 0, d)
         moved = c if t is None else c * t
         want = f_c if r is None else r * f_c
         l = self.l

@@ -531,6 +531,27 @@ class RatMat:
             for j in range(block.cols):
                 self.data[r0 + i][c0 + j] = block.data[i][j]
 
+    def cut(self, d: int):
+        """The blocks (top, top_right, low, rest) of a square matrix split
+        after row and column d; join puts them back together.  ValueError
+        unless the matrix is square and 0 <= d <= rows."""
+        n = self.rows
+        if self.cols != n or not 0 <= d <= n:
+            raise ValueError("cannot cut a %dx%d matrix at %d" % (n, self.cols, d))
+        return (self.submatrix(0, d, 0, d), self.submatrix(0, d, d, n),
+                self.submatrix(d, n, 0, d), self.submatrix(d, n, d, n))
+
+    @staticmethod
+    def join(top, top_right, low, rest) -> "RatMat":
+        """[[top, top_right], [low, rest]] for square top and rest; a
+        top_right or low of None is a zero block."""
+        d = top.rows
+        out = RatMat.zeros(d + rest.rows)
+        for r0, c0, block in ((0, 0, top), (0, d, top_right), (d, 0, low), (d, d, rest)):
+            if block is not None:
+                out.set_block(r0, c0, block)
+        return out
+
     def inverse(self) -> "RatMat":
         """Gauss-Jordan inverse; raises ValueError if singular."""
         n = self.rows

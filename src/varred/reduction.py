@@ -43,7 +43,6 @@ from .gauge import (
     BlockGauge,
     GaugeMatrix,
     apply_gauge,
-    assemble_block_diag,
     exp_sub_nilpotent,
     sym_power_algebra,
     sym_power_group,
@@ -95,10 +94,13 @@ class ReductionStep:
     the lower-order reductions, "chain-removal" when a generator coefficient
     was removed completely, "hermite-partial" when only the derivative
     part could be removed and a simple-pole residue stays behind, and
-    "unresolved" when no rational gauge removes it.  Elimination steps
-    from the chain sweep carry no gauge of their own: the sweep applies
-    Id + sum(solved_g * generator) over all of them at once, and the
-    report's total gauge is the diagonal-assembly gauge followed by it.
+    "unresolved" when no rational gauge removes it.  gauge is the
+    BlockGauge of a diagonal-assembly step (a caller may give a
+    block-diagonal GaugeMatrix instead) and the GaugeMatrix that
+    remove_generator applied.  Elimination steps from the chain sweep carry
+    no gauge of their own: the sweep applies Id + sum(solved_g * generator)
+    over all of them at once, and the report's total gauge is the
+    diagonal-assembly gauge followed by it.
     An unresolved step keeps (a, b) of the equation g' = a g + b that has
     no rational solution as unsolved.
     """
@@ -184,7 +186,7 @@ class ReductionReport:
     certificate: ObstructionCertificate | None
     verdict: str
     tower: list | None
-    total_gauge: GaugeMatrix
+    total_gauge: BlockGauge
     initial_wei_norman_dim: int
     initial_lie_dim: int
     diag_dim: int
@@ -197,16 +199,12 @@ class ReductionReport:
 
 
 def _diag_projection(a: RatMat, d1: int) -> RatMat:
-    out = RatMat.zeros(a.rows, a.cols)
-    out.set_block(0, 0, a.submatrix(0, d1, 0, d1))
-    out.set_block(d1, d1, a.submatrix(d1, a.rows, d1, a.cols))
-    return out
+    top, _, _, rest = a.cut(d1)
+    return RatMat.join(top, None, None, rest)
 
 
 def _sub_projection(a: RatMat, d1: int) -> RatMat:
-    out = RatMat.zeros(a.rows, a.cols)
-    out.set_block(d1, 0, a.submatrix(d1, a.rows, 0, d1))
-    return out
+    return RatMat.join(RatMat.zeros(d1), None, a.cut(d1)[2], RatMat.zeros(a.rows - d1))
 
 
 def _new_pole_factors(l: RatFun, beta0: RatFun):
@@ -275,21 +273,16 @@ def reduce_diagonal(system: BlockSystem, p1: GaugeMatrix, lower, diagonal=None):
         return BlockSystem(m, apply_gauge(a, p1), list(system.block_sizes)), step
     if diagonal is None:
         diagonal = _known_diagonal(m, lower)
-    reduced = RatMat([list(row) for row in diagonal.data])
-    top, rest = q.top, q.rest
-    blocks = (
-        (0, 0, top, a.submatrix(0, d, 0, d) - sym_power_algebra(first.system.matrix, m), top),
-        (0, d, top, a.submatrix(0, d, d, n), rest),
-        (d, 0, rest, a.submatrix(d, n, 0, d), top),
-        (d, d, rest, a.submatrix(d, n, d, n) - prev.system.matrix, rest),
-    )
-    for r0, c0, left, delta, right in blocks:
+    t, r = q.top, q.rest
+    a_t, a_tr, c, a_r = a.cut(d)
+    deltas = (a_t - sym_power_algebra(first.system.matrix, m), a_tr, c, a_r - prev.system.matrix)
+    blocks = list(diagonal.cut(d))
+    for k, (delta, left, right) in enumerate(zip(deltas, (t, t, r, r), (t, r, t, r))):
         if delta.is_zero:
             continue
         check_deadline()
-        moved = left.p_inv * (delta * right.p)
-        reduced.set_block(r0, c0, reduced.submatrix(r0, r0 + moved.rows, c0, c0 + moved.cols) + moved)
-    return BlockSystem(m, reduced, list(system.block_sizes)), step
+        blocks[k] = blocks[k] + left.p_inv * (delta * right.p)
+    return BlockSystem(m, RatMat.join(*blocks), list(system.block_sizes)), step
 
 
 # ---- one elimination gauge -----------------------------------------------------
@@ -492,8 +485,9 @@ def reduce_subdiagonal(
     When assembly, the diagonal-assembly step, is given, initial_matrix must
     be the matrix it starts from.  A BlockGauge there is the pipeline's own,
     built by reduce_diagonal from a checked first-order gauge; any other
-    gauge is a caller's, and BlockGauge.split refuses it (PreconditionFailure)
-    unless it is block-diagonal with p_inv p == Id on each block.  The total
+    gauge is a caller's, refused (PreconditionFailure) before any other work
+    unless it has the system's size, and by BlockGauge.split unless it is
+    block-diagonal with p_inv p == Id on each block.  The total
     gauge P = Q (Id + S), Q the assembly gauge or Id, is kept in block form
     (BlockGauge.then) and checked once, block by block: A P - P' == P F for
     the initial A and the final F (BlockGauge.carries).  That is P[A] == F as
@@ -504,6 +498,15 @@ def reduce_subdiagonal(
     n = a0.rows
     d1 = system.block_sizes[0]
     check_deadline()
+    if assembly is None:
+        steps, q = [], BlockGauge(d1, n)
+    else:
+        steps, q = [assembly], assembly.gauge
+        if not isinstance(q, BlockGauge):
+            if q.p.rows != n:
+                raise PreconditionFailure(
+                    "assembly gauge has size %d, the system %d" % (q.p.rows, n))
+            q = BlockGauge.split(q, d1)
 
     wn0 = wei_norman(a0)
     _check_monogenous(wn0.matrices(), d1)
@@ -519,12 +522,6 @@ def reduce_subdiagonal(
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
-    if assembly is None:
-        steps, q = [], BlockGauge(d1, n)
-    else:
-        steps, q = [assembly], assembly.gauge
-        if not isinstance(q, BlockGauge):
-            q = BlockGauge.split(q, d1)
     a = a0
     total = q
     if chains:
@@ -537,7 +534,8 @@ def reduce_subdiagonal(
         steps.extend(sweep_steps)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
-        if any(f for i, row in enumerate(s.data) for j, f in enumerate(row) if i < d1 or j >= d1):
+        s_t, s_tr, _, s_r = s.cut(d1)
+        if not (s_t.is_zero and s_tr.is_zero and s_r.is_zero):
             raise RuntimeError("elimination gauge Id + S has S outside the lower-left block")
         total = q.then(s)
 
@@ -604,7 +602,7 @@ def _known_diagonal(m: int, lower) -> RatMat:
     """diag(sym^m(p1[A1]), final_(m-1)), the diagonal of the order-m
     assembled matrix (see reduce_diagonal), from the lower reports."""
     top = sym_power_algebra(lower[0].assembled_matrix, m)
-    return assemble_block_diag([top, lower[-1].final_matrix])
+    return RatMat.join(top, None, None, lower[-1].final_matrix)
 
 
 def _check_known_diagonal(m: int, lower) -> RatMat:
@@ -646,19 +644,6 @@ def _verdict(report: ReductionReport) -> str:
 
 
 # ---- certification and obstruction ----------------------------------------------
-
-
-def certify_monogenous_reduced(a: RatMat) -> bool:
-    """True when a = f(x) M with a single generator and non-integrable f.
-
-    The Hermite residue of the only coefficient must be nonzero; otherwise
-    the remaining coefficient integrates rationally and the system is not in
-    reduced form (one more gauge would trivialize it).
-    """
-    wn = wei_norman(a)
-    if wn.dim != 1:
-        return False
-    return not hermite_split(wn.functions()[0]).l.is_zero
 
 
 def detect_obstruction(report: ReductionReport):
@@ -711,39 +696,34 @@ def _classify_integrand(coeff: RatFun, base: TowerElement | None):
 
 
 class _TowerBuilder:
+    """The tower's elements; a symbol is keyed by its index among them."""
+
     def __init__(self):
         self.elements = []
-        self.by_name = {}
 
-    def new_symbol(self, coeff: RatFun, symbol: str | None) -> str:
-        base = self.by_name[symbol] if symbol is not None else None
-        depth = 1 if base is None else base.depth + 1
+    def new_symbol(self, coeff: RatFun, key: int | None) -> int:
+        base = None if key is None else self.elements[key]
         tag, argument = _classify_integrand(coeff, base)
-        name = "I%d" % (len(self.elements) + 1)
-        el = TowerElement(
-            name=name,
-            depth=depth,
+        self.elements.append(TowerElement(
+            name="I%d" % (len(self.elements) + 1),
+            depth=1 if base is None else base.depth + 1,
             integrand_coeff=coeff,
-            integrand_symbol=symbol,
+            integrand_symbol=None if base is None else base.name,
             recognized_as=tag,
             argument=argument,
-        )
-        self.elements.append(el)
-        self.by_name[name] = el
-        return name
-
-    def _key_order(self, key):
-        return (-1,) if key is None else (self.elements.index(self.by_name[key]),)
+        ))
+        return len(self.elements) - 1
 
     def primitive(self, formal: dict) -> dict:
-        """Formal antiderivative of {symbol: coefficient}, naming new symbols.
+        """Formal antiderivative of {symbol key: coefficient}, keying new
+        symbols; None keys the rational part.
 
         Pure rational parts are Hermite-split so only simple-pole residues
         become integrands; products with an existing symbol always get a
         fresh symbol one level deeper.
         """
         out = {}
-        for key in sorted(formal, key=self._key_order):
+        for key in sorted(formal, key=lambda k: -1 if k is None else k):
             coeff = formal[key]
             if coeff.is_zero:
                 continue

@@ -7,7 +7,9 @@ builds the linearized flow on monomials of the variations up to a chosen
 degree m.  States of degree k are the monomials delta^alpha with |alpha| = k;
 blocks are ordered by decreasing degree, which makes the system matrix block
 lower triangular and literally self-similar: the trailing blocks form the
-order m-1 system.
+order m-1 system.  The derivation on monomials that builds it is the one of
+the symmetric powers (gauge.monomial_derivation), so the degree-k diagonal
+block is sym^k of the first-order matrix.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from .rationals import QQ, QQ0, QQ1
 from .ratfun import RatFun
 from .matrices import RatMat
-from .gauge import SymIndex
+from .gauge import SymIndex, monomial_derivation
 from .expr import parse_expression
 from .errors import PreconditionFailure
 
@@ -333,43 +335,17 @@ def _taylor_coefficients(p: MPoly, point):
 def variational_matrix(field, sol: ParticularSolution, order: int) -> RatMat:
     """System matrix of the order-m variational equations along the curve.
 
-    Row alpha of degree k collects (1/sigma) * alpha_i * (d^beta X_i)(phi)/beta!
-    at column mu = alpha - e_i + beta, for every mu of degree between k and
-    the truncation order.  Degree blocks are ordered highest first.
+    The variations w obey w_i' = (1/sigma) sum_beta (d^beta X_i)(phi)/beta!
+    w^beta, and gauge.monomial_derivation carries that onto the monomials of
+    degrees 1 to the truncation order; a column above the order is dropped.
+    Degree blocks are ordered highest first.
     """
     nv = len(field)
-    indices = [SymIndex(nv, k) for k in range(order, 0, -1)]
-    exps = []
-    pos = {}
-    for block in indices:
-        for alpha in block.exponents:
-            pos[alpha] = len(exps)
-            exps.append(alpha)
-    size = len(exps)
-    out = RatMat.zeros(size, size)
+    exps = [alpha for k in range(order, 0, -1) for alpha in SymIndex(nv, k).exponents]
     inv_sigma = RatFun.const(1) / sol.sigma
     taylor = [_taylor_coefficients(xi, sol.components) for xi in field]
-    for r, alpha in enumerate(exps):
-        orow = out.data[r]
-        for i in range(nv):
-            ai = alpha[i]
-            if not ai:
-                continue
-            for beta, val in taylor[i].items():
-                mu = tuple(a - e + b for a, e, b in zip(alpha, _unit(nv, i), beta))
-                if min(mu) < 0:
-                    continue
-                c = pos.get(mu)
-                if c is None:  # degree above the truncation order
-                    continue
-                orow[c] = orow[c] + (val * inv_sigma).scale(QQ(ai))
-    return out
-
-
-def _unit(nv, i):
-    e = [0] * nv
-    e[i] = 1
-    return tuple(e)
+    terms = [{beta: val * inv_sigma for beta, val in t.items()} for t in taylor]
+    return monomial_derivation({alpha: r for r, alpha in enumerate(exps)}, terms)
 
 
 def nested_systems(matrix: RatMat, blocks) -> list:

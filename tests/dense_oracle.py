@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from varred.expr import _is_bare_atom
-from varred.gauge import GaugeMatrix, assemble_block_diag
+from varred.gauge import GaugeMatrix
 from varred.matrices import ConstMat, RatMat
 from varred.poly import (
     Poly,
@@ -463,7 +463,8 @@ def fraction_render(f: RatFun, var: str = "x") -> str:
 
 
 def block_diag_gauge(gauges) -> GaugeMatrix:
-    """Block-diagonal gauge from per-block gauges (inverses assemble blockwise)."""
-    p = assemble_block_diag([g.p for g in gauges])
-    p_inv = assemble_block_diag([g.p_inv for g in gauges])
-    return GaugeMatrix(p, p_inv)
+    """Block-diagonal gauge from two per-block gauges (inverses assemble
+    blockwise)."""
+    top, rest = gauges
+    return GaugeMatrix(RatMat.join(top.p, None, None, rest.p),
+                       RatMat.join(top.p_inv, None, None, rest.p_inv))

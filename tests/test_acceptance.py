@@ -15,8 +15,8 @@ from varred.gauge import apply_gauge
 from varred.liealgebra import lie_closure, wei_norman
 from varred.matrices import comm
 from varred.ratfun import parse_ratfun
-from varred.reduction import certify_monogenous_reduced
-from varred.varequations import build_lve
+from varred.reduction import reduce_block_systems
+from varred.varequations import BlockSystem, build_lve
 
 from dense_oracle import coordinates_in_span
 import test_gauge
@@ -46,17 +46,19 @@ def test_01_first_order_wei_norman_and_closure():
 def test_02_shipped_gauge_reduces_the_first_order_system():
     """Applying the bundled gauge to the first-order system reproduces the
     bundled reduced form entrywise: a single Wei-Norman term 5/(3x) with a
-    one-dimensional abelian closure, certified reduced.  Budget: 1 second."""
+    one-dimensional abelian closure, which the order-1 pipeline certifies
+    reduced.  Budget: 1 second."""
     t0 = time.monotonic()
     a1 = fixtures.load_system("first-order").matrix
     p1 = fixtures.load_p1()
     reduced = apply_gauge(a1, p1)
-    certified = certify_monogenous_reduced(reduced)
+    (report,) = reduce_block_systems([BlockSystem(1, a1, [a1.rows])], p1)
     wn = wei_norman(reduced)
     lie = lie_closure(wn.matrices())
     elapsed = time.monotonic() - t0
     assert reduced == fixtures.load_system("first-order-reduced").matrix
-    assert certified
+    assert report.final_matrix == reduced
+    assert report.reduced_certified
     assert wn.dim == 1
     assert wn.functions() == [rf("5/(3*x)")]
     assert lie.dim == 1

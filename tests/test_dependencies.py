@@ -1,6 +1,6 @@
 """The package imports only the standard library and itself, one
-module keeps the time budget, one keeps the pole base, and every name it
-exports resolves."""
+module keeps the time budget, one keeps the pole base, the gauge and the
+reduction cut blocks in one way, and every name it exports resolves."""
 
 import ast
 import fractions
@@ -89,6 +89,19 @@ def test_the_pole_base_lives_in_poly():
                 else:
                     continue
                 found += [(name, node.lineno, n) for n in used & private]
+    assert found == []
+
+
+def test_gauge_and_reduction_cut_blocks_with_ratmat_cut():
+    """gauge.py and reduction.py make no .submatrix( call: every block cut
+    goes through RatMat.cut, which refuses a non-square matrix or a cut
+    outside it instead of truncating."""
+    found = []
+    for name, tree in parsed_sources():
+        if name in ("gauge.py", "reduction.py"):
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "submatrix"]
     assert found == []
 
 

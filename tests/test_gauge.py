@@ -9,7 +9,6 @@ from varred.gauge import (
     BlockGauge,
     GaugeMatrix,
     apply_gauge,
-    assemble_block_diag,
     carries,
     exp_sub_nilpotent,
     sym_power_algebra,
@@ -188,9 +187,9 @@ def test_block_diag_gauge_acts_blockwise():
         p2 = rand_gauge(rng, n2)
         a1 = rand_ratmat(rng, n1, 1)
         a2 = rand_ratmat(rng, n2, 1)
-        big = assemble_block_diag([a1, a2])
+        big = RatMat.join(a1, None, None, a2)
         combined = apply_gauge(big, block_diag_gauge([p1, p2]))
-        want = assemble_block_diag([apply_gauge(a1, p1), apply_gauge(a2, p2)])
+        want = RatMat.join(apply_gauge(a1, p1), None, None, apply_gauge(a2, p2))
         assert combined == want
 
 

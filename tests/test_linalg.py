@@ -704,3 +704,16 @@ def test_ratmat_blocks_and_submatrix():
     a.set_block(2, 0, b)
     assert a.submatrix(2, 4, 0, 2) == b
     assert a.submatrix(0, 2, 0, 2).is_zero
+    top, top_right, low, rest = a.cut(2)
+    assert (low, rest) == (b, RatMat.zeros(2)) and top.is_zero and top_right.is_zero
+    assert RatMat.join(top, None, low, rest) == a
+    assert a.cut(4)[0] == a and RatMat.join(a, None, None, RatMat.zeros(0)) == a
+
+
+def test_ratmat_cut_refuses_what_it_cannot_cut():
+    # a slice would truncate silently; the cut refuses instead
+    with pytest.raises(ValueError, match="cannot cut a 2x3 matrix"):
+        RatMat.zeros(2, 3).cut(1)
+    for d in (-1, 4):
+        with pytest.raises(ValueError, match="cannot cut a 3x3 matrix at %d" % d):
+            RatMat.identity(3).cut(d)

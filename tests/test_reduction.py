@@ -43,7 +43,6 @@ from varred.reduction import (
     ReductionStep,
     _adjoint_chains,
     _diag_projection,
-    certify_monogenous_reduced,
     detect_obstruction,
     picard_vessiot_tower,
     reduce_block_systems,
@@ -532,16 +531,21 @@ def test_one_changed_entry_in_any_block_fails_the_replay(
 
 
 @pytest.mark.parametrize("wrong", ["p off the blocks", "p_inv off the blocks",
-                                   "p_inv wrong on a block"])
-def test_a_caller_assembly_gauge_is_checked(wrong):
-    # a caller's own assembly gauge must be block-diagonal with p_inv p == Id
-    # on each block; a pair that fails either is refused before the sweep
+                                   "p_inv wrong on a block", "one row too large"])
+def test_a_caller_assembly_gauge_is_checked(wrong, monkeypatch):
+    # a caller's own assembly gauge must have the system's size and be
+    # block-diagonal with p_inv p == Id on each block; a pair that fails
+    # any of these is refused before the sweep
     rng = random.Random(4101)
     a0, d1 = two_block_system(rng, solvable=True)
     n = a0.rows
-    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, n - d1)])
+    rest = n - d1 + (wrong == "one row too large")
+    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, rest)])
     p, p_inv = (RatMat([list(row) for row in m.data]) for m in (q.p, q.p_inv))
-    if wrong == "p off the blocks":
+    if wrong == "one row too large":
+        # square and block-diagonal, but with blocks d1 and n - d1 + 1
+        message = "assembly gauge has size %d, the system %d" % (n + 1, n)
+    elif wrong == "p off the blocks":
         p.data[n - 1][0] = rf("x")
         p_inv = p.inverse()  # an invertible pair, but not block-diagonal
         message = "not block-diagonal"
@@ -551,11 +555,16 @@ def test_a_caller_assembly_gauge_is_checked(wrong):
     else:
         p_inv.data[n - 1][n - 1] = p_inv.data[n - 1][n - 1] + rf("1")
         message = "not the identity on its diagonal block of rows 2 to 4"
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(reduction, "_sweep_chains", no_sweep)
     with pytest.raises(PreconditionFailure, match=message):
         reduce_subdiagonal(BlockSystem(1, a0, [d1, n - d1]),
                            assembly=ReductionStep(kind="diagonal-assembly",
                                                   gauge=GaugeMatrix(p, p_inv)),
-                           initial_matrix=apply_gauge(a0, GaugeMatrix(q.p_inv, q.p)))
+                           initial_matrix=a0)
 
 
 def sweep_matrix(report, n):
@@ -798,24 +807,6 @@ def test_nan_time_budget_is_refused():
 
 
 # ---- reduced-form certification --------------------------------------------------
-
-
-def test_certify_monogenous_reduced():
-    assert certify_monogenous_reduced(
-        fixtures.load_system("first-order-reduced").matrix)
-    assert certify_monogenous_reduced(
-        fixtures.load_system("order2-reduced").matrix)
-    zero = rf("0")
-    # rationally integrable coefficient: one more gauge would remove it
-    integrable = RatMat([[zero, zero], [rf("x"), zero]])
-    assert not certify_monogenous_reduced(integrable)
-    # two independent coefficient functions: not monogenous
-    two = RatMat([
-        [zero, zero, zero],
-        [rf("1/x"), zero, zero],
-        [rf("1/(x + 1)"), zero, zero],
-    ])
-    assert not certify_monogenous_reduced(two)
 
 
 def test_tower_of_the_reduced_first_order_system():

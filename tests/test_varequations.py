@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from varred.errors import PreconditionFailure
+from varred.fileformats import parse_hamiltonian
 from varred.gauge import SymIndex, sym_power_algebra
+from varred.matrices import RatMat
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun
 from varred.varequations import (
@@ -161,6 +163,44 @@ def test_lve_block_self_similarity():
         assert am.submatrix(n - prev.rows, n, n - prev.rows, n) == prev
         assert am.submatrix(0, top, 0, top) == sym_power_algebra(a1, m)
         assert am.submatrix(0, top, top, n).is_zero
+
+
+# The homogeneous cubic potential q1^3/3 + b q1 q2^2/2 with b = r(r-1)/6 at
+# r = 3, along a curve on which x is the time: the first-order system is
+# eta1'' = 12/x^2 eta1, eta2'' = r(r-1)/x^2 eta2.
+CUBIC_R3_HAM = """\
+format = hamiltonian v1
+dof = 2
+variable = x
+hamiltonian = 1/2*(p1^2 + p2^2) + 1/3*q1^3 + 1/2*q1*q2^2
+q1 = -6/x^2
+q2 = 0
+p1 = 12/x^3
+p2 = 0
+sigma = 1
+"""
+
+
+def test_lve_diagonal_blocks_are_symmetric_powers_on_a_cubic_potential():
+    """On a second Hamiltonian, orders 1 to 4, each built on its own: the
+    first-order matrix is the Jacobian along the curve, the leading diagonal
+    block of order m is sym^m of it, the upper-right block is zero, and the
+    trailing blocks are the order m - 1 system, so every degree-k diagonal
+    block is sym^k of the first-order matrix.  build_lve gives the same
+    matrices."""
+    system = parse_hamiltonian(CUBIC_R3_HAM).build_system()
+    built = [variational_matrix(system.field, system.solution, m) for m in (1, 2, 3, 4)]
+    assert [bs.matrix for bs in build_lve(system, 4)] == built
+    a1 = built[0]
+    assert a1 == RatMat([[ZERO, ZERO, ONE, ZERO],
+                         [ZERO, ZERO, ZERO, ONE],
+                         [parse_ratfun("12/x^2"), ZERO, ZERO, ZERO],
+                         [ZERO, parse_ratfun("6/x^2"), ZERO, ZERO]])
+    for m in (1, 2, 3, 4):
+        top, top_right, _, rest = built[m - 1].cut(lve_block_sizes(4, m)[0])
+        assert top == sym_power_algebra(a1, m)
+        assert top_right.is_zero
+        assert rest == (built[m - 2] if m > 1 else RatMat.zeros(0))
 
 
 class Eps3:
