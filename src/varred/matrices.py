@@ -425,9 +425,16 @@ class RatMat:
                 raise ValueError("ragged matrix")
 
     @staticmethod
+    def _new(rows, cols, data) -> "RatMat":
+        """Internal: rows x cols from RatFun rows kept as given, 0 x cols too."""
+        m = object.__new__(RatMat)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @staticmethod
     def zeros(rows, cols=None) -> "RatMat":
         cols = rows if cols is None else cols
-        return RatMat([[_RF_ZERO] * cols for _ in range(rows)])
+        return RatMat._new(rows, cols, [[_RF_ZERO] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n) -> "RatMat":
@@ -465,8 +472,8 @@ class RatMat:
     def _entrywise(self, other, op):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return RatMat([[op(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return RatMat._new(self.rows, self.cols, [[op(a, b) for a, b in zip(ra, rb)]
+                                                  for ra, rb in zip(self.data, other.data)])
 
     def __add__(self, other):
         return self._entrywise(other, RatFun.__add__)
@@ -475,7 +482,8 @@ class RatMat:
         return self._entrywise(other, RatFun.__sub__)
 
     def scale(self, f: RatFun) -> "RatMat":
-        return RatMat([[a * f if not a.is_zero else _RF_ZERO for a in row] for row in self.data])
+        return RatMat._new(self.rows, self.cols, [[a * f if not a.is_zero else _RF_ZERO
+                                                   for a in row] for row in self.data])
 
     def __mul__(self, other):
         """The product, normalized once per nonzero output entry.
@@ -515,16 +523,15 @@ class RatMat:
                     s = s + anums[k] * bnums[k]
                 if s:
                     orow[j] = RatFun(s, e if d.is_one else d if e.is_one else d * e)
-        m = object.__new__(RatMat)
-        m.rows, m.cols = self.rows, other.cols
-        m.data = out
-        return m
+        return RatMat._new(self.rows, other.cols, out)
 
     def derivative(self) -> "RatMat":
-        return RatMat([[e.derivative() for e in row] for row in self.data])
+        return RatMat._new(self.rows, self.cols,
+                           [[e.derivative() for e in row] for row in self.data])
 
     def submatrix(self, r0, r1, c0, c1) -> "RatMat":
-        return RatMat([row[c0:c1] for row in self.data[r0:r1]])
+        rows = self.data[r0:r1]
+        return RatMat._new(len(rows), len(range(self.cols)[c0:c1]), [r[c0:c1] for r in rows])
 
     def set_block(self, r0, c0, block: "RatMat") -> None:
         for i in range(block.rows):
@@ -583,7 +590,7 @@ class RatMat:
                         if not pr[j].is_zero:
                             row[j] = row[j] - f * pr[j]
             rank += 1
-        return RatMat([row[n:] for row in aug])
+        return RatMat._new(n, n, [row[n:] for row in aug])
 
 
 # ---- nilpotent structure ------------------------------------------------------
@@ -603,35 +610,31 @@ def trace_shows_not_nilpotent(m: ConstMat) -> bool:
                for j, v in row.items() if j in num) != 0
 
 
-def nilpotent_jordan_chains(m: ConstMat) -> list:
-    """The Jordan chains of a nilpotent matrix m over Q.
+def kernel_chains(m: ConstMat, dim: int):
+    """(chains, rank): the Jordan chains of m on its generalized kernel, of
+    dimension dim, and the rank n - dim ker(m^q) at which the powers stop.
 
-    Each chain is a list of coordinate vectors ordered kernel-first:
-    m(chain[j]) = chain[j-1] and m(chain[0]) = 0.  Chains are sorted by
-    length descending, ties by the first-nonzero index of the kernel vector;
-    their lengths are the Jordan block sizes, the longest the nilpotency
-    index.  Raises UnsupportedRegime (with the stabilized rank as evidence)
-    if m is not nilpotent.  The time budget is checked before each power.
+    The powers stop when ker(m^q) reaches dim or stops growing.  Each chain
+    is a list of coordinate vectors, kernel-first: m(chain[j]) = chain[j-1],
+    m(chain[0]) = 0.  Chains are sorted by length descending, ties by the
+    first free position of ker(m^q) (where its canonical basis vectors hold
+    their 1) at which the kernel vector is nonzero: that basis depends on
+    the subspace alone, so the order is that of m restricted to it.  The
+    time budget is checked before each power.
     """
     n = m.rows
     if n != m.cols:
         raise ValueError("operator must be square")
-    # powers[j] = m^j and kernels[j] = basis of ker(m^j), up to the first
-    # zero power, or until the kernel stops growing (then it never grows again)
+    # powers[j] = m^j and kernels[j] = basis of ker(m^j)
     powers = [ConstMat.identity(n)]
     kernels = [[]]
-    while len(kernels[-1]) < n:
+    while len(kernels[-1]) < dim:
         check_deadline()
         powers.append(powers[-1] * m)
         kernels.append(nullspace(powers[-1]))
         if len(kernels[-1]) == len(kernels[-2]):
             break
-    if len(kernels[-1]) != n:
-        raise UnsupportedRegime(
-            "operator is not nilpotent: rank of powers stabilizes at %d"
-            % (n - len(kernels[-1]))
-        )
-    q = len(powers) - 1  # nilpotency index: m^q = 0, m^(q-1) != 0
+    q = len(powers) - 1  # ker(m^q) is the generalized kernel
     # choose chain tops, highest stage first
     tops_by_stage = {}
     for j in range(q, 0, -1):
@@ -657,10 +660,23 @@ def nilpotent_jordan_chains(m: ConstMat) -> list:
             chain.reverse()  # kernel element first
             chains.append(chain)
 
-    def first_nonzero(vec):
-        return next(i for i, c in enumerate(vec) if c)
+    free = [max(i for i, c in enumerate(v) if c) for v in kernels[-1]]  # ascending
+    chains.sort(key=lambda ch: (-len(ch), next(i for i in free if ch[0][i])))
+    return chains, n - len(kernels[-1])
 
-    chains.sort(key=lambda ch: (-len(ch), first_nonzero(ch[0])))
+
+def nilpotent_jordan_chains(m: ConstMat) -> list:
+    """The Jordan chains of a nilpotent m over Q, as kernel_chains(m, n)
+    gives them (ties by the first-nonzero index of the kernel vector); their
+    lengths are the Jordan block sizes, the longest the nilpotency index.
+    Raises UnsupportedRegime (with the stabilized rank as evidence) if m is
+    not nilpotent.
+    """
+    chains, rank = kernel_chains(m, m.rows)
+    if rank:
+        raise UnsupportedRegime(
+            "operator is not nilpotent: rank of powers stabilizes at %d" % rank
+        )
     return chains
 
 

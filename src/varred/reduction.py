@@ -62,9 +62,9 @@ from .matrices import (
     RatMat,
     SpanQQ,
     comm,
+    kernel_chains,
     lincomb,
     nilpotent_jordan_chains,
-    nullspace,
     rational_eigenvalues,
     trace_shows_not_nilpotent,
 )
@@ -342,39 +342,18 @@ def _eigen_chains(psi: ConstMat):
 
     Chains are coordinate vectors ordered kernel-first.  A nilpotent psi
     takes the direct route, tried only when the trace test does not already
-    rule it out; otherwise all eigenvalues must be rational and each
-    generalized eigenspace is split off separately.
+    rule it out; otherwise all eigenvalues must be rational, and kernel_chains
+    builds those of psi - lam on its generalized kernel, of dimension the
+    multiplicity of lam, for each eigenvalue lam.
     """
     if not trace_shows_not_nilpotent(psi):
         try:
             return [(QQ0, ch) for ch in nilpotent_jordan_chains(psi)]
         except UnsupportedRegime:
             pass
-    n = psi.rows
-    out = []
-    eye = ConstMat.identity(n)
-    for lam, mult in rational_eigenvalues(psi):
-        shifted = psi - eye.scale(lam)
-        power = shifted
-        for _ in range(mult - 1):
-            power = power * shifted
-        vecs = nullspace(power)
-        span = SpanQQ(n)
-        for v in vecs:
-            span.add(v)
-        k = len(vecs)
-        cols = []
-        for v in vecs:
-            image = shifted.apply(v)
-            c = span.coords_in_added(image)
-            if c is None:
-                raise RuntimeError("generalized eigenspace is not invariant")
-            cols.append(c)
-        restriction = ConstMat([[cols[j][i] for j in range(k)] for i in range(k)])
-        eigenbasis = ConstMat(list(zip(*vecs)))  # columns: vecs
-        for ch in nilpotent_jordan_chains(restriction):
-            out.append((lam, [eigenbasis.apply(u) for u in ch]))
-    return out
+    eye = ConstMat.identity(psi.rows)
+    return [(lam, ch) for lam, mult in rational_eigenvalues(psi)
+            for ch in kernel_chains(psi - eye.scale(lam), mult)[0]]
 
 
 def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
@@ -485,9 +464,10 @@ def reduce_subdiagonal(
     When assembly, the diagonal-assembly step, is given, initial_matrix must
     be the matrix it starts from.  A BlockGauge there is the pipeline's own,
     built by reduce_diagonal from a checked first-order gauge; any other
-    gauge is a caller's, refused (PreconditionFailure) before any other work
-    unless it has the system's size, and by BlockGauge.split unless it is
-    block-diagonal with p_inv p == Id on each block.  The total
+    gauge is a caller's.  An initial matrix or a caller's gauge without the
+    system's size is refused (PreconditionFailure) before any other work,
+    and such a gauge by BlockGauge.split unless it is block-diagonal with
+    p_inv p == Id on each block.  The total
     gauge P = Q (Id + S), Q the assembly gauge or Id, is kept in block form
     (BlockGauge.then) and checked once, block by block: A P - P' == P F for
     the initial A and the final F (BlockGauge.carries).  That is P[A] == F as
@@ -498,6 +478,9 @@ def reduce_subdiagonal(
     n = a0.rows
     d1 = system.block_sizes[0]
     check_deadline()
+    if initial_matrix is not None and (initial_matrix.rows, initial_matrix.cols) != (n, n):
+        raise PreconditionFailure("initial matrix has size %dx%d, the system %d" % (
+            initial_matrix.rows, initial_matrix.cols, n))
     if assembly is None:
         steps, q = [], BlockGauge(d1, n)
     else:

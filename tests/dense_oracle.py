@@ -28,6 +28,11 @@ numerators.
 block_diag_gauge builds a block-diagonal gauge as two whole matrices,
 where the package keeps a gauge as its blocks (BlockGauge) and multiplies
 it out only when it is read.
+
+eigen_chains_by_restriction splits the Jordan chains of a matrix by
+restricting psi - lam to a basis of each generalized eigenspace, taking
+the nilpotent chains there and mapping them back, where the package runs
+one routine (kernel_chains) on psi - lam itself.
 """
 
 from dataclasses import dataclass
@@ -35,7 +40,7 @@ from math import gcd, lcm
 
 from varred.expr import _is_bare_atom
 from varred.gauge import GaugeMatrix
-from varred.matrices import ConstMat, RatMat
+from varred.matrices import ConstMat, RatMat, nilpotent_jordan_chains, rational_eigenvalues
 from varred.poly import (
     Poly,
     factor_irreducible,
@@ -468,3 +473,32 @@ def block_diag_gauge(gauges) -> GaugeMatrix:
     top, rest = gauges
     return GaugeMatrix(RatMat.join(top.p, None, None, rest.p),
                        RatMat.join(top.p_inv, None, None, rest.p_inv))
+
+
+def eigen_chains_by_restriction(psi: ConstMat):
+    """(lam, chain) pairs as reduction._eigen_chains gives them, for each
+    rational eigenvalue lam in ascending order: the canonical basis of
+    ker (psi - lam)^mult, the matrix of psi - lam in that basis, its
+    nilpotent Jordan chains, and those chains mapped back to coordinates."""
+    n = psi.rows
+    out = []
+    eye = ConstMat.identity(n)
+    for lam, mult in rational_eigenvalues(psi):
+        shifted = psi - eye.scale(lam)
+        power = eye
+        for _ in range(mult):
+            power = power * shifted
+        vecs = dense_nullspace([list(r) for r in power.data], n)
+        basis = [ConstMat([v]) for v in vecs]
+        cols = []
+        for v in vecs:
+            c = coordinates_in_span(ConstMat([shifted.apply(v)]), basis)
+            if c is None:
+                raise RuntimeError("generalized eigenspace is not invariant")
+            cols.append(c)
+        k = len(vecs)
+        restriction = ConstMat([[cols[j][i] for j in range(k)] for i in range(k)])
+        eigenbasis = ConstMat(list(zip(*vecs)))  # columns: vecs
+        for ch in nilpotent_jordan_chains(restriction):
+            out.append((lam, [eigenbasis.apply(u) for u in ch]))
+    return out

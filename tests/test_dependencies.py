@@ -105,6 +105,19 @@ def test_gauge_and_reduction_cut_blocks_with_ratmat_cut():
     assert found == []
 
 
+def test_kernels_are_built_in_matrices():
+    """No module other than matrices.py calls nullspace(: kernels, and the
+    Jordan chains built on them, are made in one place (kernel_chains)."""
+    found = []
+    for name, tree in parsed_sources():
+        if name != "matrices.py":
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and (
+                          getattr(node.func, "id", None) == "nullspace"
+                          or getattr(node.func, "attr", None) == "nullspace")]
+    assert found == []
+
+
 def test_every_export_resolves():
     """Each name in varred.__all__ is listed once and is an attribute of the
     package, so a name whose definition was deleted cannot stay exported."""

@@ -708,6 +708,10 @@ def test_ratmat_blocks_and_submatrix():
     assert (low, rest) == (b, RatMat.zeros(2)) and top.is_zero and top_right.is_zero
     assert RatMat.join(top, None, low, rest) == a
     assert a.cut(4)[0] == a and RatMat.join(a, None, None, RatMat.zeros(0)) == a
+    # the empty blocks of a cut at 0 or n keep the side they share with a
+    assert [(m.rows, m.cols) for m in a.cut(0)] == [(0, 0), (0, 4), (4, 0), (4, 4)]
+    assert [(m.rows, m.cols) for m in a.cut(4)] == [(4, 4), (4, 0), (0, 4), (0, 0)]
+    assert RatMat.zeros(0, 3).cols == 3
 
 
 def test_ratmat_cut_refuses_what_it_cannot_cut():

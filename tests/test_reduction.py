@@ -57,9 +57,11 @@ from dense_oracle import (
     block_diag_gauge,
     breadth_first_basis,
     coordinates_in_span,
+    eigen_chains_by_restriction,
     lower_left,
     span_dim,
 )
+from test_linalg import conjugated
 
 
 def rf(text):
@@ -565,6 +567,22 @@ def test_a_caller_assembly_gauge_is_checked(wrong, monkeypatch):
                            assembly=ReductionStep(kind="diagonal-assembly",
                                                   gauge=GaugeMatrix(p, p_inv)),
                            initial_matrix=a0)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_a_caller_initial_matrix_of_another_size_is_refused(monkeypatch, hh_p1, size):
+    # the order-1 assembly with an initial matrix of the wrong size is
+    # refused before Wei-Norman, not at the replay
+    bs = BlockSystem(1, fixtures.load_system("first-order").matrix, [4])
+    partial, step = reduce_diagonal(bs, hh_p1, None)
+
+    def no_wei_norman(*args):
+        raise AssertionError("Wei-Norman ran")
+
+    monkeypatch.setattr(reduction, "wei_norman", no_wei_norman)
+    with pytest.raises(PreconditionFailure,
+                       match="initial matrix has size %dx%d, the system 4" % (size, size)):
+        reduce_subdiagonal(partial, assembly=step, initial_matrix=RatMat.zeros(size))
 
 
 def sweep_matrix(report, n):
@@ -1202,6 +1220,57 @@ def test_no_jordan_chain_call_fails_on_a_synth_pass(monkeypatch):
     for text in synth_texts(0, 12):
         reduce_system_text(text)
     assert calls and raised == []
+
+
+def hidden_jordan_forms(rng, count):
+    """psi conjugated from a rational Jordan form in which each eigenvalue
+    has two blocks of one size, and sometimes one more block, so chains of
+    equal length meet at every eigenvalue; at most 8 rows."""
+    made = 0
+    while made < count:
+        blocks = []
+        for lam in rng.sample([Fraction(-2), Fraction(-1, 2), Fraction(0),
+                               Fraction(1, 3), Fraction(1)], rng.randint(1, 2)):
+            blocks += [(lam, rng.randint(1, 2))] * 2
+            if rng.random() < 0.5:
+                blocks.append((lam, rng.randint(1, 3)))
+        rng.shuffle(blocks)
+        n = sum(size for _, size in blocks)
+        if n > 8:
+            continue
+        m = [[Fraction(0)] * n for _ in range(n)]
+        pos = 0
+        for lam, size in blocks:
+            for k in range(size):
+                m[pos + k][pos + k] = lam
+                if k:
+                    m[pos + k][pos + k - 1] = Fraction(1)
+            pos += size
+        made += 1
+        yield conjugated(rng, ConstMat(m))
+
+
+def test_eigen_chains_match_the_restriction_route(monkeypatch):
+    """_eigen_chains, which runs kernel_chains on psi - lam for each
+    eigenvalue, gives the eigenvalues, chain vectors and chain order of the
+    route through a basis of each generalized eigenspace: on hidden Jordan
+    forms with chains of equal length, and on every psi that the 12 systems
+    of synth-chains seed 0 meet."""
+    for psi in hidden_jordan_forms(random.Random(3030), 30):
+        assert reduction._eigen_chains(psi) == eigen_chains_by_restriction(psi)
+    met = []
+    inner = reduction._eigen_chains
+
+    def compared(psi):
+        got = inner(psi)
+        assert got == eigen_chains_by_restriction(psi)
+        met.append(psi)
+        return got
+
+    monkeypatch.setattr(reduction, "_eigen_chains", compared)
+    for text in synth_texts(0, 12):
+        reduce_system_text(text)
+    assert len(met) >= 12
 
 
 def test_synth_squarefree_parts_split_as_sympy_splits_them(monkeypatch):
