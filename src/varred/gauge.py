@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .errors import PreconditionFailure, check_deadline
+from .errors import check_deadline
 from .rationals import QQ
 from .ratfun import RatFun
 from .matrices import ConstMat, RatMat
@@ -217,14 +217,16 @@ class BlockGauge:
     invertible when T and R are, and P^-1 = (Id - S) diag(T^-1, R^-1) =
     [[T^-1, 0], [-low T^-1, R^-1]].
 
-    The total gauge of an order m > 1 keeps this form, with T = Sym^m(p1)
-    and R the total gauge of order m - 1, so nothing of size n is
-    multiplied inside the pipeline.  p and p_inv are multiplied out when
-    first read, and kept; L is formed once.  known, when given, is a pair
-    (A_r, F_r) that R is already known to carry one to the other, and
-    carries does not replay that block.  With d == n the gauge is top
-    alone: the pipeline wraps the first-order gauge so, as it need not
-    respect the blocks of its system.
+    The reduction builds three of them: the assembly gauge Q = diag(T, R),
+    with low None; the sweep's Id + S, with top and rest None; and their
+    composition Q (Id + S) (then), the total gauge of an order.  Above
+    order 1, T = Sym^m(p1) and R is the total gauge of order m - 1, so
+    nothing of size n is multiplied inside the pipeline.  p and p_inv are
+    multiplied out when first read, and kept; L is formed once.  known,
+    when given, is a pair (A_r, F_r) that R is already known to carry one
+    to the other, and carries does not replay that block.  With d == n the
+    gauge is top alone: the pipeline wraps the first-order gauge so, as it
+    need not respect the blocks of its system.
     """
 
     __slots__ = ("d", "n", "top", "rest", "low", "known", "_l", "_p", "_p_inv")
@@ -234,40 +236,16 @@ class BlockGauge:
         self.top, self.rest, self.low, self.known = top, rest, low, known
         self._l = self._p = self._p_inv = None
 
-    @staticmethod
-    def split(g, d: int) -> "BlockGauge":
-        """A caller's block-diagonal gauge g, checked, in block form.
-
-        PreconditionFailure unless g.p and g.p_inv are square, zero outside
-        their diagonal blocks of sizes d and n - d, and p_inv p == Id on
-        each block.
-        """
-        n = g.p.rows
-        diagonal = []
-        for m in (g.p, g.p_inv):
-            blocks = m.cut(d) if (m.rows, m.cols) == (n, n) else None
-            if blocks is None or not (blocks[1].is_zero and blocks[2].is_zero):
-                raise PreconditionFailure(
-                    "assembly gauge is not block-diagonal with blocks %d and %d" % (d, n - d))
-            diagonal.append((blocks[0], blocks[3]))
-        gauges = []
-        for r0, p, p_inv in zip((0, d), *diagonal):
-            if p.rows and p_inv * p != RatMat.identity(p.rows):
-                raise PreconditionFailure(
-                    "assembly gauge: p_inv * p is not the identity on its diagonal "
-                    "block of rows %d to %d" % (r0, r0 + p.rows - 1))
-            gauges.append(GaugeMatrix(p, p_inv) if p.rows else None)
-        return BlockGauge(d, n, *gauges)
-
-    def then(self, s: RatMat) -> "BlockGauge":
-        """This block-diagonal gauge followed by Id + s, for s zero outside
-        the lower-left block of the system.  Nothing is multiplied unless
-        d == n: then top, a first-order gauge, takes s in as T + T s."""
-        if self.d < self.n:
-            low = s.cut(self.d)[2]
-            return BlockGauge(self.d, self.n, self.top, self.rest, low, self.known)
+    def then(self, sweep: "BlockGauge") -> "BlockGauge":
+        """This block-diagonal gauge Q followed by sweep, a gauge Id + S with
+        S in its lower-left block: Q (Id + S), which keeps S's block as low.
+        Nothing is multiplied unless d == n and S is not zero: then top, a
+        first-order gauge that need not respect the sweep's blocks, takes
+        Id + S in as T (Id + S)."""
+        if self.d < self.n or sweep.low is None:
+            return BlockGauge(self.d, self.n, self.top, self.rest, sweep.low, self.known)
         t = self.top
-        return BlockGauge(self.n, self.n, GaugeMatrix(t.p + t.p * s, lambda: t.p_inv - s * t.p_inv))
+        return BlockGauge(self.n, self.n, GaugeMatrix(t.p * sweep.p, lambda: sweep.p_inv * t.p_inv))
 
     @property
     def l(self):

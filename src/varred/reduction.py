@@ -5,13 +5,14 @@ variational hierarchy: at each order the diagonal blocks are reduced by
 recycling the gauges of the lower orders, and the subdiagonal block is then
 cleaned by one scalar sweep along the adjoint chains of the diagonal term.
 Every elimination is recorded as a ReductionStep, and the report carries
-the total gauge P, which carries the initial matrix A to the final matrix F
-exactly: A P - P' == P F is checked once at the end of every reduction.
-Above order 1, P is kept in block form (gauge.BlockGauge), P = [[T, 0],
-[L, R]] with T = Sym^m(p1) and R the total gauge of the order below, and it
-is assembled, composed and replayed block by block: no product of the
-order's full size is formed, and P is multiplied out only for a caller who
-reads it.
+the total gauge P = Q (Id + S), the assembly gauge Q followed by the
+sweep's Id + S, which carries the initial matrix A to the final matrix F
+exactly.  Each factor is replayed once, Q before the sweep and Id + S
+after it (see reduce_block_systems).  Above order 1, P is kept in block
+form (gauge.BlockGauge), P = [[T, 0], [L, R]] with T = Sym^m(p1) and R the
+total gauge of the order below, and it is assembled, composed and replayed
+block by block: no product of the order's full size is formed, and P is
+multiplied out only for a caller who reads it.
 The scalar rule of one chain position is written once, in _sweep_chains;
 remove_generator, the one-gauge-at-a-time reference, calls it too.
 
@@ -95,12 +96,11 @@ class ReductionStep:
     was removed completely, "hermite-partial" when only the derivative
     part could be removed and a simple-pole residue stays behind, and
     "unresolved" when no rational gauge removes it.  gauge is the
-    BlockGauge of a diagonal-assembly step (a caller may give a
-    block-diagonal GaugeMatrix instead) and the GaugeMatrix that
+    BlockGauge of a diagonal-assembly step and the GaugeMatrix that
     remove_generator applied.  Elimination steps from the chain sweep carry
     no gauge of their own: the sweep applies Id + sum(solved_g * generator)
-    over all of them at once, and the report's total gauge is the
-    diagonal-assembly gauge followed by it.
+    over all of them at once, and reduce_block_systems composes the
+    diagonal-assembly gauge with it.
     An unresolved step keeps (a, b) of the equation g' = a g + b that has
     no rational solution as unsolved.
     """
@@ -168,10 +168,12 @@ class ReductionReport:
 
     system.matrix is the matrix the reduction starts from; applying
     total_gauge to it reproduces final_matrix exactly.  total_gauge is a
-    BlockGauge: the assembly gauge followed by the sweep's Id + S, kept as
-    its blocks, with .p and .p_inv multiplied out when first read.
-    assembled_matrix is the matrix after the diagonal assembly, which the
-    sweep starts from.
+    BlockGauge kept as its blocks, with .p and .p_inv multiplied out when
+    first read.  assembled_matrix is the matrix the sweep starts from.
+    reduce_subdiagonal reports on the system it is given: there system.matrix
+    is assembled_matrix, the steps are the sweep's and total_gauge is Id + S.
+    reduce_block_systems puts the order's initial system, the
+    diagonal-assembly step in front and total gauge Q (Id + S) in its place.
     """
 
     order: int
@@ -447,11 +449,7 @@ def _sweep_chains(chains, coords, beta0: RatFun):
 
 
 @shared_factors()
-def reduce_subdiagonal(
-    system: BlockSystem,
-    assembly: ReductionStep | None = None,
-    initial_matrix: RatMat | None = None,
-) -> ReductionReport:
+def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     """Reduce the subdiagonal block of a system whose diagonal is reduced.
 
     The Lie algebra generated by the coefficient matrix is split along the
@@ -461,35 +459,19 @@ def reduce_subdiagonal(
     whole elimination gauge Id + S; without a diagonal generator every
     subdiagonal generator is a chain of its own.
 
-    When assembly, the diagonal-assembly step, is given, initial_matrix must
-    be the matrix it starts from.  A BlockGauge there is the pipeline's own,
-    built by reduce_diagonal from a checked first-order gauge; any other
-    gauge is a caller's.  An initial matrix or a caller's gauge without the
-    system's size is refused (PreconditionFailure) before any other work,
-    and such a gauge by BlockGauge.split unless it is block-diagonal with
-    p_inv p == Id on each block.  The total
-    gauge P = Q (Id + S), Q the assembly gauge or Id, is kept in block form
-    (BlockGauge.then) and checked once, block by block: A P - P' == P F for
-    the initial A and the final F (BlockGauge.carries).  That is P[A] == F as
-    P is invertible: Q is, and S is checked to lie in the strictly
-    lower-left block, so (Id + S)^-1 = Id - S.  No inverse is read.
+    The report's total gauge is Id + S, a BlockGauge that holds only the
+    lower-left block of S, and it is checked once, block by block:
+    A0 (Id + S) - S' == (Id + S) F for the system's matrix A0 and the final
+    F (BlockGauge.carries).  That is (Id + S)[A0] == F, as S is checked to
+    lie in the strictly lower-left block, so (Id + S)^-1 = Id - S.  No
+    inverse is read.  A caller with a gauge Q of its own applies it first,
+    reduces Q[A], and composes Q (Id + S) itself, as reduce_block_systems
+    does.
     """
     a0 = system.matrix
     n = a0.rows
     d1 = system.block_sizes[0]
     check_deadline()
-    if initial_matrix is not None and (initial_matrix.rows, initial_matrix.cols) != (n, n):
-        raise PreconditionFailure("initial matrix has size %dx%d, the system %d" % (
-            initial_matrix.rows, initial_matrix.cols, n))
-    if assembly is None:
-        steps, q = [], BlockGauge(d1, n)
-    else:
-        steps, q = [assembly], assembly.gauge
-        if not isinstance(q, BlockGauge):
-            if q.p.rows != n:
-                raise PreconditionFailure(
-                    "assembly gauge has size %d, the system %d" % (q.p.rows, n))
-            q = BlockGauge.split(q, d1)
 
     wn0 = wei_norman(a0)
     _check_monogenous(wn0.matrices(), d1)
@@ -505,22 +487,20 @@ def reduce_subdiagonal(
         chains = [(QQ0, [w]) for w in sub_basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
-    a = a0
-    total = q
+    a, low, steps = a0, None, []
     if chains:
         # one read of a0: beta0 leads, the chain coefficients follow
         frame = DualFrame(diag_basis + [m for _, mats in chains for m in mats])
         coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
-        g, left, sweep_steps = _sweep_chains(chains, coords[len(lead):], beta0)
-        steps.extend(sweep_steps)
+        g, left, steps = _sweep_chains(chains, coords[len(lead):], beta0)
         a = frame.combine(lead + left)
         s = frame.combine([_RF_ZERO] * len(lead) + g)
-        s_t, s_tr, _, s_r = s.cut(d1)
+        s_t, s_tr, low, s_r = s.cut(d1)
         if not (s_t.is_zero and s_tr.is_zero and s_r.is_zero):
             raise RuntimeError("elimination gauge Id + S has S outside the lower-left block")
-        total = q.then(s)
+    total = BlockGauge(d1, n, low=low)
 
     wn_final = wei_norman(a)
     lie_final = lie_closure(wn_final.matrices())
@@ -534,10 +514,9 @@ def reduce_subdiagonal(
         tower is not None and len(tower) == lie_final.dim and _letters_independent(tower)
     )
 
-    initial = initial_matrix if initial_matrix is not None else a0
     report = ReductionReport(
         order=system.order,
-        system=BlockSystem(system.order, initial, list(system.block_sizes)),
+        system=system,
         assembled_matrix=a0,
         steps=steps,
         final_matrix=a,
@@ -558,10 +537,10 @@ def reduce_subdiagonal(
     )
     report.certificate = detect_obstruction(report)
     report.verdict = _verdict(report)
-    if not total.carries(initial, a):
+    if not total.carries(a0, a):
         raise RuntimeError(
-            "replay postcondition failed: the total gauge does not carry the "
-            "initial matrix to the final one"
+            "replay postcondition failed: the sweep gauge Id + S does not carry "
+            "the system's matrix to the final one"
         )
     return report
 
@@ -818,7 +797,16 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
     p1 reduces the first-order system; higher orders are assembled from it
     and from the reports of the lower orders, once the diagonal that those
     reports give has passed the monogenous check.  Returns one ReductionReport
-    per order, lowest first.  Regime and timeout errors are raised again
+    per order, lowest first.
+
+    The pipeline owns the assembly: it checks that the assembly gauge Q
+    carries the initial matrix A to the assembled A0 (BlockGauge.carries)
+    before the sweep runs, hands A0 to reduce_subdiagonal, which replays its
+    own Id + S from A0 to the final F, and completes that report with the
+    initial system, the assembly step in front of the steps and the total
+    gauge P = Q (Id + S) (BlockGauge.then).  The two replays prove
+    A P - P' == P F: A P - P' = (A Q - Q')(Id + S) - Q S' =
+    Q (A0 (Id + S) - S') = P F.  Regime and timeout errors are raised again
     with the order and the phase in front, "order m, diagonal check: ",
     "order m, diagonal assembly: " or "order m, subdiagonal reduction: ".
     The orders run under errors.time_budget(max_seconds); a NaN max_seconds
@@ -840,10 +828,17 @@ def reduce_block_systems(systems, p1: GaugeMatrix, max_seconds=None):
                     diagonal = _check_known_diagonal(bs.order, reports)
                 phase = "diagonal assembly"
                 partial, step = reduce_diagonal(bs, p1, reports, diagonal)
+                if not step.gauge.carries(bs.matrix, partial.matrix):
+                    raise RuntimeError(
+                        "replay postcondition failed: the assembly gauge does not carry "
+                        "the initial matrix to the assembled one")
                 phase = "subdiagonal reduction"
-                report = reduce_subdiagonal(partial, assembly=step, initial_matrix=bs.matrix)
+                report = reduce_subdiagonal(partial)
             except (UnsupportedRegime, ReductionTimeout) as e:
                 raise type(e)("order %d, %s: %s" % (bs.order, phase, e)) from e
+            report.system = bs
+            report.steps.insert(0, step)
+            report.total_gauge = step.gauge.then(report.total_gauge)
             reports.append(report)
     return reports
 

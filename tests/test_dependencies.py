@@ -1,6 +1,7 @@
 """The package imports only the standard library and itself, one
 module keeps the time budget, one keeps the pole base, the gauge and the
-reduction cut blocks in one way, and every name it exports resolves."""
+reduction cut blocks in one way, gauges are composed in the pipeline alone,
+and every name it exports resolves."""
 
 import ast
 import fractions
@@ -102,6 +103,30 @@ def test_gauge_and_reduction_cut_blocks_with_ratmat_cut():
             found += [(name, node.lineno) for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and node.func.attr == "submatrix"]
+    assert found == []
+
+
+def test_gauges_are_composed_in_the_pipeline_alone():
+    """.then( is called in src/varred only inside
+    reduction.reduce_block_systems, and no function takes an assembly or
+    initial_matrix parameter: the assembly gauge and the sweep's Id + S are
+    composed in one place, and no entry point takes a caller's assembly."""
+    found = []
+    for name, tree in parsed_sources():
+        pipeline = set()
+        if name == "reduction.py":
+            pipeline = {id(node) for top in tree.body
+                        if isinstance(top, ast.FunctionDef) and top.name == "reduce_block_systems"
+                        for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found += [(name, node.lineno, p.arg) for p in params
+                          if p is not None and p.arg in ("assembly", "initial_matrix")]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "then" and id(node) not in pipeline):
+                found.append((name, node.lineno, ".then("))
     assert found == []
 
 

@@ -235,7 +235,7 @@ def test_block_gauge_multiplies_out_to_its_factors():
         for i in range(d1, n):
             for j in range(d1):
                 s.data[i][j] = rand_ratfun(rng, 1)
-        gauge = BlockGauge(d1, n, top, rest).then(s)
+        gauge = BlockGauge(d1, n, top, rest).then(BlockGauge(d1, n, low=s.cut(d1)[2]))
         eye = [GaugeMatrix(RatMat.identity(m), RatMat.identity(m)) for m in (d1, d2)]
         q = block_diag_gauge([top or eye[0], rest or eye[1]])
         assert gauge.p == q.p * (RatMat.identity(n) + s)
@@ -251,6 +251,41 @@ def test_block_gauge_multiplies_out_to_its_factors():
         changed.data[i][j] = changed.data[i][j] + parse_ratfun("1/(x - 7)")
         assert gauge.carries(a, f)
         assert not gauge.carries(a, changed)
+
+
+def test_the_two_factor_replays_prove_the_composed_one():
+    """P = Q (Id + S) for a random invertible Q, block-diagonal or, as at
+    order 1, whole, and S in the lower-left block.  With A0 = Q[A] and
+    F = (Id + S)[A0], Q carries A to A0, Id + S carries A0 to F and P
+    carries A to F: A P - P' = (A Q - Q')(Id + S) - Q S' =
+    Q (A0 (Id + S) - S') = P F.  With one entry of F changed, the Id + S
+    replay and the composed one both fail."""
+    rng = random.Random(412)
+    for k in range(16):
+        d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+        n = d1 + d2
+        if k % 4:
+            q = BlockGauge(d1, n, rand_gauge(rng, d1), rand_gauge(rng, d2))
+        else:
+            q = BlockGauge(n, n, rand_gauge(rng, n))
+        sweep = BlockGauge(d1, n, low=RatMat([[rand_ratfun(rng, 1) for _ in range(d1)]
+                                             for _ in range(d2)]))
+        p = q.then(sweep)
+        a0 = rand_ratmat(rng, n, 1)
+        for i in range(d1):
+            for j in range(d1, n):
+                a0.data[i][j] = parse_ratfun("0")
+        a = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p))
+        f = apply_gauge(a0, sweep)
+        assert q.carries(a, a0)
+        assert sweep.carries(a0, f)
+        assert p.carries(a, f)
+        assert apply_gauge(a, p) == f
+        changed = RatMat([list(row) for row in f.data])
+        i, j = rng.randrange(n), rng.randrange(n)
+        changed.data[i][j] = changed.data[i][j] + parse_ratfun("1/(x - 7)")
+        assert not sweep.carries(a0, changed)
+        assert not p.carries(a, changed)
 
 
 def test_the_zero_matrix_carries_every_matrix_to_every_other():

@@ -40,7 +40,6 @@ from varred.matrices import ConstMat, RatMat, charpoly, comm, nilpotent_jordan_c
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
-    ReductionStep,
     _adjoint_chains,
     _diag_projection,
     detect_obstruction,
@@ -284,22 +283,21 @@ def test_chain_sweep_matches_one_gauge_at_a_time():
     for seed in range(8):
         rng = random.Random(4100 + seed)
         a0, d1 = two_block_system(rng, solvable=seed % 2 == 0)
-        # a block-diagonal gauge q in front, as the diagonal assembly puts it
+        # a block-diagonal gauge q in front, as the diagonal assembly puts
+        # it, composed here with the sweep's Id + S
         q = block_diag_gauge([unit_lower_gauge(rng, d1),
                               unit_lower_gauge(rng, a0.rows - d1)])
         initial = apply_gauge(a0, GaugeMatrix(q.p_inv, q.p))
-        report = reduce_subdiagonal(
-            BlockSystem(1, a0, [d1, a0.rows - d1]),
-            assembly=ReductionStep(kind="diagonal-assembly", gauge=q),
-            initial_matrix=initial,
-        )
+        report = reduce_subdiagonal(BlockSystem(1, a0, [d1, a0.rows - d1]))
+        sweep = report.total_gauge
+        composed = GaugeMatrix(q.p * sweep.p, sweep.p_inv * q.p_inv)
         final, steps, total, shapes = one_gauge_at_a_time(a0, d1, q)
         assert report.final_matrix == final
-        assert [(st.kind, st.residual_l, st.note_text()) for st in report.steps[1:]] == [
+        assert [(st.kind, st.residual_l, st.note_text()) for st in report.steps] == [
             (st.kind, st.residual_l, st.note_text()) for _, st in steps]
-        assert report.total_gauge.p == total.p
-        assert report.total_gauge.p_inv == total.p_inv
-        assert apply_gauge(initial, report.total_gauge) == report.final_matrix
+        assert composed.p == total.p
+        assert composed.p_inv == total.p_inv
+        assert apply_gauge(initial, composed) == report.final_matrix
         seen_steps.update((st.kind, lam != 0) for lam, st in steps)
         seen_chains.update((lam != 0, size) for lam, size in shapes)
     # the batch covers chains of length >= 2 of both kinds, solved and
@@ -477,50 +475,53 @@ def flip(m, i, j):
 
 
 def replay_cases(hh_p1, lve2_run):
-    """(system, assembly, initial matrix) for the three kinds of total gauge:
-    the pipeline's own at Henon-Heiles order 2, a caller's block-diagonal
-    assembly gauge, and no assembly step."""
-    reports = lve2_run[0]
-    partial, step = reduce_diagonal(reports[1].system, hh_p1, reports[:1])
+    """(system, run, replays) for the two kinds of reduction: the pipeline
+    at Henon-Heiles order 2, which replays the assembly gauge Q from A to
+    A0 and then the sweep's Id + S from A0 to F, and reduce_subdiagonal
+    alone, which replays Id + S from its system's matrix to F."""
+    systems = [rep.system for rep in lve2_run[0]]
     rng = random.Random(4100)
     a0, d1 = two_block_system(rng, solvable=True)
-    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, a0.rows - d1)])
-    caller = (BlockSystem(1, a0, [d1, a0.rows - d1]),
-              ReductionStep(kind="diagonal-assembly", gauge=q),
-              apply_gauge(a0, GaugeMatrix(q.p_inv, q.p)))
+    alone = BlockSystem(1, a0, [d1, a0.rows - d1])
     return {
-        "pipeline": (partial, step, reports[1].system.matrix),
-        "caller": caller,
-        "none": (caller[0], None, a0),
+        "pipeline": (systems[-1], lambda: reduce_block_systems(systems, hh_p1)[-1], 2),
+        "none": (alone, lambda: reduce_subdiagonal(alone), 1),
     }
 
 
 def balanced_flip(gauge, f, i, j):
     """flip(f, i, j) at a top-left entry, with low[:, i] / (x - 7) taken
-    from column j of the lower-left block: as R^-1 L = low, the lower-left
-    block of the replay still balances, and only the top-left one sees it."""
+    from column j of the lower-left block: the lower-left block of the
+    replay, which reads low F_t + F_C, still balances, and only the top-left
+    one sees it.  Without a low block that block reads F_C alone, and flip
+    alone does that."""
     out = flip(f, i, j)
-    for k in range(gauge.n - gauge.d):
-        row = out.data[gauge.d + k]
-        row[j] = row[j] - gauge.low.data[k][i] * rf("1/(x - 7)")
+    if gauge.low is not None:
+        for k, row in enumerate(out.data[gauge.d:]):
+            row[j] = row[j] - gauge.low.data[k][i] * rf("1/(x - 7)")
     return out
 
 
-@pytest.mark.parametrize("case", ["pipeline", "caller", "none"])
+@pytest.mark.parametrize("case", ["pipeline", "none"])
 @pytest.mark.parametrize("where", ["top-left F", "top-left F alone", "lower-left F",
                                    "bottom-right A", "bottom-right F", "top-right F"])
 def test_one_changed_entry_in_any_block_fails_the_replay(
         monkeypatch, hh_p1, lve2_run, case, where):
-    system, assembly, initial = replay_cases(hh_p1, lve2_run)[case]
+    # each replay of the case's order, in turn, is handed one changed entry
+    system, run, replays = replay_cases(hh_p1, lve2_run)[case]
     n, d = system.matrix.rows, system.block_sizes[0]
     side, i, j = {"top-left F": ("f", d - 1, 0), "top-left F alone": ("balanced", d - 1, 0),
                   "lower-left F": ("f", n - 1, 0), "bottom-right A": ("a", n - 1, d),
                   "bottom-right F": ("f", n - 1, d), "top-right F": ("f", 0, n - 1)}[where]
-    report = reduce_subdiagonal(system, assembly=assembly, initial_matrix=initial)
-    assert report.total_gauge.carries(initial, report.final_matrix)
     inner = BlockGauge.carries
+    calls, target = [], [None]
 
     def changed(gauge, a, f):
+        if gauge.n != n:  # a replay of a lower order
+            return inner(gauge, a, f)
+        calls.append(gauge)
+        if len(calls) != target[0]:
+            return inner(gauge, a, f)
         if side == "a":
             return inner(gauge, flip(a, i, j), f)
         if side == "balanced":
@@ -528,61 +529,46 @@ def test_one_changed_entry_in_any_block_fails_the_replay(
         return inner(gauge, a, flip(f, i, j))
 
     monkeypatch.setattr(BlockGauge, "carries", changed)
-    with pytest.raises(RuntimeError, match="replay postcondition failed"):
-        reduce_subdiagonal(system, assembly=assembly, initial_matrix=initial)
+    report = run()
+    assert len(calls) == replays
+    assert inner(report.total_gauge, report.system.matrix, report.final_matrix)
+    for k in range(1, replays + 1):
+        calls.clear()
+        target[0] = k
+        with pytest.raises(RuntimeError, match="replay postcondition failed"):
+            run()
+        assert len(calls) == target[0]
 
 
-@pytest.mark.parametrize("wrong", ["p off the blocks", "p_inv off the blocks",
-                                   "p_inv wrong on a block", "one row too large"])
-def test_a_caller_assembly_gauge_is_checked(wrong, monkeypatch):
-    # a caller's own assembly gauge must have the system's size and be
-    # block-diagonal with p_inv p == Id on each block; a pair that fails
-    # any of these is refused before the sweep
-    rng = random.Random(4101)
-    a0, d1 = two_block_system(rng, solvable=True)
-    n = a0.rows
-    rest = n - d1 + (wrong == "one row too large")
-    q = block_diag_gauge([unit_lower_gauge(rng, d1), unit_lower_gauge(rng, rest)])
-    p, p_inv = (RatMat([list(row) for row in m.data]) for m in (q.p, q.p_inv))
-    if wrong == "one row too large":
-        # square and block-diagonal, but with blocks d1 and n - d1 + 1
-        message = "assembly gauge has size %d, the system %d" % (n + 1, n)
-    elif wrong == "p off the blocks":
-        p.data[n - 1][0] = rf("x")
-        p_inv = p.inverse()  # an invertible pair, but not block-diagonal
-        message = "not block-diagonal"
-    elif wrong == "p_inv off the blocks":
-        p_inv.data[0][n - 1] = rf("1")
-        message = "not block-diagonal"
-    else:
-        p_inv.data[n - 1][n - 1] = p_inv.data[n - 1][n - 1] + rf("1")
-        message = "not the identity on its diagonal block of rows 2 to 4"
+def test_a_changed_assembled_matrix_fails_the_assembly_replay(monkeypatch, hh_p1, lve2_run):
+    # one changed entry in the order-2 assembled matrix A0: the sweep would
+    # reduce the changed A0 and replay its Id + S from it, so only the
+    # assembly gauge's replay sees the change, and it fails before the
+    # order-2 sweep runs
+    systems = [rep.system for rep in lve2_run[0]]
+    inner_diagonal, inner_sub = reduction.reduce_diagonal, reduction.reduce_subdiagonal
+    moved, swept = [], []
 
-    def no_sweep(*args):
-        raise AssertionError("the sweep ran")
+    def changed(bs, *rest):
+        partial, step = inner_diagonal(bs, *rest)
+        if bs.order == 2:
+            n = partial.matrix.rows
+            partial = BlockSystem(2, flip(partial.matrix, n - 1, 0), list(partial.block_sizes))
+            moved.append(partial)
+        return partial, step
 
-    monkeypatch.setattr(reduction, "_sweep_chains", no_sweep)
-    with pytest.raises(PreconditionFailure, match=message):
-        reduce_subdiagonal(BlockSystem(1, a0, [d1, n - d1]),
-                           assembly=ReductionStep(kind="diagonal-assembly",
-                                                  gauge=GaugeMatrix(p, p_inv)),
-                           initial_matrix=a0)
+    def counted(system):
+        swept.append(system.order)
+        return inner_sub(system)
 
-
-@pytest.mark.parametrize("size", [3, 5])
-def test_a_caller_initial_matrix_of_another_size_is_refused(monkeypatch, hh_p1, size):
-    # the order-1 assembly with an initial matrix of the wrong size is
-    # refused before Wei-Norman, not at the replay
-    bs = BlockSystem(1, fixtures.load_system("first-order").matrix, [4])
-    partial, step = reduce_diagonal(bs, hh_p1, None)
-
-    def no_wei_norman(*args):
-        raise AssertionError("Wei-Norman ran")
-
-    monkeypatch.setattr(reduction, "wei_norman", no_wei_norman)
-    with pytest.raises(PreconditionFailure,
-                       match="initial matrix has size %dx%d, the system 4" % (size, size)):
-        reduce_subdiagonal(partial, assembly=step, initial_matrix=RatMat.zeros(size))
+    monkeypatch.setattr(reduction, "reduce_diagonal", changed)
+    monkeypatch.setattr(reduction, "reduce_subdiagonal", counted)
+    with pytest.raises(RuntimeError, match="replay postcondition failed: the assembly gauge"):
+        reduce_block_systems(systems, hh_p1)
+    assert swept == [1]
+    monkeypatch.undo()
+    report = reduce_subdiagonal(moved[0])
+    assert report.total_gauge.carries(moved[0].matrix, report.final_matrix)
 
 
 def sweep_matrix(report, n):
