@@ -77,7 +77,8 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
     enlarges the span leaves a nonzero residual, which, divided back by the
     common denominator, becomes a coefficient function; the terms come in
     order of acceptance, and the multipliers of an entry's vector over the
-    residuals are its entries in the M_k.  The rows have distinct pivots, so
+    residuals, which SpanQQ.add_coords hands back from the one reduction of
+    that vector, are its entries in the M_k.  The rows have distinct pivots, so
     residuals and multipliers do not depend on the elimination order.  The
     residuals are kept unnormalized, which makes the resulting functions
     independent of the denominator representative.  The time budget is
@@ -93,23 +94,18 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
         return WeiNormanDecomp([], [], a.rows, a.cols)
     den, nums = common_denominator([f for _, _, f in entries])
     span = SpanQQ(max(p.degree for p in nums) + 1)
-    accepted = {}  # pivot -> index of acceptance
-    for v in nums:
-        check_deadline()
-        if span.add(v):
-            # the new row is the one whose pivot has no index yet
-            pivot = next(p for p, _, _ in span.rows if p not in accepted)
-            accepted[pivot] = len(accepted)
-    term = [accepted[p] for p, _, _ in span.rows]  # span.rows are sorted by pivot
-    funcs = [None] * len(term)
-    for k, (_, ints, scale) in zip(term, span.rows):
-        funcs[k] = RatFun(Poly([ints.get(i, 0) for i in range(max(ints) + 1)]).scale(scale), den)
-    entries_of = [{} for _ in term]  # per term: {i: {j: coefficient}}
+    entries_of = []  # per term: {i: {j: coefficient}}
     for (i, j, _), v in zip(entries, nums):
         check_deadline()
-        for k, f in zip(term, span.coords_in_rows(v)):
+        grew, coords = span.add_coords(v)
+        if grew:
+            entries_of.append({})
+        for k, f in enumerate(coords):
             if f:
                 entries_of[k].setdefault(i, {})[j] = f
+    funcs = [None] * span.dim
+    for _, ints, scale, k in span.rows:
+        funcs[k] = RatFun(Poly([ints.get(i, 0) for i in range(max(ints) + 1)]).scale(scale), den)
     mats = [ConstMat.from_rows(a.rows, a.cols, e) for e in entries_of]
     return WeiNormanDecomp(funcs, mats, a.rows, a.cols)
 
@@ -233,18 +229,19 @@ def split_diag_sub(mats, d1: int):
     check_block_lower(mats, d1)
     n = mats[0].rows
     span = SpanQQ(n * n)
-    diag_basis, accepted, sub_basis = [], [], []
+    diag_basis, lifts, sub_basis = [], [], []
     for m in mats:
         p = diag_projection(m, d1)
-        c = span.coords_in_added(p)
-        if c is None:
-            span.add(p)
+        grew, c = span.add_coords(p)
+        # m minus the lifts of the rows that p's coordinates take: lifts[k]
+        # is the combination of inputs whose projection is row k, so this
+        # has p's residual, the new row, as its projection, or none at all
+        rest = lincomb([QQ1] + [-ck for ck in c[:len(lifts)]], [m] + lifts)
+        if grew:
             diag_basis.append(p)
-            accepted.append(m)
+            lifts.append(rest)
         else:
-            # p = sum c_k * (projection of accepted[k]), so this combination
-            # has no diagonal part and stays strictly sub-diagonal
-            sub_basis.append(lincomb([QQ1] + [-ck for ck in c], [m] + accepted))
+            sub_basis.append(rest)
     return diag_basis, sub_basis
 
 

@@ -6,10 +6,10 @@ one positive int denominator, in a canonical form so that equality is
 structural.  Its arithmetic (comm, lincomb, products) runs on those ints and
 touches only stored entries, which matters a lot here -- the Lie closure
 matrices hold a few dozen nonzeros in a thousand entries; entries reach
-callers as QQ only through the read-only `data` view.  SpanQQ, the only
-Gauss elimination over Q in the package, runs on these ints, or a Poly's,
-by cross-multiplication; nullspace reads its basis off one.  Row reduction
-keeps the leftmost-nonzero pivot rule so every result is deterministic.
+callers as QQ only through the read-only `data` view.  SpanQQ's Gauss
+elimination, incremental, and nullspace's rref run on these ints, or a
+Poly's, fraction-free; both keep the leftmost-nonzero pivot rule so every
+result is deterministic.
 Rational-function matrices (RatMat) are dense lists of RatFun, and products
 skip zero entries, since the block systems and their gauges are sparse.  A
 product normalizes once per nonzero output entry, not once per term: an
@@ -243,34 +243,36 @@ class SpanQQ:
     A vector is a ConstMat, read row-major, a Poly, read as its coefficient
     vector, or a dense sequence of rationals; each becomes ints over one
     denominator at _int_vector, and elimination is fraction-free, by integer
-    cross-multiplication.  Row k is stored as (pivot, ints, scale), the
-    rational vector scale * ints, with ints a primitive {index: int} whose
-    pivot entry is positive.  Rows are kept sorted by pivot (their smallest
-    index) and unreduced against each other, so an added vector's residual
-    after forward reduction becomes the new basis row as the same rational
-    vector whatever the scaling -- callers rely on that (basis = reduced
-    residuals in input order).  combos[k] is (ints, den): the ints of row k
-    are sum ints[i] / den * (i-th accepted vector).
+    cross-multiplication.  Row k is stored as (pivot, ints, scale, index),
+    the rational vector scale * ints, with ints a primitive {index: int}
+    whose pivot entry is positive, and index the row's place in the order
+    of acceptance.  Rows are kept sorted by pivot (their smallest index) and
+    unreduced against each other, so an added vector's residual after
+    forward reduction becomes the new basis row as the same rational vector
+    whatever the scaling -- callers rely on that (basis = reduced residuals
+    in input order).  An add reduces its vector once; add_coords also hands
+    back the coordinates that gives.  The combos, the rows over the
+    accepted vectors, are built on the first coords_in_added call, from the
+    kept reductions.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows = []  # (pivot, {index: int}, QQ scale) sorted by pivot
-        self.combos = []  # combos[k]: ({accepted index: int}, int den)
+        self.rows = []  # (pivot, {index: int}, QQ scale, acceptance index) sorted by pivot
+        self._kept = []  # per accepted vector: (t, sn, sd, g) of its reduction
+        self._combos = []  # per accepted vector: ({accepted index: int}, int den)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def _reduce(self, vec):
-        """(w, t, sn, sd) with vec = sn/sd * (w + sum t[k] * ints of row k).
-
-        Each row whose pivot is still in w clears it: w becomes a*w - b*ints
-        with a/b the pivot ratio in lowest terms, a > 0.
-        """
+        """(w, t, sn, sd), vec = sn/sd * (w + sum t[k] * ints of row index k):
+        each row whose pivot is still in w clears it, w becoming a*w - b*ints
+        for the pivot ratio a/b in lowest terms, a > 0."""
         w, sn, sd = _int_vector(vec)
         t = {}
-        for k, (p, r, _) in enumerate(self.rows):
+        for p, r, _, k in self.rows:
             c = w.get(p)
             if c is None:
                 continue
@@ -286,57 +288,62 @@ class SpanQQ:
             t[k] = b
         return w, t, sn, sd
 
+    def _insert(self, vec):
+        """(t, sn, sd, g): the residual w, if any, becomes the row w / g."""
+        w, t, sn, sd = self._reduce(vec)
+        g = 0
+        if w:
+            pivot = min(w)
+            g = _igcd(*w.values()) * (1 if w[pivot] > 0 else -1)
+            row = (pivot, {i: v // g for i, v in w.items()}, QQ(sn * g, sd), len(self._kept))
+            self.rows.insert(sum(p < pivot for p, *_ in self.rows), row)
+            self._kept.append((t, sn, sd, g))
+        return t, sn, sd, g
+
     def add(self, vec) -> bool:
         """Add vector; True if it enlarged the span (residual became a row)."""
-        w, t, sn, sd = self._reduce(vec)
-        if not w:
-            return False
-        pivot = min(w)
-        g = _igcd(*w.values())
-        if w[pivot] < 0:
-            g = -g
-        ints = {i: v // g for i, v in w.items()}
-        pos = next((k for k, (p, _, _) in enumerate(self.rows) if p > pivot), len(self.rows))
-        # ints = (sd/sn * vec - sum t[k] * ints_k) / g, each ints_k over its combo
-        den = _ilcm(sn, *[self.combos[k][1] for k in t])
-        combo = {len(self.rows): sd * (den // sn)}
-        for k, tk in t.items():
-            ck, ek = self.combos[k]
-            _axpy(combo, -tk * (den // ek), ck)
-        den *= g
-        if den < 0:
-            den = -den
-            combo = {i: -v for i, v in combo.items()}
-        h = _igcd(den, *combo.values())
-        self.combos.insert(pos, ({i: v // h for i, v in combo.items()}, den // h))
-        self.rows.insert(pos, (pivot, ints, QQ(sn * g, sd)))
-        return True
+        return self._insert(vec)[3] != 0
 
-    def coords_in_rows(self, vec):
-        """Coordinates of vec in the current rows, or None if outside."""
-        w, t, sn, sd = self._reduce(vec)
-        if w:
-            return None
-        out = [QQ0] * len(self.rows)
+    def add_coords(self, vec):
+        """(grew, coords): add vec; coords are its coordinates over the rows
+        by acceptance index, and 1 on its own row, the last, if it grew."""
+        t, sn, sd, g = self._insert(vec)
+        out = [QQ0] * len(self._kept)
         for k, tk in t.items():
-            scale = self.rows[k][2]
-            out[k] = QQ(sn * tk * scale.denominator, sd * scale.numerator)
-        return out
+            _, snk, sdk, gk = self._kept[k]  # row k is snk * gk / sdk * its ints
+            out[k] = QQ(sn * tk * sdk, sd * snk * gk)
+        if g:
+            out[-1] = QQ1
+        return g != 0, out
 
     def coords_in_added(self, vec):
         """Coordinates of vec in the accepted original vectors, or None."""
         w, t, sn, sd = self._reduce(vec)
         if w:
             return None
-        den = _ilcm(*[self.combos[k][1] for k in t])
-        acc = {}
-        for k, tk in t.items():
-            ck, ek = self.combos[k]
-            _axpy(acc, tk * (den // ek), ck)
+        for tk, snk, sdk, gk in self._kept[len(self._combos):]:
+            # ints_k = (sdk/snk * (k-th vector) - sum tk[a] * ints_a) / gk
+            acc, den = self._over_added(tk)
+            combo = {i: -snk * v for i, v in acc.items()}
+            combo[len(self._combos)] = sdk * den
+            den *= snk * gk
+            h = _igcd(den, *combo.values()) * (1 if den > 0 else -1)
+            self._combos.append(({i: v // h for i, v in combo.items()}, den // h))
+        acc, den = self._over_added(t)
         out = [QQ0] * len(self.rows)
         for i, v in acc.items():
             out[i] = QQ(sn * v, sd * den)
         return out
+
+    def _over_added(self, t):
+        """(acc, den) with sum t[k] * (ints of row index k) = acc / den over
+        the accepted vectors."""
+        den = _ilcm(*[self._combos[k][1] for k in t])
+        acc = {}
+        for k, tk in t.items():
+            ck, ek = self._combos[k]
+            _axpy(acc, tk * (den // ek), ck)
+        return acc, den
 
 
 def _int_vector(vec):
@@ -377,33 +384,43 @@ def _axpy(v: dict, f, w: dict) -> None:
 
 
 def nullspace(m: ConstMat):
-    """Canonical nullspace basis of m, as dense lists of QQ.
+    """Canonical nullspace basis of m, as dense lists of QQ: rref's basis.
 
-    The columns of m go into one SpanQQ in order.  A column that
-    does not enlarge it is a combination of the accepted columns before it,
-    and gives the basis vector with 1 in its own slot and minus those
-    coordinates in the accepted slots: rref's basis, read off its free
-    columns.
-    """
-    cols = {}
-    for i, row in m.num.items():
-        for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
-    span = SpanQQ(m.rows)
-    accepted, basis = [], []
+    Each stored row of m is reduced by the pivot rows, and a residual left
+    is cleared from them and joins them.  Free column j gives the vector
+    with 1 in slot j and minus column j of the rref in the pivot slots.
+    The time budget is checked before each row."""
+    piv = {}  # pivot column -> its row of the rref, a primitive {column: int}
+    for w in m.num.values():
+        check_deadline()
+        for p, r in piv.items():
+            if p in w:
+                w = _eliminate(w, r, p)
+        if w:
+            p, g = min(w), _igcd(*w.values())
+            w = {i: v // g for i, v in w.items()}
+            for q, r in piv.items():
+                if p in r:
+                    piv[q] = _eliminate(r, w, p)
+            piv[p] = w
+    basis = []
     for j in range(m.cols):
-        col = ConstMat.from_ints(1, m.rows, {0: cols.get(j, {})}, m.den)
-        c = span.coords_in_added(col)
-        if c is None:
-            span.add(col)
-            accepted.append(j)
-            continue
-        v = [QQ0] * m.cols
-        v[j] = QQ1
-        for k, ck in zip(accepted, c):
-            v[k] = -ck
-        basis.append(v)
+        if j not in piv:
+            v = [QQ0] * m.cols
+            v[j] = QQ1
+            for p, r in piv.items():
+                v[p] = QQ(-r.get(j, 0), r[p])
+            basis.append(v)
     return basis
+
+
+def _eliminate(w: dict, r: dict, p) -> dict:
+    """The primitive a*w - b*r that has no entry at p."""
+    g = _igcd(w[p], r[p])
+    out = {i: r[p] // g * v for i, v in w.items()}
+    _axpy(out, -(w[p] // g), r)
+    g = _igcd(*out.values())
+    return {i: v // g for i, v in out.items()} if g > 1 else out
 
 
 # ---- rational-function matrices ---------------------------------------------
@@ -620,7 +637,7 @@ def kernel_chains(m: ConstMat, dim: int):
     first free position of ker(m^q) (where its canonical basis vectors hold
     their 1) at which the kernel vector is nonzero: that basis depends on
     the subspace alone, so the order is that of m restricted to it.  The
-    time budget is checked before each power.
+    time budget is checked before each power and each row of its nullspace.
     """
     n = m.rows
     if n != m.cols:
@@ -645,10 +662,7 @@ def kernel_chains(m: ConstMat, dim: int):
             pw = powers[k - j]
             for t in tops_by_stage.get(k, []):
                 span.add(pw.apply(t))
-        stage_tops = []
-        for v in kernels[j]:
-            if span.add(v):
-                stage_tops.append(v)
+        stage_tops = [v for v in kernels[j] if span.add(v)]
         if stage_tops:
             tops_by_stage[j] = stage_tops
     chains = []

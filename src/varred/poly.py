@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import wraps
 
 from .rationals import QQ, QQ0, QQ1
 
@@ -464,6 +465,25 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return (poly_cofactors(a, b)[1] * b).monic()
 
 
+def _remembered(fn):
+    """fn, its answers kept by the FactorBase of the enclosing
+    shared_factors() block, if there is one, and read back when the same
+    arguments come again."""
+
+    @wraps(fn)
+    def remembered(*args):
+        base = _FACTOR_BASE.get()
+        if base is None:
+            return fn(*args)
+        key = (fn, *args)
+        if key not in base.answers:
+            base.answers[key] = fn(*args)
+        return base.answers[key]
+
+    return remembered
+
+
+@_remembered
 def poly_xgcd(a: Poly, b: Poly):
     """Extended gcd over Q: returns (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = a, b
@@ -488,7 +508,12 @@ def squarefree_decomposition(p: Poly):
     """
     if p.is_constant:
         return []
-    p = p.monic()
+    return list(_yun(p.monic()))
+
+
+@_remembered
+def _yun(p: Poly):
+    """squarefree_decomposition of a nonconstant monic p."""
     _, b, c = poly_cofactors(p, p.derivative())
     d = c - b.derivative()
     out = []
@@ -721,13 +746,17 @@ class FactorBase:
     factors join the base.  Factorization over Q is unique, so the result
     does not depend on what the base holds.  The base also remembers the factor list
     of every monic input it has factored and returns a fresh copy of it
-    when that input comes again.  It lives only as long as the outermost
+    when that input comes again, and so it remembers the squarefree split of
+    each monic input and the Bezout cofactors of each argument pair of
+    poly_xgcd, the two things a Hermite reduction asks of a denominator
+    again and again.  It lives only as long as the outermost
     shared_factors() block, so nothing it remembers outlives that block.
     """
 
     def __init__(self):
         self._factors = []  # ascending degree
         self._known = {}  # monic input -> its (factor, multiplicity) list
+        self.answers = {}  # (function, *arguments) -> answer, for @_remembered
 
     def factor(self, p: Poly):
         monic = rest = p.monic()

@@ -2,9 +2,9 @@
 
 Plain Gauss-Jordan elimination on dense lists of Fraction (and of RatFun
 for the determinant), written for clarity, not speed.  The package runs
-every elimination over Q through the sparse, fraction-free SpanQQ; these
-functions compute the same things independently of it, so the tests can
-compare the two.  Likewise entrywise_mul multiplies rational matrices term
+its eliminations over Q on sparse, fraction-free ints, in SpanQQ and in
+nullspace's rref; these functions compute the same things independently
+of them, so the tests can compare the two.  Likewise entrywise_mul multiplies rational matrices term
 by term in RatFun arithmetic, where the package works over row and column
 common denominators, and breadth_first_basis brackets every pair of
 basis elements, where the package's Lie closure brackets each element
@@ -29,6 +29,11 @@ block_diag_gauge builds a block-diagonal gauge as two whole matrices,
 where the package keeps a gauge as its blocks (BlockGauge) and multiplies
 it out only when it is read.
 
+two_pass_wei_norman decomposes a rational matrix in two passes: every
+numerator goes into the echelon rows first, and each entry is written over
+the finished rows after, where the package's wei_norman takes an entry's
+coordinates from the one reduction that adds it.
+
 eigen_chains_by_restriction splits the Jordan chains of a matrix by
 restricting psi - lam to a basis of each generalized eigenspace, taking
 the nilpotent chains there and mapping them back, where the package runs
@@ -49,7 +54,7 @@ from varred.poly import (
     squarefree_decomposition,
 )
 from varred.rationals import QQ, QQ0, QQ1
-from varred.ratfun import HermiteSplit, RatFun
+from varred.ratfun import HermiteSplit, RatFun, common_denominator
 
 _RF_ZERO = RatFun.const(0)
 
@@ -105,6 +110,46 @@ def dense_nullspace(mat_rows, n):
             v[pc] = -red[r][free]
         basis.append(v)
     return basis
+
+
+def two_pass_wei_norman(a: RatMat):
+    """(funcs, mats) of wei_norman(a), on dense Fraction vectors: the entries'
+    numerators over their common denominator are added to echelon rows
+    sorted by pivot, each residual a coefficient function; then each
+    numerator is written over the finished rows, its multipliers entries of
+    the matrices, in the order the rows were accepted."""
+    entries = [(i, j, f) for i, row in enumerate(a.data) for j, f in enumerate(row) if f]
+    if not entries:
+        return [], []
+    den, nums = common_denominator([f for _, _, f in entries])
+    n = max(p.degree for p in nums) + 1
+    vecs = [list(p.coeffs) + [QQ0] * (n - len(p.coeffs)) for p in nums]
+    rows = []  # (pivot, residual, index of acceptance), sorted by pivot
+
+    def reduce(v):
+        mults = {}
+        for p, row, k in rows:
+            if v[p]:
+                f = v[p] / row[p]
+                v = [x - f * y for x, y in zip(v, row)]
+                mults[k] = f
+        return v, mults
+
+    for v in vecs:
+        res = reduce(v)[0]
+        if any(res):
+            pivot = next(i for i, x in enumerate(res) if x)
+            rows.insert(sum(1 for p, _, _ in rows if p < pivot), (pivot, res, len(rows)))
+    funcs = [None] * len(rows)
+    for _, res, k in rows:
+        funcs[k] = RatFun(Poly(res), den)
+    entries_of = [{} for _ in rows]
+    for (i, j, _), v in zip(entries, vecs):
+        res, mults = reduce(v)
+        assert not any(res)
+        for k, f in mults.items():
+            entries_of[k].setdefault(i, {})[j] = f
+    return funcs, [ConstMat.from_rows(a.rows, a.cols, e) for e in entries_of]
 
 
 def coordinates_in_span(target: ConstMat, basis) -> list | None:

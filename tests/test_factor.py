@@ -1,6 +1,7 @@
 """factor_irreducible, Zassenhaus's method in poly, against sympy as an oracle:
 seeded products of random irreducibles, inputs that are hard for the method,
-and the time budget inside its recombination."""
+and the time budget inside its recombination; and what a shared_factors()
+block remembers of squarefree splits and Bezout cofactors."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from varred import poly as poly_module
 from varred.errors import ReductionTimeout, time_budget
-from varred.poly import Poly, factor_irreducible
+from varred.poly import Poly, factor_irreducible, poly_xgcd, shared_factors, squarefree_decomposition
 
 X = sympy.Symbol("x")
 # the Swinnerton-Dyer polynomial of sqrt(2), sqrt(3), sqrt(5): irreducible
@@ -92,3 +94,44 @@ def test_an_expired_budget_stops_the_recombination():
         with pytest.raises(ReductionTimeout):
             factor_irreducible(Poly(SWINNERTON_DYER_8))
         assert factor_irreducible(Poly([1, 0, 1])) == (1, [(Poly([1, 0, 1]), 1)])
+
+
+def random_split_inputs(rng, count):
+    """Seeded products of small random factors, some squared or cubed, times
+    a rational constant, each paired with a random polynomial for xgcd."""
+    out = []
+    for _ in range(count):
+        p = Poly([Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        for _ in range(rng.randint(1, 3)):
+            f = Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
+            p = p * f ** rng.randint(1, 3)
+        q = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+        out.append((p, q))
+    return out
+
+
+def test_shared_factors_remembers_splits_and_cofactors():
+    """squarefree_decomposition and poly_xgcd answer inside a block as
+    outside one; a repeated call gives an equal answer, and a caller that
+    changes a returned list does not change the next answer."""
+    cases = random_split_inputs(random.Random(2702), 40)
+    outside = [(squarefree_decomposition(p), poly_xgcd(p, q), poly_xgcd(q, p)) for p, q in cases]
+    assert any(len(split) > 1 for split, _, _ in outside)
+    with shared_factors():
+        for (p, q), want in zip(cases, outside):
+            for _ in range(2):
+                got = (squarefree_decomposition(p), poly_xgcd(p, q), poly_xgcd(q, p))
+                assert got == want
+                split = got[0]
+                split.append((Poly([1, 1]), 9))
+                split[0] = (Poly([0, 1]), 7)
+            # a scaled input has the same monic part, and so the same split
+            assert squarefree_decomposition(p.scale(-3)) == want[0]
+        base = poly_module._FACTOR_BASE.get()
+        assert base.answers
+    with shared_factors():
+        fresh = poly_module._FACTOR_BASE.get()
+        assert fresh is not base and fresh.answers == {}
+        p, q = cases[0]
+        assert (squarefree_decomposition(p), poly_xgcd(p, q)) == outside[0][:2]
+    assert poly_module._FACTOR_BASE.get() is None

@@ -14,9 +14,16 @@ from varred.liealgebra import (
 )
 from varred.matrices import ConstMat, RatMat, SpanQQ, comm
 from varred.poly import Poly
+from varred.fileformats import parse_system
 from varred.ratfun import RatFun, parse_ratfun
 
-from dense_oracle import breadth_first_basis, breadth_first_closure, dense_nullspace, rref
+from dense_oracle import (
+    breadth_first_basis,
+    breadth_first_closure,
+    dense_nullspace,
+    rref,
+    two_pass_wei_norman,
+)
 
 
 def rand_const(rng, n, m=None, lo=-3, hi=3):
@@ -105,6 +112,26 @@ def test_wei_norman_known_split():
 
 def test_wei_norman_zero_matrix():
     assert wei_norman(RatMat.zeros(3, 3)).dim == 0
+
+
+def test_one_pass_wei_norman_matches_the_two_pass_reference(lve3_run):
+    """wei_norman, which takes each entry's coordinates from the reduction
+    that adds it, gives the functions and matrices, in order, of adding
+    every numerator first and writing each entry over the finished rows
+    after: on LVE^1 to LVE^3, the 12 systems of synth-chains seed 0 and 20
+    seeded random rational matrices."""
+    from test_linalg import rand_ratmat
+    from test_reduction import synth_texts
+
+    mats = [rep.system.matrix for rep in lve3_run[0]]
+    assert [m.rows for m in mats] == [4, 14, 34]
+    mats += [parse_system(text).matrix for text in synth_texts(0, 12)]
+    rng = random.Random(304)
+    mats += [rand_ratmat(rng, rng.randint(1, 5), rng.randint(1, 3)) for _ in range(20)]
+    for a in mats:
+        wn = wei_norman(a)
+        assert (wn.funcs, wn.mats) == two_pass_wei_norman(a)
+    assert two_pass_wei_norman(RatMat.zeros(2, 2)) == ([], [])
 
 
 def test_lie_closure_matches_brute_force():

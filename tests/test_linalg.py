@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from varred import matrices
+from varred.errors import ReductionTimeout
 from varred.gauge import GaugeMatrix, apply_gauge
 from varred.liealgebra import wei_norman
 from varred.matrices import (
@@ -23,7 +24,7 @@ from varred.matrices import (
 )
 from varred.poly import Poly
 from varred.ratfun import RatFun, parse_ratfun, solve_first_order_rational
-from varred.reduction import _letters_independent
+from varred.reduction import _letters_independent, reduce_variational_tower
 
 from dense_oracle import (
     coordinates_in_span,
@@ -90,21 +91,26 @@ def sparse_span_cases(rng, count):
 def span_rows(span):
     """(pivot, {index: value}) for each row of a span, read back as exact
     rationals from its stored ints and scale."""
-    return [(p, {i: scale * v for i, v in ints.items()}) for p, ints, scale in span.rows]
+    return [(p, {i: scale * v for i, v in ints.items()}) for p, ints, scale, _ in span.rows]
 
 
 def check_span(span, vecs):
-    """The span's rank, echelon rows and row coordinates against rref."""
+    """The span's rank, echelon rows and row coordinates against rref; the
+    vectors must lie in the span, so adding them again changes nothing."""
     assert span.dim == len(rref(vecs)[1])
     rows = span_rows(span)
     pivots = [p for p, _ in rows]
     assert pivots == sorted(pivots)
+    order = [k for *_, k in span.rows]
+    assert sorted(order) == list(range(span.dim))
     for p, row in rows:
         assert p == min(i for i, c in row.items() if c)
+    by_acceptance = [row for _, row in sorted(zip(order, rows))]
     for v in vecs:
-        coords = span.coords_in_rows(list(v))
+        grew, coords = span.add_coords(list(v))
+        assert not grew
         rebuilt = [Fraction(0)] * len(v)
-        for c, (_, row) in zip(coords, rows):
+        for c, (_, row) in zip(coords, by_acceptance):
             for i, ri in row.items():
                 rebuilt[i] += c * ri
         assert rebuilt == v
@@ -213,14 +219,14 @@ class RefSpan:
     residual of an accepted vector, with coordinates over the accepted ones."""
 
     def __init__(self):
-        self.rows = []  # (pivot, dense row)
-        self.combos = []  # dense coordinates of each row over the accepted vectors
+        self.rows = []  # (pivot, dense row, acceptance index)
+        self.combos = []  # per accepted vector: dense coordinates of its row over them
         self.n_added = 0
 
     def reduce(self, v):
         v = list(v)
-        mults = {}
-        for k, (p, row) in enumerate(self.rows):
+        mults = {}  # by acceptance index
+        for p, row, k in self.rows:
             if v[p]:
                 f = v[p] / row[p]
                 v = [x - f * y for x, y in zip(v, row)]
@@ -228,33 +234,29 @@ class RefSpan:
         return v, mults
 
     def add(self, v):
+        """(grew, coordinates of v over the rows by acceptance index)."""
         res, mults = self.reduce(v)
-        if not any(res):
-            return False
-        pivot = next(i for i, x in enumerate(res) if x)
-        pos = sum(1 for p, _ in self.rows if p < pivot)
-        combo = {self.n_added: Fraction(1)}
-        for k, f in mults.items():
-            for i, c in self.combos[k].items():
-                combo[i] = combo.get(i, Fraction(0)) - f * c
-        self.rows.insert(pos, (pivot, res))
-        self.combos.insert(pos, combo)
-        self.n_added += 1
-        return True
+        grew = any(res)
+        if grew:
+            pivot = next(i for i, x in enumerate(res) if x)
+            pos = sum(1 for p, _, _ in self.rows if p < pivot)
+            combo = {self.n_added: Fraction(1)}
+            for k, f in mults.items():
+                for i, c in self.combos[k].items():
+                    combo[i] = combo.get(i, Fraction(0)) - f * c
+            self.rows.insert(pos, (pivot, res, self.n_added))
+            self.combos.append(combo)
+            mults[self.n_added] = Fraction(1)
+            self.n_added += 1
+        return grew, [mults.get(k, Fraction(0)) for k in range(self.n_added)]
 
-    def coords_in_rows(self, v):
+    def coords_in_added(self, v):
         res, mults = self.reduce(v)
         if any(res):
             return None
-        return [mults.get(k, Fraction(0)) for k in range(len(self.rows))]
-
-    def coords_in_added(self, v):
-        rows = self.coords_in_rows(v)
-        if rows is None:
-            return None
         out = [Fraction(0)] * self.n_added
-        for f, combo in zip(rows, self.combos):
-            for i, c in combo.items():
+        for k, f in mults.items():
+            for i, c in self.combos[k].items():
                 out[i] += f * c
         return out
 
@@ -312,18 +314,20 @@ def test_const_mat_data_is_read_only():
 
 
 def spans_agree(span, ref):
-    """Rows read back as exact rationals equal the reference residuals."""
+    """Rows read back as exact rationals equal the reference residuals, in
+    the same order of acceptance."""
     assert span.dim == len(ref.rows)
-    got = [(p, {i: scale * v for i, v in ints.items()}) for p, ints, scale in span.rows]
-    want = [(p, {i: x for i, x in enumerate(row) if x}) for p, row in ref.rows]
+    got = [(p, {i: scale * v for i, v in ints.items()}, k) for p, ints, scale, k in span.rows]
+    want = [(p, {i: x for i, x in enumerate(row) if x}, k) for p, row, k in ref.rows]
     assert got == want
 
 
 def test_spanqq_matches_dense_reference():
-    """add, coords_in_rows and coords_in_added against RefSpan on seeded
-    vectors: primes up to 13 in the denominators, combinations of earlier
-    vectors, vectors that cancel to zero and the zero vector; a dense list,
-    the matrix and the polynomial of the same entries give the same span."""
+    """add_coords and coords_in_added against RefSpan on seeded vectors:
+    primes up to 13 in the denominators, combinations of earlier vectors,
+    vectors that cancel to zero and the zero vector; a dense list, the
+    matrix and the polynomial of the same entries give the same span.  add
+    builds no combos; the first coords_in_added builds them."""
     rng = random.Random(212)
     for case in range(40):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
@@ -340,25 +344,31 @@ def test_spanqq_matches_dense_reference():
         ref = RefSpan()
         dense, matrix, poly = (SpanQQ(n) for _ in range(3))
         for v, m in zip(vecs, mats):
-            grew = ref.add(v)
+            want = ref.add(v)
             if not any(v):
-                assert Poly(v) == Poly() and not grew
-            assert dense.add(list(v)) == grew
-            assert matrix.add(m) == grew
-            assert poly.add(Poly(v)) == grew
+                assert Poly(v) == Poly() and not want[0]
+            assert dense.add_coords(list(v)) == want
+            assert matrix.add_coords(m) == want
+            assert poly.add_coords(Poly(v)) == want
             for span in (dense, matrix, poly):
                 spans_agree(span, ref)
-            assert dense.combos == matrix.combos == poly.combos
+        assert not dense._combos and not matrix._combos and not poly._combos
         probes = vecs + [[ref_entry(rng) for _ in range(n)] for _ in range(3)]
         for v in probes:
             m = ConstMat([v[i * c:(i + 1) * c] for i in range(r)])
             for span in (dense, matrix, poly):
                 for vec in (list(v), m, Poly(v)):
-                    assert span.coords_in_rows(vec) == ref.coords_in_rows(v)
                     assert span.coords_in_added(vec) == ref.coords_in_added(v)
+        assert dense._combos == matrix._combos == poly._combos
+        assert len(dense._combos) == dense.dim
+        # a vector already in the span leaves it as it was
+        for v in vecs:
+            assert dense.add_coords(list(v)) == ref.add(v)
+            assert not dense.add(list(v))
     # 0x0 matrices, empty vectors and the zero polynomial span nothing
     span = SpanQQ(0)
     assert not span.add(ConstMat([])) and not span.add([]) and not span.add(Poly())
+    assert span.add_coords(Poly()) == (False, [])
     assert span.coords_in_added(ConstMat([])) == []
     assert span.coords_in_added(Poly()) == []
 
@@ -448,11 +458,28 @@ def nullspace_cases(rng):
                          for _ in range(n)] for _ in range(rng.randint(1, 6))])
 
 
-def test_nullspace_vectors_annihilate():
+def test_nullspace_vectors_annihilate(monkeypatch, hh_system, hh_p1):
     """nullspace(m) is the dense rref's canonical kernel basis, vector for
-    vector, and a basis of the kernel."""
+    vector, and a basis of the kernel: on seeded matrices up to 6x6, and on
+    every power that kernel_chains takes a kernel of in the Henon-Heiles
+    pipeline to order 2, among them the 10x10 psi whose denominator has 285
+    bits, and in the 12 systems of synth-chains seed 0."""
+    from test_reduction import reduce_system_text, synth_texts
+
+    met = []
+
+    def recorded(m):
+        met.append(m)
+        return nullspace(m)
+
+    monkeypatch.setattr(matrices, "nullspace", recorded)
+    reduce_variational_tower(hh_system, 2, hh_p1)
+    assert any(m.rows == 10 and m.den.bit_length() == 285 for m in met)
+    for text in synth_texts(0, 12):
+        reduce_system_text(text)
+    assert len(met) >= 95
     rng = random.Random(205)
-    for m in nullspace_cases(rng):
+    for m in itertools.chain(nullspace_cases(rng), met):
         n = m.cols
         basis = nullspace(m)
         assert basis == dense_nullspace([list(r) for r in m.data], n)
@@ -466,6 +493,23 @@ def test_nullspace_vectors_annihilate():
         for row in m.data:
             rspan.add(list(row))
         assert rspan.dim + len(basis) == n
+
+
+def test_nullspace_checks_the_budget_before_each_row(monkeypatch):
+    """A budget that runs out at its third check stops a 12x12 nullspace."""
+    calls = []
+
+    def third_call_raises():
+        calls.append(1)
+        if len(calls) == 3:
+            raise ReductionTimeout("budget spent")
+
+    monkeypatch.setattr(matrices, "check_deadline", third_call_raises)
+    m = rand_const(random.Random(206), 12)
+    assert len(m.num) == 12
+    with pytest.raises(ReductionTimeout):
+        nullspace(m)
+    assert len(calls) == 3
 
 
 def test_ratmat_inverse_and_det():
