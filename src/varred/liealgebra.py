@@ -246,24 +246,28 @@ def split_diag_sub(mats, d1: int):
 
 
 class DualFrame:
-    """Coordinates of rational matrices over a fixed constant basis.
+    """Coordinates of rational matrices over a frame in a Lie algebra.
 
-    A matrix is read through its Wei-Norman decomposition a = sum f_j M_j,
-    which the caller already holds.
-    The f_j are Q-linearly independent, so a lies in the Q(x)-span of the
-    basis exactly when every M_j lies in its Q-span; the coordinates are
-    then sum f_j * kappa(M_j), with kappa(M_j) the Q-coordinates of M_j.
+    The frame is lie.mats[lead], if lead is not None, then lincomb(v, others)
+    for each vector v, with others the other elements of lie in order.  A
+    matrix is read through its Wei-Norman decomposition a = sum f_j M_j,
+    which the caller already holds.  The f_j are Q-linearly independent, so
+    a lies in the Q(x)-span of the frame exactly when every M_j lies in its
+    Q-span; the coordinates are then sum f_j * kappa(M_j), with kappa(M_j)
+    read off lie.span and its part along others solved over the vectors.
     """
 
-    def __init__(self, basis):
-        basis = list(basis)
-        if not basis:
+    def __init__(self, lie: LieBasis, lead, vectors):
+        self.lie = lie
+        self.head = [] if lead is None else [lead]
+        self.others = [k for k in range(lie.dim) if k != lead]
+        self.span = SpanQQ(len(self.others))
+        if not all(self.span.add(v) for v in vectors):
+            raise ValueError("basis matrices are linearly dependent")
+        other_mats = [lie.mats[k] for k in self.others]
+        self.basis = [lie.mats[k] for k in self.head] + [lincomb(v, other_mats) for v in vectors]
+        if not self.basis:
             raise ValueError("empty basis")
-        self.basis = basis
-        self.span = SpanQQ(basis[0].rows * basis[0].cols)
-        for b in basis:
-            if not self.span.add(b):
-                raise ValueError("basis matrices are linearly dependent")
 
     def coords(self, wn: WeiNormanDecomp):
         """Coefficients c with a = sum c_k * basis[k], where wn = wei_norman(a);
@@ -273,10 +277,12 @@ class DualFrame:
             raise ValueError("shape mismatch")
         kappas = []
         for m in wn.matrices():
-            kappa = self.span.coords_in_added(m)
-            if kappa is None:
+            kappa = self.lie.span.coords_in_added(m)
+            x = None if kappa is None else self.span.coords_in_added(
+                [kappa[k] for k in self.others])
+            if x is None:
                 raise ValueError("matrix is outside the span of the basis")
-            kappas.append(ConstMat([kappa]))
+            kappas.append(ConstMat([[kappa[k] for k in self.head] + x]))
         return rat_lincomb(wn.functions(), kappas, 1, len(self.basis)).data[0]
 
     def combine(self, coeffs) -> RatMat:

@@ -269,7 +269,8 @@ class SpanQQ:
     def _reduce(self, vec):
         """(w, t, sn, sd), vec = sn/sd * (w + sum t[k] * ints of row index k):
         each row whose pivot is still in w clears it, w becoming a*w - b*ints
-        for the pivot ratio a/b in lowest terms, a > 0."""
+        for the pivot ratio a/b in lowest terms, a > 0, after a budget check."""
+        check_deadline()
         w, sn, sd = _int_vector(vec)
         t = {}
         for p, r, _, k in self.rows:

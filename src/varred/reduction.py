@@ -61,10 +61,8 @@ from .liealgebra import (
 from .matrices import (
     ConstMat,
     RatMat,
-    SpanQQ,
     comm,
     kernel_chains,
-    lincomb,
     nilpotent_jordan_chains,
     rational_eigenvalues,
     trace_shows_not_nilpotent,
@@ -74,7 +72,6 @@ from .rationals import QQ0
 from .ratfun import (
     RatFun,
     as_log_derivative,
-    common_denominator,
     hermite_split,
     solve_first_order_rational,
 )
@@ -359,7 +356,8 @@ def _eigen_chains(psi: ConstMat):
 
 
 def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
-    """(lam, matrices) chains of ad(d0) on the working subdiagonal space.
+    """(frame, chains): the (lam, matrices) chains of ad(d0) on the working
+    subdiagonal space, and the DualFrame of d0 and them over its closure.
 
     Each element of the initial algebra has diagonal part c*d0, lead =
     d0 + seed among them, so the subdiagonal part of each lies in
@@ -374,11 +372,10 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
     """
     work = lie_closure([d0] + list(sub_basis) + [seed])
     _, psi = work.adjoint(0)
-    work_basis = work.mats[1:]
-    chains = [
-        (lam, [lincomb(v, work_basis) for v in ch]) for lam, ch in _eigen_chains(psi)
-    ]
-    chains.sort(key=lambda t: -len(t[1]))
+    eigen = sorted(_eigen_chains(psi), key=lambda t: -len(t[1]))
+    frame = DualFrame(work, 0, [v for _, ch in eigen for v in ch])
+    rest = iter(frame.basis[1:])
+    chains = [(lam, [next(rest) for _ in ch]) for lam, ch in eigen]
     for lam, mats in chains:
         for s, m in enumerate(mats):
             want = m.scale(lam)
@@ -386,7 +383,7 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
                 want = want + mats[s - 1]
             if comm(d0, m) != want:
                 raise RuntimeError("adjoint chain relation failed")
-    return chains
+    return frame, chains
 
 
 # ---- the chain sweep -----------------------------------------------------------
@@ -478,19 +475,20 @@ def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     lie0 = lie_closure(wn0.matrices())
     diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
 
+    chains = []
     if diag_basis:
         # split_diag_sub took d0 from the first element with a diagonal part
         lead = next(m for m in lie0.mats if not diag_projection(m, d1).is_zero)
-        chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis)
-    else:
-        # zero diagonal: every generator is its own chain, pure antidifferentiation
-        chains = [(QQ0, [w]) for w in sub_basis]
+        frame, chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis)
+    elif lie0.dim:
+        # zero diagonal: each element is its own chain, pure antidifferentiation
+        frame = DualFrame(lie0, None, ConstMat.identity(lie0.dim).data)
+        chains = [(QQ0, [w]) for w in frame.basis]
     jordan_sizes = [len(mats) for _, mats in chains]
 
     a, low, steps = a0, None, []
     if chains:
         # one read of a0: beta0 leads, the chain coefficients follow
-        frame = DualFrame(diag_basis + [m for _, mats in chains for m in mats])
         coords = frame.coords(wn0)
         lead = coords[: len(diag_basis)]
         beta0 = lead[0] if lead else _RF_ZERO
@@ -584,14 +582,10 @@ def _letters_independent(tower) -> bool:
 
     They are Hermite l parts, with simple poles only, so by Ostrowski-Kolchin
     their primitives are algebraically independent over Q(x) exactly then:
-    when each of their numerators over one denominator enlarges a SpanQQ.
+    when each is a term of their Wei-Norman decomposition as one row.
     """
     letters = [el.integrand_coeff for el in tower if el.depth == 1]
-    if not letters:
-        return True
-    nums = common_denominator(letters)[1]
-    span = SpanQQ(max(p.degree for p in nums) + 1)
-    return all(span.add(p) for p in nums)
+    return wei_norman(RatMat([letters])).dim == len(letters)
 
 
 def _verdict(report: ReductionReport) -> str:
@@ -735,25 +729,23 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
         # the other basis elements must commute with each other
         if pair is not None and not commute_pairwise([basis[o] for o in others]):
             continue
-        chosen = (cand, others, chains)
+        chosen = (cand, chains)
         break
     if chosen is None:
         raise UnsupportedRegime(
             "final system lacks the nilpotent adjoint-chain structure "
             "needed for the integral tower"
         )
-    cand, others, chains = chosen
+    cand, chains = chosen
 
-    other_mats = [basis[o] for o in others]
-    gens = [lincomb(u, other_mats) for ch in chains for u in ch]
-    for g in gens:
+    frame = DualFrame(lie, cand, [u for ch in chains for u in ch])
+    for g in frame.basis[1:]:
         if not (g * g).is_zero:
             raise UnsupportedRegime("tower gauges need square-zero generators")
         for b in basis:
             if not (g * (b * g)).is_zero:
                 raise UnsupportedRegime("tower gauges need isolated generators")
 
-    frame = DualFrame([basis[cand]] + gens)
     coords = frame.coords(wn)
     beta = coords[0]
 

@@ -38,6 +38,13 @@ eigen_chains_by_restriction splits the Jordan chains of a matrix by
 restricting psi - lam to a basis of each generalized eigenspace, taking
 the nilpotent chains there and mapping them back, where the package runs
 one routine (kernel_chains) on psi - lam itself.
+
+FlatDualFrame is the coordinate frame as DualFrame used to build it: the
+basis is summed term by term from the lead and the vectors, and its
+matrices, flattened to rows * cols entries, fill a span of their own, in
+which every Wei-Norman matrix is solved; the package's DualFrame reads a
+matrix through the span its Lie closure already holds and solves only the
+short coordinate vectors.
 """
 
 from dataclasses import dataclass
@@ -45,7 +52,14 @@ from math import gcd, lcm
 
 from varred.expr import _is_bare_atom
 from varred.gauge import GaugeMatrix
-from varred.matrices import ConstMat, RatMat, nilpotent_jordan_chains, rational_eigenvalues
+from varred.liealgebra import rat_lincomb
+from varred.matrices import (
+    ConstMat,
+    RatMat,
+    SpanQQ,
+    nilpotent_jordan_chains,
+    rational_eigenvalues,
+)
 from varred.poly import (
     Poly,
     factor_irreducible,
@@ -547,3 +561,36 @@ def eigen_chains_by_restriction(psi: ConstMat):
         for ch in nilpotent_jordan_chains(restriction):
             out.append((lam, [eigenbasis.apply(u) for u in ch]))
     return out
+
+
+class FlatDualFrame:
+    """The frame of DualFrame(lie, lead, vectors) over a span of its matrices
+    flattened to rows * cols entries; ValueError as DualFrame raises it."""
+
+    def __init__(self, lie, lead, vectors):
+        others = [m for k, m in enumerate(lie.mats) if k != lead]
+        basis = [] if lead is None else [lie.mats[lead]]
+        for v in vectors:
+            m = ConstMat.zeros(others[0].rows, others[0].cols)
+            for c, o in zip(v, others):
+                m = m + o.scale(c)
+            basis.append(m)
+        if not basis:
+            raise ValueError("empty basis")
+        self.basis = basis
+        self.span = SpanQQ(basis[0].rows * basis[0].cols)
+        for b in basis:
+            if not self.span.add(b):
+                raise ValueError("basis matrices are linearly dependent")
+
+    def coords(self, wn):
+        b = self.basis[0]
+        if (wn.rows, wn.cols) != (b.rows, b.cols):
+            raise ValueError("shape mismatch")
+        kappas = []
+        for m in wn.matrices():
+            kappa = self.span.coords_in_added(m)
+            if kappa is None:
+                raise ValueError("matrix is outside the span of the basis")
+            kappas.append(ConstMat([kappa]))
+        return rat_lincomb(wn.functions(), kappas, 1, len(self.basis)).data[0]

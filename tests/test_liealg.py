@@ -8,16 +8,19 @@ import pytest
 from varred.errors import PreconditionFailure
 from varred.liealgebra import (
     DualFrame,
+    LieBasis,
     lie_closure,
     split_diag_sub,
     wei_norman,
 )
 from varred.matrices import ConstMat, RatMat, SpanQQ, comm
 from varred.poly import Poly
-from varred.fileformats import parse_system
+from varred.fileformats import parse_hamiltonian, parse_system
+from varred.reduction import reduce_variational_tower
 from varred.ratfun import RatFun, parse_ratfun
 
 from dense_oracle import (
+    FlatDualFrame,
     breadth_first_basis,
     breadth_first_closure,
     dense_nullspace,
@@ -422,6 +425,33 @@ def lifted_combination(funcs, basis):
     return a
 
 
+def span_basis(mats):
+    """Independent matrices as a LieBasis: a DualFrame reads lie.mats and
+    lie.span only, so the span need not be closed under brackets."""
+    span = SpanQQ(mats[0].rows * mats[0].cols)
+    assert all(span.add(m) for m in mats)
+    return LieBasis(list(mats), len(mats), span)
+
+
+def random_frame_args(rng, n, k):
+    """(lie, lead, vectors): k independent random n x n matrices, a random
+    lead or None, and random independent vectors over the other elements,
+    as many as there are."""
+    mats, span = [], SpanQQ(n * n)
+    while len(mats) < k:
+        m = rand_const(rng, n)
+        if span.add(m):
+            mats.append(m)
+    lead = rng.choice([None] + list(range(k)))
+    size = k - (lead is not None)
+    vectors, span = [], SpanQQ(size)
+    while len(vectors) < size:
+        v = [Fraction(rng.randint(-2, 2)) for _ in range(size)]
+        if span.add(v):
+            vectors.append(v)
+    return span_basis(mats), lead, vectors
+
+
 def test_dual_frame_reads_back_random_combinations():
     """Random combinations read back exactly, also with Q-dependent
     coefficient functions (f, 2f, f+g: Wei-Norman then has fewer terms than
@@ -430,13 +460,9 @@ def test_dual_frame_reads_back_random_combinations():
     for _ in range(40):
         n = rng.randint(2, 4)
         k = rng.randint(1, 3)
-        basis = []
-        span = SpanQQ(n * n)
-        while len(basis) < k:
-            b = rand_const(rng, n)
-            if span.add(b.flatten()):
-                basis.append(b)
-        frame = DualFrame(basis)
+        frame = DualFrame(*random_frame_args(rng, n, k))
+        basis = frame.basis
+        assert len(basis) == k
         funcs = [rand_ratfun(rng) for _ in range(k)]
         assert frame.coords(wei_norman(lifted_combination(funcs, basis))) == funcs
         f = funcs[0]
@@ -450,7 +476,8 @@ def test_dual_frame_reads_back_random_combinations():
 
 def test_dual_frame_rejects_outside_matrices():
     e11 = ConstMat([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
-    frame = DualFrame([e11])
+    frame = DualFrame(lie_closure([e11]), 0, [])
+    assert frame.basis == [e11]
     outside = RatMat([[parse_ratfun("0"), parse_ratfun("1")],
                       [parse_ratfun("0"), parse_ratfun("0")]])
     with pytest.raises(ValueError):
@@ -467,7 +494,9 @@ def test_dual_frame_rejects_outside_matrices():
         m[i][j] = Fraction(1)
         return ConstMat(m)
 
-    frame = DualFrame([unit(1, 0), unit(2, 0)])
+    lie = lie_closure([unit(1, 0), unit(2, 0)])
+    frame = DualFrame(lie, None, [[1, 0], [0, 1]])
+    assert frame.basis == [unit(1, 0), unit(2, 0)]
     f, h, g = parse_ratfun("1/x"), parse_ratfun("x"), parse_ratfun("1/(x + 1)")
     inside = lifted_combination([f, h], frame.basis)
     assert frame.coords(wei_norman(inside)) == [f, h]
@@ -475,3 +504,95 @@ def test_dual_frame_rejects_outside_matrices():
     assert wei_norman(a).matrices() == [unit(1, 0), unit(2, 0), unit(2, 1)]
     with pytest.raises(ValueError, match="outside"):
         frame.coords(wei_norman(a))
+    # inside the closure's span but outside the frame, which holds E21 + E31
+    frame = DualFrame(lie, None, [[1, 1]])
+    assert frame.coords(wei_norman(lifted_combination([f, f], [unit(1, 0), unit(2, 0)]))) == [f]
+    with pytest.raises(ValueError, match="outside"):
+        frame.coords(wei_norman(inside))
+    with pytest.raises(ValueError, match="dependent"):
+        DualFrame(lie, None, [[1, 1], [2, 2]])
+
+
+def outcome(run):
+    """run(), or ValueError when it raises one."""
+    try:
+        return run()
+    except ValueError:
+        return ValueError
+
+
+def test_dual_frame_matches_the_flattened_reference_on_random_frames():
+    """40 seeded frames, over all the other elements, over one fewer and
+    with one dependent vector more: DualFrame's basis and coordinates equal
+    FlatDualFrame's entry by entry, and both raise ValueError on dependent
+    vectors, on a matrix outside the closure's span, on a closure element
+    the frame misses and on a shape mismatch."""
+    rng = random.Random(309)
+    seen = set()
+    for trial in range(40):
+        n = rng.randint(2, 3)
+        lie, lead, vectors = random_frame_args(rng, n, rng.randint(2, 3))
+        kind = ("full", "short", "dependent")[trial % 3]
+        if kind == "short":
+            vectors = vectors[:-1]
+        elif kind == "dependent":
+            vectors = vectors + [[a - 2 * b for a, b in zip(vectors[0], vectors[-1])]]
+        frame = outcome(lambda: DualFrame(lie, lead, vectors))
+        ref = outcome(lambda: FlatDualFrame(lie, lead, vectors))
+        if frame is ValueError or ref is ValueError:
+            assert frame is ref is ValueError
+            seen.add(kind)
+            continue
+        assert frame.basis == ref.basis
+        funcs = [rand_ratfun(rng) for _ in frame.basis]
+        tests = [lifted_combination(funcs, frame.basis), RatMat.zeros(n, n + 1)]
+        tests += [lifted_combination([rand_ratfun(rng)], [m]) for m in lie.mats]
+        while True:
+            m = rand_const(rng, n)
+            if lie.span.coords_in_added(m) is None:
+                break
+        tests.append(lifted_combination(funcs[:1] + [rand_ratfun(rng)], frame.basis[:1] + [m]))
+        for a in tests:
+            wn = wei_norman(a)
+            got = outcome(lambda: frame.coords(wn))
+            assert got == outcome(lambda: ref.coords(wn))
+            seen.add((kind, got is ValueError))
+        assert frame.coords(wei_norman(tests[0])) == funcs
+    assert {"dependent", ("full", False), ("full", True), ("short", True)} <= seen
+
+
+def test_dual_frame_matches_the_flattened_reference_in_the_pipeline(monkeypatch, hh_system, hh_p1):
+    """Every frame the pipeline builds on LVE^1 to LVE^3, on the 12 systems
+    of synth-chains seed 0 and on the separable orders 1 to 4 has the basis
+    of FlatDualFrame, and every matrix it reads gets FlatDualFrame's
+    coordinates."""
+    from test_reduction import reduce_system_text, synth_texts
+    from test_separable import separable_hamiltonian_text, separable_p1
+
+    made, read = [], []
+    init, coords = DualFrame.__init__, DualFrame.coords
+
+    def recorded_init(self, lie, lead, vectors):
+        init(self, lie, lead, vectors)
+        made.append((self, FlatDualFrame(lie, lead, vectors)))
+
+    def recorded_coords(self, wn):
+        read.append((self, wn))
+        return coords(self, wn)
+
+    monkeypatch.setattr(DualFrame, "__init__", recorded_init)
+    monkeypatch.setattr(DualFrame, "coords", recorded_coords)
+    reduce_variational_tower(hh_system, 3, hh_p1)
+    for text in synth_texts(0, 12):
+        reduce_system_text(text)
+    separable = parse_hamiltonian(separable_hamiltonian_text()).build_system()
+    reduce_variational_tower(separable, 4, separable_p1())
+    monkeypatch.undo()
+    refs = {}
+    for frame, ref in made:
+        assert frame.basis == ref.basis
+        refs[id(frame)] = ref
+    for frame, wn in read:
+        assert frame.coords(wn) == refs[id(frame)].coords(wn)
+    sizes = {frame.basis[0].rows for frame, _ in made}
+    assert {4, 14, 34, 69} <= sizes and len(read) > 20

@@ -512,6 +512,25 @@ def test_nullspace_checks_the_budget_before_each_row(monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_span_checks_the_budget_before_each_vector(monkeypatch):
+    """A budget that runs out at its third check stops filling a span with
+    five vectors, before the third one is reduced."""
+    calls = []
+
+    def third_call_raises():
+        calls.append(1)
+        if len(calls) == 3:
+            raise ReductionTimeout("budget spent")
+
+    monkeypatch.setattr(matrices, "check_deadline", third_call_raises)
+    span = SpanQQ(5)
+    with pytest.raises(ReductionTimeout):
+        for i in range(5):
+            span.add([Fraction(int(i == j)) for j in range(5)])
+    assert len(calls) == 3
+    assert span.dim == 2
+
+
 def test_ratmat_inverse_and_det():
     rng = random.Random(206)
     done = 0

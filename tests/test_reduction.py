@@ -36,12 +36,11 @@ from varred.liealgebra import (
     split_diag_sub,
     wei_norman,
 )
-from varred.matrices import ConstMat, RatMat, charpoly, comm, nilpotent_jordan_chains
+from varred.matrices import ConstMat, RatMat, SpanQQ, charpoly, comm, nilpotent_jordan_chains
 from varred.poly import Poly
 from varred.ratfun import RatFun, hermite_split, parse_ratfun
 from varred.reduction import (
     _adjoint_chains,
-    _diag_projection,
     detect_obstruction,
     picard_vessiot_tower,
     reduce_block_systems,
@@ -107,7 +106,7 @@ def test_elimination_removes_pure_derivative_coefficients():
     # A coefficient that is an exact derivative must vanish completely and
     # the elimination must leave the diagonal blocks alone.
     rng = random.Random(401)
-    frame = DualFrame([E21])
+    frame = DualFrame(lie_closure([E21]), None, [[1]])
     one = Fraction(1)
     for _ in range(50):
         while True:
@@ -133,7 +132,7 @@ def test_elimination_leaves_exactly_the_hermite_residue():
     # For a general coefficient the surviving part is the simple-pole piece
     # of its Hermite split, nothing more and nothing less.
     rng = random.Random(402)
-    frame = DualFrame([E21])
+    frame = DualFrame(lie_closure([E21]), None, [[1]])
     one = Fraction(1)
     for _ in range(50):
         coeff = rand_ratfun(rng)
@@ -162,7 +161,7 @@ def test_elimination_nonzero_eigenvalue_solved():
     beta0 = rf("5/(3*x)")
     coeff = rf("x/3")
     a = lower_system(beta0, Fraction(0), Fraction(1), coeff)
-    frame = DualFrame([E21])
+    frame = DualFrame(lie_closure([E21]), None, [[1]])
     a2, step, coords = remove_generator(a, 1, beta0, frame, 0,
                                         lam=Fraction(1))
     assert step.kind == "chain-removal"
@@ -177,7 +176,7 @@ def test_elimination_nonzero_eigenvalue_unresolved():
     beta0 = rf("1/x")
     coeff = rf("1")
     a = lower_system(beta0, Fraction(0), Fraction(1), coeff)
-    frame = DualFrame([E21])
+    frame = DualFrame(lie_closure([E21]), None, [[1]])
     a2, step, coords = remove_generator(a, 1, beta0, frame, 0,
                                         lam=Fraction(1))
     assert step.kind == "unresolved"
@@ -190,7 +189,7 @@ def test_elimination_nonzero_eigenvalue_unresolved():
 def test_elimination_skips_zero_coefficients():
     beta0 = rf("1/x")
     a = lower_system(beta0, Fraction(1), Fraction(1), rf("0"))
-    frame = DualFrame([E21])
+    frame = DualFrame(lie_closure([E21]), None, [[1]])
     a2, step, coords = remove_generator(a, 1, beta0, frame, 0)
     assert a2 == a
     assert step.kind == "chain-removal"
@@ -258,12 +257,11 @@ def one_gauge_at_a_time(a0, d1, q):
     eigenvalue, total gauge, chain shapes)."""
     lie = lie_closure(wei_norman(a0).matrices())
     diag, sub = split_diag_sub(lie.mats, d1)
-    chains = _adjoint_chains(diag[0], working_seed(lie.mats, diag[0], d1), sub)
-    beta0 = DualFrame(diag).coords(wei_norman(_diag_projection(a0, d1)))[0]
-    frame = DualFrame([m for _, mats in chains for m in mats])
+    frame, chains = _adjoint_chains(diag[0], working_seed(lie.mats, diag[0], d1), sub)
+    beta0 = frame.coords(wei_norman(a0))[0]
     a, coords, steps = a0, None, []
     total = q
-    start = 0
+    start = 1  # frame.basis[0] is d0
     for lam, mats in chains:
         for s in range(len(mats) - 1, -1, -1):
             a, st, coords = remove_generator(a, d1, beta0, frame, start + s,
@@ -372,7 +370,9 @@ def test_an_elimination_gauge_off_the_lower_left_block_is_refused(monkeypatch):
     inner = reduction._adjoint_chains
 
     def shifted(d0, seed, sub_basis):
-        return [(lam, [m + d0 for m in mats]) for lam, mats in inner(d0, seed, sub_basis)]
+        frame, chains = inner(d0, seed, sub_basis)
+        frame.basis[1:] = [m + d0 for m in frame.basis[1:]]
+        return frame, chains
 
     monkeypatch.setattr(reduction, "_adjoint_chains", shifted)
     with pytest.raises(RuntimeError, match="outside the lower-left block"):
@@ -953,24 +953,54 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
     # a0 and the final matrix are decomposed and closed once each, and the
     # working subdiagonal space is closed once, led by the diagonal
     # generator; the frame and the tower read what reduce_subdiagonal
-    # already holds
+    # already holds.  The only other decomposition is the row of the
+    # tower's letters, whose Q-independence it checks.  Every frame is
+    # built over one of the three closures, and none eliminates in a span
+    # of the matrices' full size
     counts = {"wei_norman": 0, "lie_closure": 0}
-    closed = []
+    decomposed, closed, closures = [], [], []
 
     def count(module, name):
         inner = getattr(module, name)
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            out = inner(*args, **kwargs)
             if name == "lie_closure":
                 closed.append(list(args[0]))
-            return inner(*args, **kwargs)
+                closures.append(out)
+            else:
+                decomposed.append(args[0])
+            return out
 
         monkeypatch.setattr(module, name, counted)
 
     count(reduction, "wei_norman")
     count(liealgebra, "wei_norman")
     count(reduction, "lie_closure")
+    spans, frames, in_frame = [], [], []
+    span_init, frame_init, frame_coords = SpanQQ.__init__, DualFrame.__init__, DualFrame.coords
+
+    def recorded_span(self, length):
+        spans.append((length, bool(in_frame)))
+        span_init(self, length)
+
+    def in_a_frame(method):
+        def run(self, *args):
+            in_frame.append(self)
+            try:
+                return method(self, *args)
+            finally:
+                in_frame.pop()
+        return run
+
+    def recorded_frame(self, lie, lead, vectors):
+        frames.append(lie)
+        in_a_frame(frame_init)(self, lie, lead, vectors)
+
+    monkeypatch.setattr(SpanQQ, "__init__", recorded_span)
+    monkeypatch.setattr(DualFrame, "__init__", recorded_frame)
+    monkeypatch.setattr(DualFrame, "coords", in_a_frame(frame_coords))
     zero = rf("0")
     a = RatMat([
         [zero, zero, zero],
@@ -978,12 +1008,22 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
         [zero, rf("1/(x + 1)"), zero],
     ])
     report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
+    monkeypatch.undo()
     assert report.jordan_block_sizes and report.tower
-    assert counts == {"wei_norman": 2, "lie_closure": 3}
+    letters = [el.integrand_coeff for el in report.tower if el.depth == 1]
+    assert counts == {"wei_norman": 3, "lie_closure": 3}
+    assert decomposed == [a, report.final_matrix, RatMat([letters])]
     e21 = ConstMat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     assert closed[0] == wei_norman(a).matrices()
     assert closed[1][0] == e21
     assert closed[2] == report.final_wei_norman.matrices()
+    # the sweep's frame over the working space, the tower's over the final algebra
+    assert frames == [closures[1], closures[2]]
+    assert report.final_lie is closures[2]
+    assert a.rows * a.cols in [length for length, framed in spans if not framed]
+    framed = [length for length, framed in spans if framed]
+    assert framed == [closures[1].dim - 1, closures[2].dim - 1]
+    assert a.rows * a.cols not in framed
 
 
 def test_working_space_closure_respects_deadline():
@@ -998,7 +1038,7 @@ def test_working_space_closure_respects_deadline():
     lie = lie_closure(wei_norman(a).matrices())
     diag, sub = split_diag_sub(lie.mats, 2)
     seed = working_seed(lie.mats, diag[0], 2)
-    chains = _adjoint_chains(diag[0], seed, sub)
+    _, chains = _adjoint_chains(diag[0], seed, sub)
     assert sum(len(mats) for _, mats in chains) >= 2
     with time_budget(-1.0), pytest.raises(ReductionTimeout):
         _adjoint_chains(diag[0], seed, sub)
