@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rationals import QQ, QQ1
-from .poly import Poly
+from .rationals import QQ, QQ0, QQ1
+from .poly import Poly, poly_lincomb
 from .ratfun import RatFun, common_denominator
 from .matrices import ConstMat, RatMat, SpanQQ, comm, lincomb
 from .errors import PreconditionFailure, check_deadline
@@ -42,29 +42,31 @@ class WeiNormanDecomp:
 def rat_lincomb(funcs, mats, rows, cols) -> RatMat:
     """The rational matrix sum funcs[k] * mats[k], over nonzero terms and entries.
 
-    An entry with one term is that function scaled; an entry with more is
+    An entry with one term is that function scaled.  An entry with more is
     summed over the common denominator L of the functions, as
-    (sum v_k * num_k * (L / den_k)) / L, and normalized once.
+    (sum v_k / den_k * num_k) / L with v_k / den_k the int entry of mats[k]
+    over its denominator and num_k the numerator of funcs[k] over L: one
+    integer dot product of the numerators (poly_lincomb), normalized once.
     """
     terms = [(f, m) for f, m in zip(funcs, mats) if not f.is_zero]
     by_entry = {}
     for k, (_, m) in enumerate(terms):
         for i, row in m.num.items():
             for j, v in row.items():
-                by_entry.setdefault((i, j), []).append((k, QQ(v, m.den)))
+                by_entry.setdefault((i, j), []).append((k, v))
     out = RatMat.zeros(rows, cols)
     if not by_entry:
         return out
     den, nums = common_denominator([f for f, _ in terms])
     for (i, j), parts in by_entry.items():
         if len(parts) == 1:
-            k, c = parts[0]
-            out.data[i][j] = terms[k][0].scale(c)
+            k, v = parts[0]
+            f, m = terms[k]
+            out.data[i][j] = f.scale(QQ(v, m.den))
         else:
-            num = Poly()
-            for k, c in parts:
-                num = num + nums[k].scale(c)
-            out.data[i][j] = RatFun(num, den)
+            num = poly_lincomb([(v, terms[k][1].den, nums[k]) for k, v in parts])
+            if num:
+                out.data[i][j] = RatFun(num, den)
     return out
 
 
@@ -118,52 +120,96 @@ def commute_pairwise(mats) -> bool:
     return all(comm(a, b).is_zero for j, b in enumerate(mats) for a in mats[:j])
 
 
+# a pair of LieBasis.records not taken yet
+_MISSING = object()
+
+
 @dataclass
 class LieBasis:
     """Basis of a matrix Lie algebra over Q.
 
     mats[0:n_generators] are the independent generators in input order; the
-    rest are brackets in the order they were discovered.  span is the
-    SpanQQ of mats, so the coordinates of a bracket along mats are
-    read off it.  No structure table is kept: each query takes the brackets
-    it reads, and no query lists every pair.
+    rest are brackets in the order they were discovered, so mats spans the
+    algebra the generators generate.  span is the SpanQQ of mats, so the
+    coordinates of a bracket along mats are read off it.  records holds
+    the brackets taken so far: (i, j), i < j, maps to None when
+    [mats[i], mats[j]] is zero, else to its coordinates along mats or to
+    the reduction span kept of it, which the first read turns into them.
+    lie_closure records every bracket it takes, each element with every
+    generator before it, so the generators' adjoints and every pair of
+    generators are read, not taken; a query takes and records the pairs
+    that are missing, each once.
     """
 
     mats: list
     n_generators: int
     span: SpanQQ = field(compare=False, repr=False)
+    records: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.mats)
 
+    def _record(self, i, j):
+        """The record of the pair i < j, the bracket taken if it is missing;
+        ValueError if that bracket lies outside the span."""
+        rec = self.records.get((i, j), _MISSING)
+        if rec is _MISSING:
+            check_deadline()
+            b = comm(self.mats[i], self.mats[j])
+            rec = None
+            if not b.is_zero:
+                rec = self.span.coords_in_added(b)
+                if rec is None:
+                    raise ValueError("bracket outside the span of the basis")
+            self.records[(i, j)] = rec
+        return rec
+
+    def _bracket(self, i, k):
+        """The coordinates of [mats[i], mats[k]] along mats, i != k."""
+        a, b = (i, k) if i < k else (k, i)
+        rec = self._record(a, b)
+        if rec is None:
+            return [QQ0] * self.dim
+        if type(rec) is tuple:
+            rec = self.records[(a, b)] = self.span.coords_of(rec)
+        return rec if i < k else [-c for c in rec]
+
     def is_abelian(self) -> bool:
         """The generators commute pairwise, so they span the algebra."""
-        return commute_pairwise(self.mats[: self.n_generators])
+        return self.first_noncommuting_pair() is None
 
     def adjoint(self, i):
         """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
 
         others lists the other indices in order, and column c of ad holds
-        the coordinates of [mats[i], mats[others[c]]] along them.  None when
-        some bracket has a component along mats[i].  The time budget is
-        checked between brackets.
+        the coordinates of [mats[i], mats[others[c]]] along them, read off
+        the records, the sign flipped for a pair recorded as (others[c], i).
+        None when some bracket has a component along mats[i].  The time
+        budget is checked between brackets.
         """
         others = [k for k in range(self.dim) if k != i]
         cols = []
         for k in others:
             check_deadline()
-            cols.append(self.span.coords_in_added(comm(self.mats[i], self.mats[k])))
+            cols.append(self._bracket(i, k))
             if cols[-1][i]:
                 return None
         return others, ConstMat([[c[o] for c in cols] for o in others])
 
     def first_noncommuting_pair(self):
         """Smallest (i, j), i < j, with [mats[i], mats[j]] != 0, or None.
-        The brackets are taken in that order, up to the first nonzero one."""
-        m, n = self.mats, self.dim
-        return next(((i, j) for i in range(n) for j in range(i + 1, n)
-                     if not comm(m[i], m[j]).is_zero), None)
+
+        Only pairs of generators are scanned, in that order.  That gives the
+        same pair as scanning every pair: if (a, b) is the smallest pair of
+        generators that do not commute, each generator i < a commutes with
+        every generator, so with every bracket of them (Jacobi), and is
+        central; and every j < b is a generator that commutes with mats[a].
+        When the generators commute pairwise, they span an abelian algebra.
+        """
+        g = self.n_generators
+        return next(((i, j) for i in range(g) for j in range(i + 1, g)
+                     if self._record(i, j) is not None), None)
 
 
 def lie_closure(generators) -> LieBasis:
@@ -174,8 +220,10 @@ def lie_closure(generators) -> LieBasis:
     1993, ch. 0), so a span holding S and closed under each ad(s) is all of
     it.  Basis element j is bracketed, in order, with the generators
     i < min(j, n_generators) only, and a bracket that enlarges the span is
-    appended, so the basis is reproducible.  Terminates inside gl_n.  The
-    time budget is checked before each element's brackets.
+    appended, so the basis is reproducible.  Each bracket is recorded in
+    the basis's records: a zero one as None, without a reduction, and any
+    other as the reduction SpanQQ.add_kept made of it.  Terminates inside
+    gl_n.  The time budget is checked before each element's brackets.
     """
     gens = list(generators)
     if not gens:
@@ -183,15 +231,20 @@ def lie_closure(generators) -> LieBasis:
     span = SpanQQ(gens[0].rows * gens[0].cols)
     basis = [g for g in gens if span.add(g)]
     n_gen = len(basis)
+    records = {}
     j = 1
     while j < len(basis):
         check_deadline()
         for i in range(min(j, n_gen)):
             b = comm(basis[i], basis[j])
-            if span.add(b):
+            if b.is_zero:
+                records[(i, j)] = None
+                continue
+            grew, records[(i, j)] = span.add_kept(b)
+            if grew:
                 basis.append(b)
         j += 1
-    return LieBasis(basis, n_gen, span)
+    return LieBasis(basis, n_gen, span, records)
 
 
 # ---- block structure ------------------------------------------------------------

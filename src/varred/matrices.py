@@ -251,9 +251,10 @@ class SpanQQ:
     forward reduction becomes the new basis row as the same rational vector
     whatever the scaling -- callers rely on that (basis = reduced residuals
     in input order).  An add reduces its vector once; add_coords also hands
-    back the coordinates that gives.  The combos, the rows over the
-    accepted vectors, are built on the first coords_in_added call, from the
-    kept reductions.
+    back the coordinates that gives, and add_kept the reduction itself, for
+    coords_of to read the coordinates over the accepted vectors later.  The
+    combos, the rows over the accepted vectors, are built on the first
+    coords_of call, from the kept reductions.
     """
 
     def __init__(self, length: int):
@@ -317,11 +318,27 @@ class SpanQQ:
             out[-1] = QQ1
         return g != 0, out
 
+    def add_kept(self, vec):
+        """(grew, kept): add vec and keep its reduction, from which
+        coords_of reads its coordinates at any later time."""
+        t, sn, sd, g = self._insert(vec)
+        return g != 0, (t, sn, sd, len(self._kept) - 1 if g else None)
+
     def coords_in_added(self, vec):
         """Coordinates of vec in the accepted original vectors, or None."""
         w, t, sn, sd = self._reduce(vec)
-        if w:
-            return None
+        return None if w else self.coords_of((t, sn, sd, None))
+
+    def coords_of(self, kept):
+        """Coordinates in the accepted original vectors, as many as there
+        are now, of the vector kept reduces: kept is (t, sn, sd, own), the
+        vector sn/sd * sum t[k] * (ints of row index k) -- or, when own is
+        not None, the accepted vector own itself."""
+        t, sn, sd, own = kept
+        out = [QQ0] * len(self.rows)
+        if own is not None:
+            out[own] = QQ1
+            return out
         for tk, snk, sdk, gk in self._kept[len(self._combos):]:
             # ints_k = (sdk/snk * (k-th vector) - sum tk[a] * ints_a) / gk
             acc, den = self._over_added(tk)
@@ -331,7 +348,6 @@ class SpanQQ:
             h = _igcd(den, *combo.values()) * (1 if den > 0 else -1)
             self._combos.append(({i: v // h for i, v in combo.items()}, den // h))
         acc, den = self._over_added(t)
-        out = [QQ0] * len(self.rows)
         for i, v in acc.items():
             out[i] = QQ(sn * v, sd * den)
         return out

@@ -465,6 +465,20 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return (poly_cofactors(a, b)[1] * b).monic()
 
 
+def poly_lincomb(terms) -> Poly:
+    """sum a/b * p over the (a, b, p) of terms, ints a and b > 0: one integer
+    dot product of the numerators over d, the lcm of the b * p._den,
+    canonicalized once."""
+    scales = [b * p._den for _, b, p in terms]
+    d = _ilcm(*scales)
+    out = [0] * max(len(p._num) for _, _, p in terms)
+    for (a, _, p), scale in zip(terms, scales):
+        f = a * (d // scale)
+        for e, c in enumerate(p._num):
+            out[e] += f * c
+    return _canon(out, d)
+
+
 def _remembered(fn):
     """fn, its answers kept by the FactorBase of the enclosing
     shared_factors() block, if there is one, and read back when the same
@@ -512,9 +526,18 @@ def squarefree_decomposition(p: Poly):
 
 
 @_remembered
+def derivative_cofactors(d: Poly):
+    """(d/g, d'/g) with g = gcd(d, d'): the first step of Yun's algorithm
+    and the cofactors of a derivative's denominator, taken once per d in a
+    shared_factors() block."""
+    _, r, q = poly_cofactors(d, d.derivative())
+    return r, q
+
+
+@_remembered
 def _yun(p: Poly):
     """squarefree_decomposition of a nonconstant monic p."""
-    _, b, c = poly_cofactors(p, p.derivative())
+    b, c = derivative_cofactors(p)
     d = c - b.derivative()
     out = []
     i = 1
@@ -744,12 +767,16 @@ class FactorBase:
     p.monic() is divided by each factor held, as often as it goes exactly,
     and only a nonconstant cofactor that is left is factored in full; its
     factors join the base.  Factorization over Q is unique, so the result
-    does not depend on what the base holds.  The base also remembers the factor list
-    of every monic input it has factored and returns a fresh copy of it
-    when that input comes again, and so it remembers the squarefree split of
-    each monic input and the Bezout cofactors of each argument pair of
-    poly_xgcd, the two things a Hermite reduction asks of a denominator
-    again and again.  It lives only as long as the outermost
+    does not depend on what the base holds.
+
+    The base also remembers what a computation asks of the same few
+    denominators again and again: the factor list of every monic input it
+    has factored, returned as a fresh copy when that input comes again,
+    and in answers what each @_remembered function gave for each argument
+    tuple -- the squarefree split of each monic input (_yun), the Bezout
+    cofactors of each argument pair of poly_xgcd, and d/gcd(d, d') and
+    d'/gcd(d, d') of each d (derivative_cofactors), which RatFun.derivative
+    and Yun's first step share.  It lives only as long as the outermost
     shared_factors() block, so nothing it remembers outlives that block.
     """
 

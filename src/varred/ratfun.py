@@ -23,6 +23,7 @@ from math import gcd, lcm
 from .rationals import QQ, QQ0, QQ1, is_integer
 from .poly import (
     Poly,
+    derivative_cofactors,
     factor_irreducible,
     poly_cofactors,
     poly_lcm,
@@ -178,14 +179,16 @@ class RatFun:
                 + max(other.num.degree or 0, other.den.degree) + 1)
 
     def derivative(self) -> "RatFun":
-        """(n/d)' = (n' r - n d'/g) / (d r) with g = gcd(d, d') and r = d/g,
-        already reduced: an irreducible p with p^e || d divides d r e + 1
-        times but not the numerator, which is -e n p' r/p modulo p.
+        """(n/d)' = (n' r - n q) / (d r) with g = gcd(d, d'), r = d/g and
+        q = d'/g, already reduced: an irreducible p with p^e || d divides
+        d r e + 1 times but not the numerator, which is -e n p' r/p modulo
+        p.  r and q come from poly.derivative_cofactors, so inside a
+        shared_factors() block each distinct denominator costs one gcd.
         """
         n, d = self.num, self.den
         if d.is_one:
             return RatFun._raw(n.derivative(), _ONE)
-        _, r, q = poly_cofactors(d, d.derivative())
+        r, q = derivative_cofactors(d)
         return RatFun._raw(n.derivative() * r - n * q, d * r)
 
     # ---- text ------------------------------------------------------------

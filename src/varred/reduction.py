@@ -357,7 +357,8 @@ def _eigen_chains(psi: ConstMat):
 
 def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
     """(frame, chains): the (lam, matrices) chains of ad(d0) on the working
-    subdiagonal space, and the DualFrame of d0 and them over its closure.
+    subdiagonal space, and the DualFrame of d0 and them over its closure,
+    or (None, []) when there are no chains, so no frame would be read.
 
     Each element of the initial algebra has diagonal part c*d0, lead =
     d0 + seed among them, so the subdiagonal part of each lies in
@@ -373,6 +374,8 @@ def _adjoint_chains(d0: ConstMat, seed: ConstMat, sub_basis):
     work = lie_closure([d0] + list(sub_basis) + [seed])
     _, psi = work.adjoint(0)
     eigen = sorted(_eigen_chains(psi), key=lambda t: -len(t[1]))
+    if not eigen:
+        return None, []
     frame = DualFrame(work, 0, [v for _, ch in eigen for v in ch])
     rest = iter(frame.basis[1:])
     chains = [(lam, [next(rest) for _ in ch]) for lam, ch in eigen]

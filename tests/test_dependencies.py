@@ -1,7 +1,8 @@
 """The package imports only the standard library and itself, one
-module keeps the time budget, one keeps the pole base, the gauge and the
-reduction cut blocks in one way, gauges are composed in the pipeline alone,
-and every name it exports resolves."""
+module keeps the time budget, one keeps the pole base, one keeps the
+span's internals, the gauge and the reduction cut blocks in one way,
+gauges are composed in the pipeline alone, and every name it exports
+resolves."""
 
 import ast
 import fractions
@@ -90,6 +91,17 @@ def test_the_pole_base_lives_in_poly():
                 else:
                     continue
                 found += [(name, node.lineno, n) for n in used & private]
+    assert found == []
+
+
+def test_the_span_internals_stay_in_matrices():
+    """No module other than matrices.py touches SpanQQ._reduce, _insert,
+    _kept or _combos: the closure, the frames and the solvers read a span
+    through add, add_coords, add_kept, coords_of and coords_in_added."""
+    private = {"_reduce", "_insert", "_kept", "_combos"}
+    found = [(name, node.lineno, node.attr) for name, tree in parsed_sources()
+             if name != "matrices.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in private]
     assert found == []
 
 

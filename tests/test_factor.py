@@ -12,6 +12,9 @@ import sympy
 from varred import poly as poly_module
 from varred.errors import ReductionTimeout, time_budget
 from varred.poly import Poly, factor_irreducible, poly_xgcd, shared_factors, squarefree_decomposition
+from varred.ratfun import RatFun
+
+from dense_oracle import derivative_by_two_gcds
 
 X = sympy.Symbol("x")
 # the Swinnerton-Dyer polynomial of sqrt(2), sqrt(3), sqrt(5): irreducible
@@ -135,3 +138,29 @@ def test_shared_factors_remembers_splits_and_cofactors():
         p, q = cases[0]
         assert (squarefree_decomposition(p), poly_xgcd(p, q)) == outside[0][:2]
     assert poly_module._FACTOR_BASE.get() is None
+
+
+def test_derivative_cofactors_are_taken_once_per_denominator():
+    """RatFun.derivative and squarefree_decomposition answer inside a
+    shared_factors() block as outside one.  On functions that share a
+    denominator, and functions that share a numerator over distinct
+    denominators, the block holds one derivative_cofactors answer per
+    distinct denominator, and the squarefree splits of those denominators
+    add none."""
+    cases = random_split_inputs(random.Random(2703), 8)
+    nums = [q for _, q in cases[:5]] + [Poly([1]), Poly([0, 1])]
+    funcs = [RatFun(n, p) for n in nums for p, _ in cases]
+    dens = {f.den for f in funcs if not f.den.is_one}
+    assert 1 < len(dens) < len(funcs)
+    outside = [f.derivative() for f in funcs]
+    assert outside == [derivative_by_two_gcds(f) for f in funcs]
+    splits = [squarefree_decomposition(d) for d in dens]
+    helper = poly_module.derivative_cofactors.__wrapped__
+    with shared_factors():
+        base = poly_module._FACTOR_BASE.get()
+        assert [f.derivative() for f in funcs] == outside
+        keys = [key[1:] for key in base.answers if key[0] is helper]
+        assert len(keys) == len(dens) and {d for (d,) in keys} == dens
+        assert [squarefree_decomposition(d) for d in dens] == splits
+        assert [f.derivative() for f in funcs] == outside
+        assert len([key for key in base.answers if key[0] is helper]) == len(dens)

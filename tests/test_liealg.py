@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from varred import liealgebra
 from varred.errors import PreconditionFailure
 from varred.liealgebra import (
     DualFrame,
     LieBasis,
     lie_closure,
+    rat_lincomb,
     split_diag_sub,
     wei_norman,
 )
@@ -178,12 +180,33 @@ def oracle_generator_sets(rng):
     return [gens for gens in sets if not all(g.is_zero for g in gens)]
 
 
-def test_lie_closure_matches_the_all_pairs_oracle():
+def oracle_adjoint(table, dim, i):
+    """adjoint(i) as the all-pairs table gives it on the same basis."""
+    others = [k for k in range(dim) if k != i]
+    cols = [table[(i, k)] if i < k else [-c for c in table[(k, i)]] for k in others]
+    if any(c[i] for c in cols):
+        return None
+    return others, ConstMat([[c[o] for c in cols] for o in others])
+
+
+def test_lie_closure_matches_the_all_pairs_oracle(monkeypatch):
     """The closure that brackets with the generators only spans what the
     all-pairs, breadth-first oracle spans; adjoint(i) equals the oracle's
     table on the closure's own basis, and the first noncommuting pair is
     the smallest nonzero entry of that table, None exactly when it is
-    abelian."""
+    abelian.  After the closure, the adjoint of every generator,
+    is_abelian() and first_noncommuting_pair() read its records and take
+    no bracket; the adjoint of a non-generator takes each bracket that is
+    missing once, and a second call takes none."""
+    taken = []
+    inner = liealgebra.comm
+
+    def counted(a, b):
+        taken.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(liealgebra, "comm", counted)
+    non_generators = 0
     for gens in oracle_generator_sets(random.Random(304)):
         lie = lie_closure(gens)
         basis = breadth_first_basis(gens)
@@ -191,19 +214,62 @@ def test_lie_closure_matches_the_all_pairs_oracle():
         assert len(rref([m.flatten() for m in basis + lie.mats])[1]) == len(basis)
         same, table = breadth_first_closure(lie.mats)
         assert same == lie.mats
-        for i in range(lie.dim):
-            others = [k for k in range(lie.dim) if k != i]
-            cols = [table[(i, k)] if i < k else [-c for c in table[(k, i)]] for k in others]
-            want = None
-            if not any(c[i] for c in cols):
-                want = (others, ConstMat([[c[o] for c in cols] for o in others]))
-            assert lie.adjoint(i) == want
+        taken.clear()
+        for i in range(lie.n_generators):
+            assert lie.adjoint(i) == oracle_adjoint(table, lie.dim, i)
         nonzero = sorted(key for key, c in table.items() if any(c))
         pair = lie.first_noncommuting_pair()
         assert pair == (nonzero[0] if nonzero else None)
         assert lie.is_abelian() == (not nonzero)
+        assert taken == []
         if pair is not None:
             assert not comm(lie.mats[pair[0]], lie.mats[pair[1]]).is_zero
+        index = {id(m): k for k, m in enumerate(lie.mats)}
+        for i in range(lie.n_generators, lie.dim):
+            non_generators += 1
+            before = set(lie.records)
+            got = lie.adjoint(i)
+            pairs = [(index[id(a)], index[id(b)]) for a, b in taken]
+            assert len(set(pairs)) == len(pairs)
+            assert not set(pairs) & before and set(pairs) <= set(lie.records)
+            assert got == oracle_adjoint(table, lie.dim, i)
+            taken.clear()
+            assert lie.adjoint(i) == got and taken == []
+    assert non_generators > 20
+
+
+def test_rat_lincomb_matches_a_ratfun_sum():
+    """rat_lincomb against sum_k funcs[k] * mats[k] summed entry by entry in
+    RatFun arithmetic, on seeded functions with rational coefficients over
+    shared and distinct denominators, and matrices with denominators of
+    their own.  Some sets carry a rescaled copy of a term with the opposite
+    sign, so that entries cancel in part or to zero."""
+    rng = random.Random(341)
+    x, one = Poly.variable(), Poly([1])
+    dens = [one, x, x * x + one, (x - Poly([2])) ** 2, x * (x * x + one)]
+    cancelled = 0
+    for _ in range(80):
+        rows, cols, k = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        funcs = [RatFun(Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(rng.randint(1, 3))]), rng.choice(dens))
+                 for _ in range(k)]
+        mats = [ConstMat([[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(cols)]
+                          for _ in range(rows)]) for _ in range(k)]
+        if rng.random() < 0.5:
+            j = rng.randrange(k)
+            c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            funcs.append(funcs[j].scale(c))
+            mats.append(mats[j].scale(-1 / c))
+        want = RatMat.zeros(rows, cols)
+        for f, m in zip(funcs, mats):
+            for i in range(rows):
+                for j in range(cols):
+                    want.data[i][j] = want.data[i][j] + f * RatFun.const(m.data[i][j])
+        assert rat_lincomb(funcs, mats, rows, cols) == want
+        cancelled += sum(want.data[i][j].is_zero and any(f and m.data[i][j]
+                                                         for f, m in zip(funcs, mats))
+                         for i in range(rows) for j in range(cols))
+    assert cancelled > 20
 
 
 def test_monogenous_two_block_closures_keep_the_all_pairs_order():
@@ -564,8 +630,8 @@ def test_dual_frame_matches_the_flattened_reference_on_random_frames():
 def test_dual_frame_matches_the_flattened_reference_in_the_pipeline(monkeypatch, hh_system, hh_p1):
     """Every frame the pipeline builds on LVE^1 to LVE^3, on the 12 systems
     of synth-chains seed 0 and on the separable orders 1 to 4 has the basis
-    of FlatDualFrame, and every matrix it reads gets FlatDualFrame's
-    coordinates."""
+    of FlatDualFrame, every matrix it reads gets FlatDualFrame's
+    coordinates, and every frame built is read."""
     from test_reduction import reduce_system_text, synth_texts
     from test_separable import separable_hamiltonian_text, separable_p1
 
@@ -596,3 +662,4 @@ def test_dual_frame_matches_the_flattened_reference_in_the_pipeline(monkeypatch,
         assert frame.coords(wn) == refs[id(frame)].coords(wn)
     sizes = {frame.basis[0].rows for frame, _ in made}
     assert {4, 14, 34, 69} <= sizes and len(read) > 20
+    assert {id(frame) for frame, _ in made} == {id(frame) for frame, _ in read}

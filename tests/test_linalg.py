@@ -373,6 +373,32 @@ def test_spanqq_matches_dense_reference():
     assert span.coords_in_added(Poly()) == []
 
 
+def test_add_kept_reads_the_coordinates_later():
+    """add_kept grows the span as add_coords does, and after every vector
+    went in, coords_of reads each one's coordinates over all the accepted
+    vectors from the reduction kept when it was added: RefSpan's
+    coordinates, the vector's own unit when it grew the span."""
+    rng = random.Random(213)
+    for case in range(40):
+        n = rng.randint(1, 6)
+        vecs = [[ref_entry(rng) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(1, 3)):
+            picks = rng.sample(vecs, min(len(vecs), 2))
+            coeffs = [ref_entry(rng) or Fraction(1, 5) for _ in picks]
+            vecs.append([sum((f * v[k] for f, v in zip(coeffs, picks)), Fraction(0))
+                         for k in range(n)])
+        vecs.append([Fraction(0)] * n)
+        rng.shuffle(vecs)
+        ref, span, kept = RefSpan(), SpanQQ(n), []
+        for v in vecs:
+            grew, k = span.add_kept(rng.choice([list(v), Poly(v), ConstMat([v])]))
+            assert grew == ref.add(v)[0]
+            kept.append(k)
+        spans_agree(span, ref)
+        for v, k in zip(vecs, kept):
+            assert span.coords_of(k) == ref.coords_in_added(v)
+
+
 def test_spanqq_callers_pass_polys(monkeypatch, lve3_run):
     """wei_norman, solve_first_order_rational and the letter rank hand
     SpanQQ the numerator Polys themselves, not dense Fraction lists built
