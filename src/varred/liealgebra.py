@@ -115,11 +115,6 @@ def wei_norman(a: RatMat) -> WeiNormanDecomp:
 # ---- Lie closure ---------------------------------------------------------------
 
 
-def commute_pairwise(mats) -> bool:
-    """True when every two of the constant matrices commute."""
-    return all(comm(a, b).is_zero for j, b in enumerate(mats) for a in mats[:j])
-
-
 # a pair of LieBasis.records not taken yet
 _MISSING = object()
 
@@ -178,6 +173,11 @@ class LieBasis:
     def is_abelian(self) -> bool:
         """The generators commute pairwise, so they span the algebra."""
         return self.first_noncommuting_pair() is None
+
+    def commuting(self, indices) -> bool:
+        """True when the mats[k], k in indices (ascending), commute pairwise;
+        a pair missing from the records is taken and recorded, once."""
+        return all(self._record(a, b) is None for j, b in enumerate(indices) for a in indices[:j])
 
     def adjoint(self, i):
         """(others, ad): the matrix of ad(mats[i]) on the other basis elements.
@@ -271,14 +271,15 @@ def check_block_lower(mats, d1: int) -> None:
 def split_diag_sub(mats, d1: int):
     """Split block lower-triangular matrices along the (d1, n-d1) partition.
 
-    Returns (diag_basis, sub_basis): a basis of the projections of the input
-    span onto the block-diagonal part, and a basis of its intersection with
-    the strictly sub-diagonal part.  Both are full-size matrices.  The input
-    matrices must be independent and block lower triangular; a nonzero entry
-    in the upper-right block raises PreconditionFailure.
+    Returns (diag_basis, sub_basis, lead): a basis of the projections of the
+    input span onto the block-diagonal part, a basis of its intersection
+    with the strictly sub-diagonal part, and the first lift, the first input
+    with a nonzero diagonal part (or None); all are full-size matrices.  The
+    input matrices must be independent and block lower triangular; a
+    nonzero entry in the upper-right block raises PreconditionFailure.
     """
     if not mats:
-        return [], []
+        return [], [], None
     check_block_lower(mats, d1)
     n = mats[0].rows
     span = SpanQQ(n * n)
@@ -295,7 +296,7 @@ def split_diag_sub(mats, d1: int):
             lifts.append(rest)
         else:
             sub_basis.append(rest)
-    return diag_basis, sub_basis
+    return diag_basis, sub_basis, lifts[0] if lifts else None
 
 
 class DualFrame:

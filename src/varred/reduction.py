@@ -52,8 +52,6 @@ from .liealgebra import (
     DualFrame,
     LieBasis,
     WeiNormanDecomp,
-    commute_pairwise,
-    diag_projection,
     lie_closure,
     split_diag_sub,
     wei_norman,
@@ -453,11 +451,14 @@ def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     """Reduce the subdiagonal block of a system whose diagonal is reduced.
 
     The Lie algebra generated by the coefficient matrix is split along the
-    block-diagonal; a single diagonal generator is required (anything bigger
-    raises UnsupportedRegime).  Its adjoint organizes the subdiagonal
+    block-diagonal; a single diagonal generator d0 is required (anything
+    bigger raises UnsupportedRegime).  Only the generators are split: their
+    brackets have diagonal part [c*d0, c'*d0] = 0 and join the subdiagonal
+    basis as they are.  The adjoint of d0 organizes the subdiagonal
     generators into chains, and one sweep down the chains solves for the
     whole elimination gauge Id + S; without a diagonal generator every
-    subdiagonal generator is a chain of its own.
+    subdiagonal generator is a chain of its own.  Without chains, the
+    initial matrix, decomposition and closure are the final ones.
 
     The report's total gauge is Id + S, a BlockGauge that holds only the
     lower-left block of S, and it is checked once, block by block:
@@ -469,19 +470,17 @@ def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     does.
     """
     a0 = system.matrix
-    n = a0.rows
     d1 = system.block_sizes[0]
     check_deadline()
 
     wn0 = wei_norman(a0)
-    _check_monogenous(wn0.matrices(), d1)
+    diag_basis, sub_basis, lead = _check_monogenous(wn0.matrices(), d1)
     lie0 = lie_closure(wn0.matrices())
-    diag_basis, sub_basis = split_diag_sub(lie0.mats, d1)
+    # the brackets are strictly subdiagonal: [c*d0, c'*d0] = 0
+    sub_basis += lie0.mats[lie0.n_generators:]
 
     chains = []
     if diag_basis:
-        # split_diag_sub took d0 from the first element with a diagonal part
-        lead = next(m for m in lie0.mats if not diag_projection(m, d1).is_zero)
         frame, chains = _adjoint_chains(diag_basis[0], lead - diag_basis[0], sub_basis)
     elif lie0.dim:
         # zero diagonal: each element is its own chain, pure antidifferentiation
@@ -490,21 +489,21 @@ def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     jordan_sizes = [len(mats) for _, mats in chains]
 
     a, low, steps = a0, None, []
+    wn_final, lie_final = wn0, lie0
     if chains:
         # one read of a0: beta0 leads, the chain coefficients follow
         coords = frame.coords(wn0)
-        lead = coords[: len(diag_basis)]
-        beta0 = lead[0] if lead else _RF_ZERO
-        g, left, steps = _sweep_chains(chains, coords[len(lead):], beta0)
-        a = frame.combine(lead + left)
-        s = frame.combine([_RF_ZERO] * len(lead) + g)
+        head = coords[: len(diag_basis)]
+        beta0 = head[0] if head else _RF_ZERO
+        g, left, steps = _sweep_chains(chains, coords[len(head):], beta0)
+        a = frame.combine(head + left)
+        s = frame.combine([_RF_ZERO] * len(head) + g)
         s_t, s_tr, low, s_r = s.cut(d1)
         if not (s_t.is_zero and s_tr.is_zero and s_r.is_zero):
             raise RuntimeError("elimination gauge Id + S has S outside the lower-left block")
-    total = BlockGauge(d1, n, low=low)
-
-    wn_final = wei_norman(a)
-    lie_final = lie_closure(wn_final.matrices())
+        wn_final = wei_norman(a)
+        lie_final = lie_closure(wn_final.matrices())
+    total = BlockGauge(d1, a0.rows, low=low)
     abelian = lie_final.is_abelian()
 
     try:
@@ -546,19 +545,21 @@ def reduce_subdiagonal(system: BlockSystem) -> ReductionReport:
     return report
 
 
-def _check_monogenous(mats, d1: int) -> None:
-    """UnsupportedRegime unless the diagonal algebra has dimension <= 1.
+def _check_monogenous(mats, d1: int):
+    """split_diag_sub(mats, d1), the one split of a reduction, or
+    UnsupportedRegime when the diagonal algebra has dimension above 1.
 
     On block lower-triangular matrices the projection to the block diagonal
-    is a Lie homomorphism, so the diagonal algebra is generated by the basis
-    split_diag_sub gives of the projections of mats: a span of dimension
-    <= 1 is already closed, and only a refusal closes it, for its message.
+    is a Lie homomorphism, so the diagonal algebra is generated by the
+    split's diag_basis, a basis of the projections of mats: a span of
+    dimension <= 1 is already closed, and only a refusal closes it.
     """
-    diag_basis = split_diag_sub(mats, d1)[0]
-    if len(diag_basis) > 1:
+    split = split_diag_sub(mats, d1)
+    if len(split[0]) > 1:
         raise UnsupportedRegime(
-            "diagonal algebra is not monogenous (dimension %d)" % lie_closure(diag_basis).dim
+            "diagonal algebra is not monogenous (dimension %d)" % lie_closure(split[0]).dim
         )
+    return split
 
 
 def _known_diagonal(m: int, lower) -> RatMat:
@@ -703,19 +704,18 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
     wn is the Wei-Norman decomposition of the reduced matrix, lie the closure
     of its matrices.  Requires a leading generator whose adjoint acts
     nilpotently on the remaining basis of the Lie algebra, all of whose
-    elements commute with each other; such a leader lies in every
-    noncommuting pair, so only the first pair is tried.  An abelian algebra
-    has no pair, and its element 0 leads: its adjoint is zero.  Eliminating
-    the non-leading coefficients top-down along the adjoint chains then
-    only ever needs antiderivatives, and each one that is not rational
-    becomes a named tower symbol.  Raises UnsupportedRegime when the
+    elements commute with each other (LieBasis.commuting: the records of the
+    closure are read, only missing pairs are bracketed); such a leader lies
+    in every noncommuting pair, so only the first pair is tried.  An abelian
+    algebra has no pair, and its element 0 leads: its adjoint is zero.
+    Eliminating the non-leading coefficients top-down along the adjoint
+    chains then only ever needs antiderivatives, and each one that is not
+    rational becomes a named tower symbol.  Raises UnsupportedRegime when the
     structure does not have this shape.  The time budget is checked at
     every chain position.
     """
     if wn.dim == 0:
         return []
-    basis = lie.mats
-
     pair = lie.first_noncommuting_pair()
     chosen = None
     for cand in pair or (0,):
@@ -729,8 +729,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
             chains = nilpotent_jordan_chains(ad)
         except UnsupportedRegime:
             continue
-        # the other basis elements must commute with each other
-        if pair is not None and not commute_pairwise([basis[o] for o in others]):
+        if not lie.commuting(others):
             continue
         chosen = (cand, chains)
         break
@@ -745,7 +744,7 @@ def picard_vessiot_tower(wn: WeiNormanDecomp, lie: LieBasis):
     for g in frame.basis[1:]:
         if not (g * g).is_zero:
             raise UnsupportedRegime("tower gauges need square-zero generators")
-        for b in basis:
+        for b in lie.mats:
             if not (g * (b * g)).is_zero:
                 raise UnsupportedRegime("tower gauges need isolated generators")
 

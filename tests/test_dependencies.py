@@ -1,8 +1,8 @@
 """The package imports only the standard library and itself, one
 module keeps the time budget, one keeps the pole base, one keeps the
 span's internals, the gauge and the reduction cut blocks in one way,
-gauges are composed in the pipeline alone, and every name it exports
-resolves."""
+gauges are composed in the pipeline alone, the initial algebra is split
+once, and every name it exports resolves."""
 
 import ast
 import fractions
@@ -139,6 +139,32 @@ def test_gauges_are_composed_in_the_pipeline_alone():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "then" and id(node) not in pipeline):
                 found.append((name, node.lineno, ".then("))
+    assert found == []
+
+
+def test_the_initial_algebra_is_split_once():
+    """split_diag_sub is called in src/varred only inside
+    reduction._check_monogenous, and no module but liealgebra.py names
+    diag_projection: a reduction splits its generators once, and the
+    closure's brackets, being strictly subdiagonal, need no projection."""
+    found = []
+    for name, tree in parsed_sources():
+        check = set()
+        if name == "reduction.py":
+            check = {id(node) for top in tree.body
+                     if isinstance(top, ast.FunctionDef) and top.name == "_check_monogenous"
+                     for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in check and (
+                    getattr(node.func, "id", None) == "split_diag_sub"
+                    or getattr(node.func, "attr", None) == "split_diag_sub"):
+                found.append((name, node.lineno, "split_diag_sub("))
+            elif name != "liealgebra.py" and (
+                    getattr(node, "id", None) == "diag_projection"
+                    or getattr(node, "attr", None) == "diag_projection"
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name == "diag_projection" for alias in node.names)):
+                found.append((name, node.lineno, "diag_projection"))
     assert found == []
 
 

@@ -397,7 +397,7 @@ def test_split_diag_sub_dimension_identity():
         indep = [m for m in mats if span.add(m.flatten())]
         if not indep:
             continue
-        diag_basis, sub_basis = split_diag_sub(indep, d1)
+        diag_basis, sub_basis, _ = split_diag_sub(indep, d1)
         assert len(diag_basis) + len(sub_basis) == len(indep)
         for s in sub_basis:
             # strictly sub-diagonal: zero outside the lower-left block
@@ -424,7 +424,8 @@ def dense_split_diag_sub(mats, d1):
 
     diag_basis holds the diagonal projections that raise the rref rank, in
     input order; sub_basis holds one combination of the inputs per vector
-    of the rref kernel of the projections, one equation per entry.
+    of the rref kernel of the projections, one equation per entry; lead is
+    the first input with a nonzero projection, or None.
     """
     n = mats[0].rows
     projs = [[m.data[i][j] if (i < d1) == (j < d1) else Fraction(0)
@@ -437,7 +438,8 @@ def dense_split_diag_sub(mats, d1):
     kernel = dense_nullspace([list(entry) for entry in zip(*projs)], len(mats))
     sub_basis = [ConstMat([[sum(c * m.data[i][j] for c, m in zip(v, mats))
                             for j in range(n)] for i in range(n)]) for v in kernel]
-    return diag_basis, sub_basis
+    lead = next((m for m, p in zip(mats, projs) if any(p)), None)
+    return diag_basis, sub_basis, lead
 
 
 def rand_block_part(rng, n, d1, diagonal):
@@ -453,7 +455,7 @@ def rand_block_part(rng, n, d1, diagonal):
 def test_split_diag_sub_matches_dense_kernel():
     """Block lower-triangular inputs built from fewer diagonal parts than
     inputs, so their diagonal projections are dependent: split_diag_sub
-    gives the dense construction's bases, matrix for matrix."""
+    gives the dense construction's bases and lead, matrix for matrix."""
     rng = random.Random(306)
     n_sub = 0
     for _ in range(40):

@@ -21,7 +21,7 @@ from varred.errors import (
     time_budget,
 )
 from varred.expr import poly_to_text
-from varred.fileformats import parse_report, parse_system, render_report
+from varred.fileformats import parse_hamiltonian, parse_report, parse_system, render_report
 from varred.gauge import (
     BlockGauge,
     GaugeMatrix,
@@ -256,7 +256,7 @@ def one_gauge_at_a_time(a0, d1, q):
     gauge it applies after q.  Returns (final matrix, steps with their
     eigenvalue, total gauge, chain shapes)."""
     lie = lie_closure(wei_norman(a0).matrices())
-    diag, sub = split_diag_sub(lie.mats, d1)
+    diag, sub, _ = split_diag_sub(lie.mats, d1)
     frame, chains = _adjoint_chains(diag[0], working_seed(lie.mats, diag[0], d1), sub)
     beta0 = frame.coords(wei_norman(a0))[0]
     a, coords, steps = a0, None, []
@@ -664,7 +664,8 @@ def hh_closures(lve3_run):
 
 def test_henon_heiles_closures_keep_the_all_pairs_order(lve3_run, hh_closures):
     # every closure of the order 1-3 reductions (initial, working space,
-    # final) has the all-pairs oracle's basis in the oracle's order: the
+    # final; order 1 has no chains, so its initial closure is its final
+    # one) has the all-pairs oracle's basis in the oracle's order: the
     # brackets the closure skips are those of two non-generators, which
     # lie in the lower-left block and commute, so the reports stay those of
     # the all-pairs closure
@@ -672,7 +673,7 @@ def test_henon_heiles_closures_keep_the_all_pairs_order(lve3_run, hh_closures):
         assert again.final_lie.mats == rep.final_lie.mats
     closed = [gens for _, _, calls in hh_closures for gens in calls]
     bases = [reduction.lie_closure(gens).mats for gens in closed]
-    assert [len(mats) for mats in bases] == [1, 1, 1, 11, 11, 1, 38, 39, 5]
+    assert [len(mats) for mats in bases] == [1, 1, 11, 11, 1, 38, 39, 5]
     assert bases == [breadth_first_basis(gens) for gens in closed]
 
 
@@ -930,6 +931,66 @@ def test_tower_tries_only_the_first_noncommuting_pair(monkeypatch):
     assert len(brackets) <= 2 * lie.dim
 
 
+def test_tower_brackets_only_the_pairs_missing_from_the_records(
+        lve3_run, synth_seed0, monkeypatch):
+    # The final algebras of LVE^1 to LVE^3 and synth-chains seed 0, closed
+    # afresh, and the strictly lower 4x4 matrices, generated by E21, E32 and
+    # E43: its candidate E21 has a nilpotent adjoint, but [E32, E43] != 0,
+    # so the tower refuses it.  Every bracket the tower takes is of a pair
+    # missing from the closure's records, once; the check that the
+    # non-leading elements commute reads the rest off the records.
+    def unit(i, j):
+        rows = [[0] * 4 for _ in range(4)]
+        rows[i][j] = 1
+        return ConstMat(rows)
+
+    strict = liealgebra.rat_lincomb([rf("1/(x - %d)" % k) for k in range(3)],
+                                    [unit(1, 0), unit(2, 1), unit(3, 2)], 4, 4)
+    # (decomposition, the refusal the tower gives or None)
+    reports = lve3_run[0] + [rep for _, rep in synth_seed0]
+    cases = [(rep.final_wei_norman, "." if rep.tower is None else None) for rep in reports]
+    cases.append((wei_norman(strict), "adjoint-chain structure"))
+    inner_comm, inner_commuting = liealgebra.comm, liealgebra.LieBasis.commuting
+    taken, checked = [], []
+
+    def commuting(self, indices):
+        checked.append((self, list(indices), inner_commuting(self, indices)))
+        return checked[-1][2]
+
+    monkeypatch.setattr(liealgebra.LieBasis, "commuting", commuting)
+    read = 0
+    for wn, refusal in cases:
+        lie = lie_closure(wn.matrices())
+        index = {id(m): k for k, m in enumerate(lie.mats)}
+        recorded = set(lie.records)
+        taken.clear()
+        checked.clear()
+
+        def counted(a, b):
+            taken.append((index[id(a)], index[id(b)]))
+            return inner_comm(a, b)
+
+        monkeypatch.setattr(liealgebra, "comm", counted)
+        if refusal is None:
+            picard_vessiot_tower(wn, lie)
+        else:
+            with pytest.raises(UnsupportedRegime, match=refusal):
+                picard_vessiot_tower(wn, lie)
+        monkeypatch.setattr(liealgebra, "comm", inner_comm)
+        assert len(set(taken)) == len(taken)
+        assert not set(taken) & recorded
+        for basis, indices, _ in checked:
+            assert basis is lie
+            pairs = {(a, b) for j, b in enumerate(indices) for a in indices[:j]}
+            read += len(pairs & recorded)
+    # the strict algebra: both candidates of the pair (0, 1) have nilpotent
+    # adjoints, and the check refuses both
+    assert [(indices, ok) for _, indices, ok in checked] == [
+        ([1, 2, 3, 4, 5], False), ([0, 2, 3, 4, 5], False)]
+    # most of the pairs the check covers come from the records
+    assert read > 200
+
+
 def test_dependent_depth_one_letters_are_not_certified():
     # blocks (2, 1): the diagonal generator E21 with beta0 = 1/x - 1/x^2 and
     # the subdiagonal E32 with 1/x.  The tower has the right length, but its
@@ -956,7 +1017,8 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
     # already holds.  The only other decomposition is the row of the
     # tower's letters, whose Q-independence it checks.  Every frame is
     # built over one of the three closures, and none eliminates in a span
-    # of the matrices' full size
+    # of the matrices' full size.  At an order without chains the final
+    # matrix is a0, and its decomposition and closure are the initial ones
     counts = {"wei_norman": 0, "lie_closure": 0}
     decomposed, closed, closures = [], [], []
 
@@ -998,16 +1060,32 @@ def test_each_matrix_is_decomposed_and_closed_once(monkeypatch):
         frames.append(lie)
         in_a_frame(frame_init)(self, lie, lead, vectors)
 
+    def reduce_recorded(a, blocks):
+        for log in (decomposed, closed, closures, spans, frames):
+            log.clear()
+        counts.update(wei_norman=0, lie_closure=0)
+        return reduce_subdiagonal(BlockSystem(len(blocks), a, blocks))
+
     monkeypatch.setattr(SpanQQ, "__init__", recorded_span)
     monkeypatch.setattr(DualFrame, "__init__", recorded_frame)
     monkeypatch.setattr(DualFrame, "coords", in_a_frame(frame_coords))
     zero = rf("0")
+    # order 1, one diagonal generator: ad(d0) has no chains
+    b = RatMat([[rf("1/x"), zero], [zero, rf("-1/x")]])
+    report = reduce_recorded(b, [2])
+    assert not report.jordan_block_sizes and report.final_matrix is b
+    letters = [el.integrand_coeff for el in report.tower if el.depth == 1]
+    assert counts == {"wei_norman": 2, "lie_closure": 2}
+    assert decomposed == [b, RatMat([letters])]
+    assert closed[0] == wei_norman(b).matrices() and closed[0] not in closed[1:]
+    assert report.final_lie is closures[0] and frames == [closures[0]]
+    assert report.final_wei_norman.matrices() == closed[0]
     a = RatMat([
         [zero, zero, zero],
         [rf("1/x"), zero, zero],
         [zero, rf("1/(x + 1)"), zero],
     ])
-    report = reduce_subdiagonal(BlockSystem(2, a, [2, 1]))
+    report = reduce_recorded(a, [2, 1])
     monkeypatch.undo()
     assert report.jordan_block_sizes and report.tower
     letters = [el.integrand_coeff for el in report.tower if el.depth == 1]
@@ -1036,7 +1114,7 @@ def test_working_space_closure_respects_deadline():
         [zero, rf("1/(x + 1)"), zero],
     ])
     lie = lie_closure(wei_norman(a).matrices())
-    diag, sub = split_diag_sub(lie.mats, 2)
+    diag, sub, _ = split_diag_sub(lie.mats, 2)
     seed = working_seed(lie.mats, diag[0], 2)
     _, chains = _adjoint_chains(diag[0], seed, sub)
     assert sum(len(mats) for _, mats in chains) >= 2
@@ -1427,7 +1505,7 @@ def test_working_space_closes_from_one_seed(hh_closures, synth_seed0, monkeypatc
     for system, closed in recorded:
         algebra = inner(closed[0]).mats
         d1 = system.block_sizes[0]
-        diag, sub = split_diag_sub(algebra, d1)
+        diag, sub, _ = split_diag_sub(algebra, d1)
         if not diag:
             assert len(closed) == 2  # initial and final closures only
             continue
@@ -1444,6 +1522,69 @@ def test_working_space_closes_from_one_seed(hh_closures, synth_seed0, monkeypatc
     assert 0 in enlarged and 1 in enlarged
     assert enlarged[-1] == 1 and bracketed[-1]
     assert len(enlarged) >= 20
+
+
+def test_one_split_of_the_generators_is_the_split_of_the_closure(
+        hh_system, hh_p1, monkeypatch):
+    """reduce_subdiagonal splits the Wei-Norman matrices, once, and appends
+    the closure's brackets to sub_basis.  On every reduce_subdiagonal input
+    of LVE^1 to LVE^3, synth-chains seed 0, the separable orders 1 to 4 and
+    seeded monogenous two-block systems, that gives the split of the whole
+    closure, and lead is the first element of the closure with a nonzero
+    diagonal part; the working space is closed from them."""
+    from test_separable import separable_hamiltonian_text, separable_p1
+
+    inner_reduce, inner_split = reduction.reduce_subdiagonal, reduction.split_diag_sub
+    inner_chains = reduction._adjoint_chains
+    runs, open_runs, outside = [], [], []
+
+    def reducing(system):
+        open_runs.append({"system": system, "splits": [], "chains": []})
+        open_runs[-1]["report"] = inner_reduce(system)
+        runs.append(open_runs.pop())
+        return runs[-1]["report"]
+
+    def splitting(mats, d1):
+        out = inner_split(mats, d1)
+        log = open_runs[-1]["splits"] if open_runs else outside
+        log.append((list(mats), d1, list(out[0]), list(out[1]), out[2]))
+        return out
+
+    def chaining(d0, seed, sub_basis):
+        open_runs[-1]["chains"].append((d0, seed, list(sub_basis)))
+        return inner_chains(d0, seed, sub_basis)
+
+    monkeypatch.setattr(reduction, "reduce_subdiagonal", reducing)
+    monkeypatch.setattr(reduction, "split_diag_sub", splitting)
+    monkeypatch.setattr(reduction, "_adjoint_chains", chaining)
+    reduction.reduce_variational_tower(hh_system, 3, hh_p1)
+    separable = parse_hamiltonian(separable_hamiltonian_text()).build_system()
+    reduction.reduce_variational_tower(separable, 4, separable_p1())
+    systems = [BlockSystem(len(sf.blocks), sf.matrix, list(sf.blocks))
+               for sf in map(parse_system, synth_texts(0, 12))]
+    systems += monogenous_two_block_systems(random.Random(1802), 12)
+    for system in systems:
+        reduction.reduce_subdiagonal(system)
+    monkeypatch.undo()
+    # the diagonal checks of orders 2-3 and 2-4, outside reduce_subdiagonal
+    assert len(outside) == 5 and len(runs) == 3 + 4 + len(systems)
+    bracketed = 0
+    for run in runs:
+        assert len(run["splits"]) == 1
+        gens, d1, diag, sub, lead = run["splits"][0]
+        wn0 = wei_norman(run["system"].matrix)
+        lie0 = lie_closure(wn0.matrices())
+        assert d1 == run["system"].block_sizes[0]
+        assert gens == wn0.matrices() == lie0.mats[:lie0.n_generators]
+        brackets = lie0.mats[lie0.n_generators:]
+        ref_diag, ref_sub, _ = split_diag_sub(lie0.mats, d1)
+        ref_lead = next((m for m in lie0.mats if not diag_projection(m, d1).is_zero), None)
+        assert (diag, sub + brackets, lead) == (ref_diag, ref_sub, ref_lead)
+        expected = [(ref_diag[0], ref_lead - ref_diag[0], ref_sub)] if ref_diag else []
+        assert run["chains"] == expected
+        assert (run["report"].diag_dim, run["report"].sub_dim) == (len(ref_diag), len(ref_sub))
+        bracketed += bool(brackets)
+    assert bracketed > 10
 
 
 # x standing alone, as a variable; "final-matrix" holds an x inside a word
